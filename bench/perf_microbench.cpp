@@ -654,24 +654,19 @@ void BM_SampledRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SampledRun)->Unit(benchmark::kMillisecond);
 
-// --- incremental scheduling: before/after pair -----------------------------
+// --- deep-queue scheduling --------------------------------------------------
 // Deep queue, bursty arrivals, event-driven drive: every round rebuilds the
 // candidate list and every bulk step asks next_event_cycle, so this is the
-// shape where the rescan path's O(queue x banks) work hurts most.
-// "Baseline" forces the from-scratch rescans; "Incremental" uses the
-// maintained candidate list + release heaps. Identical stats either way.
+// shape where the per-entry scheduling scans cost the most.
 
-std::uint64_t run_deep_queue(bool incremental) {
+std::uint64_t run_deep_queue() {
   dram::DramConfig cfg = dram::presets::edram_module(64, 128, 16, 2048);
   cfg.queue_depth = 512;
   dram::Controller ctl(cfg);
-  ctl.set_incremental_scheduling(incremental);
   Rng rng(11);
   // Random traffic spread over 16 banks with the queue riding near its
-  // 512-entry cap: a bank event (issue, precharge, refresh) re-evaluates
-  // only that bank's ~Q/16 queued entries on the incremental path, while
-  // the rescan baseline re-derives all 512 every scheduling round and on
-  // every next-event query.
+  // 512-entry cap: each scheduling round and each next-event query walks
+  // all 512 entries.
   const std::uint64_t cap = cfg.capacity().byte_count();
   std::uint64_t target = 0;
   std::vector<dram::Request> sink;
@@ -691,23 +686,14 @@ std::uint64_t run_deep_queue(bool incremental) {
   return ctl.stats().reads + ctl.stats().writes;
 }
 
-void BM_BuildCandidatesBaseline(benchmark::State& state) {
+void BM_DeepQueue(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_deep_queue(false));
+    benchmark::DoNotOptimize(run_deep_queue());
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * 150 * 400);
 }
-BENCHMARK(BM_BuildCandidatesBaseline)->Unit(benchmark::kMillisecond);
-
-void BM_BuildCandidatesIncremental(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_deep_queue(true));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * 150 * 400);
-}
-BENCHMARK(BM_BuildCandidatesIncremental)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeepQueue)->Unit(benchmark::kMillisecond);
 
 // --- multi-channel tick_until: serial vs fanned-out ------------------------
 // Args: (channels, tick threads); threads=1 forces the serial walk, 0 uses

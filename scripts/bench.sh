@@ -29,7 +29,6 @@ cd "$(dirname "$0")/.."
 read_pairs() {
   cat <<'PAIRS'
 idle-heavy run (fast-forward)|BM_IdleHeavyPerCycle|BM_IdleHeavyFastForward
-deep-queue scheduling (incremental)|BM_BuildCandidatesBaseline|BM_BuildCandidatesIncremental
 4-channel tick_until (thread fan-out)|BM_MultiChannelTickUntil/4/1|BM_MultiChannelTickUntil/4/0
 8-channel tick_until (thread fan-out)|BM_MultiChannelTickUntil/8/1|BM_MultiChannelTickUntil/8/0
 design-space sweep (thread pool)|BM_DesignSpaceSweep/1|BM_DesignSpaceSweep/0

@@ -10,9 +10,9 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# Differential fuzz gate: the fast-forward fast paths (incremental
-# scheduling, cached event minima, channel fan-out) vs the per-cycle
-# rescan reference, quick tier. The slow soak runs under `ctest -L slow`.
+# Differential fuzz gate: the fast paths (fast-forward, burst issue,
+# channel fan-out) vs the per-cycle reference, quick tier. The slow soak
+# runs under `ctest -L slow`.
 echo
 echo "differential fuzz (quick tier):"
 build/tests/edsim_fuzz_tests
@@ -73,6 +73,13 @@ echo
 echo "claim summary:"
 grep -c "SHAPE-OK" bench_output.txt || true
 grep "CHECK" bench_output.txt || echo "  (no CHECK verdicts — all claims in band)"
+
+# Determinism gate: every experiment binary and example must print
+# byte-identical stdout across repeated runs, EDSIM_THREADS=1 vs 4, and
+# concurrent machine load.
+echo
+echo "determinism:"
+scripts/determinism.sh build
 
 # Telemetry smoke: the traced MPEG2 decode must emit loadable artifacts —
 # a Chrome trace_event JSON (Perfetto) and the §4.1 interval time series.

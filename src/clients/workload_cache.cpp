@@ -11,7 +11,6 @@ std::shared_ptr<const CompiledTrace> WorkloadCache::get_or_compile(
       ++hits_;
       return it->second;
     }
-    ++misses_;
   }
   // Compile outside the lock: a miss storm across sweep threads must not
   // serialize. Duplicate compiles of the same key produce identical
@@ -19,7 +18,11 @@ std::shared_ptr<const CompiledTrace> WorkloadCache::get_or_compile(
   std::shared_ptr<const CompiledTrace> built = compile();
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = map_.emplace(key, built);
-  if (!inserted) return it->second;  // lost the race; share the winner
+  if (!inserted) {
+    ++hits_;  // lost the race: the winner's insert was the miss
+    return it->second;
+  }
+  ++misses_;
   return built;
 }
 

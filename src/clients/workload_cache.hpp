@@ -16,8 +16,10 @@ namespace edsim::clients {
 /// a compile function runs, so concurrent sweep threads never serialize
 /// behind each other's compiles. Two threads racing on the same key may
 /// both compile, but compilation is pure and deterministic, so
-/// first-insert-wins is safe and every caller still receives an arena
-/// with identical content.
+/// first-insert-wins is safe and every caller receives the winner's arena.
+/// A miss is counted only by the insert that wins, and a caller that lost
+/// the race counts as a hit, so the counters do not depend on thread
+/// timing: misses() == entries() and hits() + misses() == lookups.
 class WorkloadCache {
  public:
   using CompileFn = std::function<std::shared_ptr<const CompiledTrace>()>;

@@ -25,7 +25,6 @@ Controller::Controller(const DramConfig& cfg)
   for (unsigned b = 0; b < cfg_.banks; ++b) banks_.emplace_back(cfg_.timing);
   autopre_pending_.assign(cfg_.banks, false);
   last_col_cycle_.assign(cfg_.banks, 0);
-  bank_entries_.assign(cfg_.banks, {});
   maint_until_.assign(cfg_.banks, 0);
 }
 
@@ -50,11 +49,6 @@ void Controller::notify_tick() {
 
 void Controller::attach_reliability(ReliabilityHooks* hooks) {
   hooks_ = hooks;
-  reliability_events_seen_ = 0;
-  if (hooks_ != nullptr) {
-    const ReliabilityCounters c = hooks_->counters();
-    reliability_events_seen_ = c.rows_remapped + c.banks_retired;
-  }
   // Self-managed maintenance replaces the tREFI REF sweep. The flag is
   // sampled once here (toggle the hooks' switch before attaching).
   self_managed_ = hooks_ != nullptr && hooks_->self_managed();
@@ -101,13 +95,6 @@ bool Controller::enqueue(Request req) {
                         (e.req.type == AccessType::kWrite ? 1u : 0u));
   streak_client_.push_back(e.req.client_id);
   if (e.req.type == AccessType::kWrite) ++queued_writes_;
-  if (incremental_ && !sched_cache_stale_) {
-    const auto pos = static_cast<std::uint32_t>(queue_.size() - 1);
-    pos_of_id_[queue_.back().req.id] = pos;
-    bank_entries_[queue_.back().coord.bank].push_back(pos);
-    candidates_.push_back(Candidate{});
-    refresh_entry(pos);
-  }
   EDSIM_TELEMETRY(telemetry_, on_request_enqueued(queue_.back().req,
                                                   queue_.back().coord, cycle_));
   return true;
@@ -163,153 +150,15 @@ bool Controller::column_legal(AccessType type, std::uint64_t cycle) const {
   return cycle >= channel_column_release(type);
 }
 
-// --- incremental scheduling cache -------------------------------------------
-
-unsigned Controller::class_of(Command cmd) {
-  switch (cmd) {
-    case Command::kActivate:
-      return kClassAct;
-    case Command::kPrecharge:
-      return kClassPre;
-    case Command::kRead:
-      return kClassColRead;
-    case Command::kWrite:
-      return kClassColWrite;
-    case Command::kRefresh:
-    case Command::kMaintStart:
-    case Command::kMaintEnd:
-      break;
-  }
-  return kClassNone;  // uncached sentinel
-}
-
-bool Controller::release_entry_live(unsigned cls, const ReleaseEntry& r) const {
-  const auto it = pos_of_id_.find(r.id);
-  if (it == pos_of_id_.end()) return false;  // issued or never registered
-  const QueueEntry& e = queue_[it->second];
-  return class_of(e.cached_cmd) == cls && e.bank_release == r.cycle;
-}
-
-void Controller::compact_heap(unsigned cls) const {
-  auto& h = release_heaps_[cls];
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    if (release_entry_live(cls, h[i])) h[keep++] = h[i];
-  }
-  h.resize(keep);
-  std::make_heap(h.begin(), h.end(), [](const ReleaseEntry& a,
-                                        const ReleaseEntry& b) {
-    return a.cycle > b.cycle;
-  });
-}
-
-void Controller::push_release(unsigned cls, std::uint64_t rel,
-                              std::uint64_t id) const {
-  auto& h = release_heaps_[cls];
-  h.push_back(ReleaseEntry{rel, id});
-  std::push_heap(h.begin(), h.end(), [](const ReleaseEntry& a,
-                                        const ReleaseEntry& b) {
-    return a.cycle > b.cycle;
-  });
-  // Dead records accumulate lazily; compact when they dominate.
-  if (h.size() > 64 && h.size() > 4 * (queue_.size() + 1)) compact_heap(cls);
-}
-
-void Controller::refresh_entry(std::size_t pos) {
-  QueueEntry& e = queue_[pos];
-  const Bank& bank = banks_[e.coord.bank];
-  const unsigned old_cls = class_of(e.cached_cmd);
-  const std::uint64_t old_rel = e.bank_release;
-  Command cmd;
-  bool row_hit = false;
-  if (bank.has_open_row() && bank.open_row() == e.coord.row) {
-    cmd = e.req.type == AccessType::kRead ? Command::kRead : Command::kWrite;
-    row_hit = true;
-  } else if (!bank.has_open_row()) {
-    cmd = Command::kActivate;
-  } else {
-    cmd = Command::kPrecharge;
-  }
-  // While an auto-precharge gates the bank the entry cannot lead a round;
-  // the autopre term of next_event_cycle() covers the wake-up instead.
-  const std::uint64_t rel =
-      autopre_pending_[e.coord.bank] ? kNeverCycle : bank.earliest(cmd);
-  e.cached_cmd = cmd;
-  e.cached_row_hit = row_hit;
-  e.bank_release = rel;
-  const unsigned cls = class_of(cmd);
-  if (rel != kNeverCycle && (cls != old_cls || rel != old_rel)) {
-    push_release(cls, rel, e.req.id);
-  }
-  Candidate& c = candidates_[pos];
-  c.queue_index = pos;
-  c.bank = e.coord.bank;
-  c.client_id = e.req.client_id;
-  c.cmd = cmd;
-  c.row_hit = row_hit;
-  c.issuable = false;  // per-round bit, set by build_candidates()
-  c.is_write = e.req.type == AccessType::kWrite;
-}
-
-void Controller::invalidate_bank(unsigned b) {
-  if (!incremental_) return;
-  for (const std::uint32_t pos : bank_entries_[b]) refresh_entry(pos);
-}
-
-void Controller::invalidate_all_banks() {
-  if (!incremental_) return;
-  for (unsigned b = 0; b < cfg_.banks; ++b) invalidate_bank(b);
-}
-
-void Controller::rebuild_sched_cache() {
-  sched_cache_stale_ = false;
-  for (auto& h : release_heaps_) h.clear();
-  pos_of_id_.clear();
-  for (auto& v : bank_entries_) v.clear();
-  candidates_.assign(queue_.size(), Candidate{});
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    pos_of_id_[queue_[i].req.id] = static_cast<std::uint32_t>(i);
-    bank_entries_[queue_[i].coord.bank].push_back(
-        static_cast<std::uint32_t>(i));
-    queue_[i].cached_cmd = Command::kRefresh;  // sentinel: force re-push
-    queue_[i].bank_release = kNeverCycle;
-    refresh_entry(i);
-  }
-}
-
 void Controller::erase_queue_entry(std::size_t pos) {
   if (queue_[pos].req.type == AccessType::kWrite) --queued_writes_;
   streak_key_.erase(streak_key_.begin() + static_cast<std::ptrdiff_t>(pos));
   streak_client_.erase(streak_client_.begin() +
                        static_cast<std::ptrdiff_t>(pos));
-  if (!incremental_ || sched_cache_stale_) {
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
-    return;
-  }
-  pos_of_id_.erase(queue_[pos].req.id);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
-  candidates_.erase(candidates_.begin() + static_cast<std::ptrdiff_t>(pos));
-  for (std::size_t i = pos; i < queue_.size(); ++i) {
-    pos_of_id_[queue_[i].req.id] = static_cast<std::uint32_t>(i);
-    candidates_[i].queue_index = i;
-  }
-  for (auto& v : bank_entries_) v.clear();
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    bank_entries_[queue_[i].coord.bank].push_back(
-        static_cast<std::uint32_t>(i));
-  }
 }
 
 bool Controller::open_row_wanted(unsigned b) const {
-  if (incremental_ && !sched_cache_stale_) {
-    // cached_row_hit mirrors "open row == entry row" and is refreshed on
-    // every bank event, so the per-bank position list answers this without
-    // walking the whole queue.
-    for (const std::uint32_t pos : bank_entries_[b]) {
-      if (queue_[pos].cached_row_hit) return true;
-    }
-    return false;
-  }
   for (const QueueEntry& e : queue_) {
     if (e.coord.bank == b && e.coord.row == banks_[b].open_row()) return true;
   }
@@ -330,67 +179,9 @@ void Controller::clear_autopre(unsigned b) {
   }
 }
 
-void Controller::maybe_reliability_refresh() {
-  if (hooks_ == nullptr) return;
-  const ReliabilityCounters c = hooks_->counters();
-  const std::uint64_t events = c.rows_remapped + c.banks_retired;
-  if (events != reliability_events_seen_) {
-    // Graceful-degradation events (row remap, bank retire) can change
-    // steering and row mappings out from under the cache; rebuilding on
-    // the dirty flag is cheap because the events are rare.
-    reliability_events_seen_ = events;
-    if (incremental_) rebuild_sched_cache();
-  }
-}
-
-void Controller::set_incremental_scheduling(bool on) {
-  if (on == incremental_) return;
-  incremental_ = on;
-  if (on) {
-    rebuild_sched_cache();
-  } else {
-    for (auto& h : release_heaps_) h.clear();
-    pos_of_id_.clear();
-    for (auto& v : bank_entries_) v.clear();
-    candidates_.clear();
-  }
-}
-
 // --- candidate construction -------------------------------------------------
 
 const std::vector<Candidate>& Controller::build_candidates() {
-  if (!incremental_) return build_candidates_rescan();
-  // Structural fields (cmd / row_hit / bank) are maintained by
-  // refresh_entry on the events that change them; each round only flips
-  // the per-cycle issuable bits: one bank-release compare plus the three
-  // channel-level releases computed once.
-  const bool act_ok = cycle_ >= channel_act_release();
-  const bool rd_ok = cycle_ >= channel_column_release(AccessType::kRead);
-  const bool wr_ok = cycle_ >= channel_column_release(AccessType::kWrite);
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const QueueEntry& e = queue_[i];
-    bool ok = e.bank_release != kNeverCycle && cycle_ >= e.bank_release;
-    if (ok) {
-      switch (e.cached_cmd) {
-        case Command::kRead:
-          ok = rd_ok;
-          break;
-        case Command::kWrite:
-          ok = wr_ok;
-          break;
-        case Command::kActivate:
-          ok = act_ok;
-          break;
-        default:
-          break;  // kPrecharge: bank-local only
-      }
-    }
-    candidates_[i].issuable = ok;
-  }
-  return candidates_;
-}
-
-const std::vector<Candidate>& Controller::build_candidates_rescan() {
   std::vector<Candidate>& out = candidates_;
   out.clear();
   out.reserve(queue_.size());
@@ -483,7 +274,6 @@ bool Controller::tick_autoprecharge() {
       banks_[b].issue(Command::kPrecharge, 0, cycle_);
       ++stats_.precharges;
       clear_autopre(b);
-      invalidate_bank(b);
       any = true;
     }
   }
@@ -505,7 +295,6 @@ bool Controller::tick_refresh() {
         ++stats_.precharges;
         log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
                                   CommandRecord::kNoClient, false});
-        invalidate_bank(b);
       }
       return true;  // command slot consumed (or bank not yet ready)
     }
@@ -521,12 +310,10 @@ bool Controller::tick_refresh() {
   log_command(CommandRecord{cycle_, Command::kRefresh, 0, 0,
                             CommandRecord::kNoClient, false});
   refresh_draining_ = false;
-  invalidate_all_banks();
   return true;
 }
 
 bool Controller::bank_has_queued(unsigned b) const {
-  if (incremental_ && !sched_cache_stale_) return !bank_entries_[b].empty();
   for (const QueueEntry& e : queue_) {
     if (e.coord.bank == b) return true;
   }
@@ -548,8 +335,6 @@ void Controller::expire_maintenance_locks() {
     if (maint_until_[b] != 0 && maint_until_[b] <= cycle_) {
       maint_until_[b] = 0;
       --maint_locked_;
-      // No invalidate: block_until already left the bank's releases at
-      // exactly the lock end, so cached entries stay correct.
       log_command(CommandRecord{cycle_, Command::kMaintEnd, b, 0,
                                 CommandRecord::kNoClient, false});
     }
@@ -579,7 +364,6 @@ bool Controller::tick_maintenance() {
         ++stats_.precharges;
         log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
                                   CommandRecord::kNoClient, false});
-        invalidate_bank(b);
         slot_used = true;
       }
       continue;
@@ -599,7 +383,6 @@ bool Controller::tick_maintenance() {
     // protocol checker derives the lock region from it).
     log_command(CommandRecord{cycle_, Command::kMaintStart, b, dur,
                               CommandRecord::kNoClient, false});
-    invalidate_bank(b);
   }
   return slot_used;
 }
@@ -705,10 +488,6 @@ void Controller::scheduler_note_pick() const {
 }
 
 void Controller::tick() {
-  // Re-arm the incremental caches if a burst stretch left them stale —
-  // everything below (candidate rounds, watchdog erases, refresh picks)
-  // assumes they mirror the queue.
-  if (incremental_ && sched_cache_stale_) rebuild_sched_cache();
   stats_.queue_occupancy.add(static_cast<double>(queue_.size()));
   if (hooks_ != nullptr) hooks_->on_cycle(cycle_);
 
@@ -754,7 +533,6 @@ void Controller::tick() {
               ++stats_.precharges;
               log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
                                         CommandRecord::kNoClient, false});
-              invalidate_bank(b);
             }
             break;  // one command per cycle
           }
@@ -790,9 +568,6 @@ void Controller::tick() {
   // 2b. Watchdog: escalate or fail a starving request.
   tick_watchdog();
 
-  // 2c. Reliability dirty flag: remap/retire invalidates the cache wholesale.
-  maybe_reliability_refresh();
-
   // 3. Refresh has absolute priority once due. In self-managed mode the
   // REF sweep is replaced by maintenance arbitration over idle bank slots.
   if (!(self_managed_ ? tick_maintenance() : tick_refresh())) {
@@ -827,13 +602,12 @@ void Controller::tick() {
           ++stats_.precharges;
           log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
                                     CommandRecord::kNoClient, false});
-          invalidate_bank(b);
           break;  // one command per cycle
         }
       }
     }
     if (pick != Scheduler::kNone) {
-      const Candidate c = candidates[pick];  // copy: issue paths edit the list
+      const Candidate c = candidates[pick];
       QueueEntry& e = queue_[c.queue_index];
       Bank& bank = banks_[e.coord.bank];
       classify(e, bank);
@@ -850,7 +624,6 @@ void Controller::tick() {
           if (hooks_ != nullptr) {
             hooks_->on_activate(e.coord.bank, e.coord.row, cycle_);
           }
-          invalidate_bank(c.bank);
           break;
         case Command::kPrecharge:
           bank.issue(Command::kPrecharge, 0, cycle_);
@@ -858,13 +631,11 @@ void Controller::tick() {
           log_command(
               CommandRecord{cycle_, Command::kPrecharge, e.coord.bank, 0,
                             e.req.client_id, false});
-          invalidate_bank(c.bank);
           break;
         case Command::kRead:
         case Command::kWrite: {
           issue_column(e, cycle_);
           erase_queue_entry(c.queue_index);
-          invalidate_bank(c.bank);
           break;
         }
         case Command::kRefresh:
@@ -894,7 +665,6 @@ void Controller::drain_completed_into(std::vector<Request>& out) {
 }
 
 std::uint64_t Controller::next_event_cycle() const {
-  if (!incremental_ || sched_cache_stale_) return next_event_cycle_rescan();
   std::uint64_t ne = kNeverCycle;
   const auto upd = [&](std::uint64_t c) {
     ne = std::min(ne, std::max(c, cycle_));
@@ -941,107 +711,13 @@ std::uint64_t Controller::next_event_cycle() const {
     upd(queue_.front().wd_deadline);
   }
 
-  // Page-timeout closes of idle open rows (per-bank position lists answer
-  // the "still wanted" test without walking the whole queue).
-  if (cfg_.page_policy == PagePolicy::kTimeout) {
-    for (unsigned b = 0; b < cfg_.banks; ++b) {
-      if (!banks_[b].has_open_row()) continue;
-      if (open_row_wanted(b)) continue;
-      upd(std::max(last_col_cycle_[b] + cfg_.page_timeout_cycles,
-                   banks_[b].earliest(Command::kPrecharge)));
-    }
-  }
-
-  // Queue releases: min over entries of max(bank release, channel release)
-  // equals max(min bank release, channel release) within each command
-  // class, so four cached heap minima replace the per-entry rescan.
-  const auto cmp = [](const ReleaseEntry& a, const ReleaseEntry& b) {
-    return a.cycle > b.cycle;
-  };
-  for (unsigned cls = 0; cls < kClassCount; ++cls) {
-    auto& h = release_heaps_[cls];
-    while (!h.empty() && !release_entry_live(cls, h.front())) {
-      std::pop_heap(h.begin(), h.end(), cmp);
-      h.pop_back();
-    }
-    if (h.empty()) continue;
-    std::uint64_t rel = h.front().cycle;
-    switch (cls) {
-      case kClassAct:
-        rel = std::max(rel, channel_act_release());
-        break;
-      case kClassColRead:
-        rel = std::max(rel, channel_column_release(AccessType::kRead));
-        break;
-      case kClassColWrite:
-        rel = std::max(rel, channel_column_release(AccessType::kWrite));
-        break;
-      default:
-        break;  // kClassPre: bank-local only
-    }
-    upd(rel);
-  }
-
-  return ne;
-}
-
-std::uint64_t Controller::next_event_cycle_rescan() const {
-  std::uint64_t ne = kNeverCycle;
-  const auto upd = [&](std::uint64_t c) {
-    ne = std::min(ne, std::max(c, cycle_));
-  };
-  const bool has_work = !queue_.empty() || !inflight_.empty();
-
-  if (cfg_.powerdown_enabled) {
-    if (powered_down_) {
-      // Only new work (caller-driven), refresh urgency or a maintenance
-      // deadline wakes the device (locks are never live while down).
-      if (has_work) return cycle_;
-      upd(refresh_.next_urgent_cycle(cycle_));
-      if (self_managed_) upd(hooks_->next_maintenance_cycle(cycle_));
-      return ne;
-    }
-    if (cycle_ < wake_until_) {
-      // Exiting power-down: every tick until tXP elapses is bookkeeping
-      // (watchdog and refresh paths are behind the same early return).
-      return wake_until_;
-    }
-    if (!has_work) {
-      // Power-down entry fires once the idle streak reaches the threshold;
-      // if the streak has not started, the next tick starts it at cycle_.
-      upd((was_idle_ ? idle_since_ : cycle_) + cfg_.powerdown_idle_cycles);
-    }
-  }
-
-  // In-flight data completions.
-  for (const InFlight& f : inflight_) upd(f.req.done_cycle);
-
-  // Refresh urgency / self-managed maintenance deadlines and claims.
-  upd(refresh_.next_urgent_cycle(cycle_));
-  if (self_managed_) upd(maintenance_event_bound());
-
-  // Pending hardware auto-precharges.
-  for (unsigned b = 0; b < cfg_.banks; ++b) {
-    if (autopre_pending_[b]) upd(banks_[b].earliest(Command::kPrecharge));
-  }
-
-  // Watchdog deadline of the oldest queued request.
-  if (cfg_.watchdog_enabled && !queue_.empty()) {
-    upd(queue_.front().wd_deadline);
-  }
-
   // Page-timeout closes of idle open rows. Rows a queued request still
   // wants are never closed by this policy, and the queue cannot change
   // during a skip, so they contribute no event.
   if (cfg_.page_policy == PagePolicy::kTimeout) {
     for (unsigned b = 0; b < cfg_.banks; ++b) {
       if (!banks_[b].has_open_row()) continue;
-      bool wanted = false;
-      for (const QueueEntry& e : queue_) {
-        wanted = wanted ||
-                 (e.coord.bank == b && e.coord.row == banks_[b].open_row());
-      }
-      if (wanted) continue;
+      if (open_row_wanted(b)) continue;
       upd(std::max(last_col_cycle_[b] + cfg_.page_timeout_cycles,
                    banks_[b].earliest(Command::kPrecharge)));
     }
@@ -1052,32 +728,19 @@ std::uint64_t Controller::next_event_cycle_rescan() const {
   // releases stay valid until the skip ends. The bound is conservative:
   // the scheduler may still decline (e.g. FCFS head-of-line blocking),
   // which only shortens the skip, never corrupts it.
-  const auto& t = cfg_.timing;
+  if (queue_.empty()) return ne;
+  const std::uint64_t act_rel = channel_act_release();
+  const std::uint64_t rd_rel = channel_column_release(AccessType::kRead);
+  const std::uint64_t wr_rel = channel_column_release(AccessType::kWrite);
   for (const QueueEntry& e : queue_) {
     if (autopre_pending_[e.coord.bank]) continue;  // gated by autopre above
     const Bank& bank = banks_[e.coord.bank];
     if (bank.has_open_row() && bank.open_row() == e.coord.row) {
-      std::uint64_t rel = bank.earliest(
-          e.req.type == AccessType::kRead ? Command::kRead : Command::kWrite);
-      if (e.req.type == AccessType::kRead) {
-        rel = std::max(rel, sat_sub(bus_busy_until_, t.tCL));
-        if (any_data_yet_ && last_dir_ == AccessType::kWrite) {
-          rel = std::max(rel, last_data_end_ + t.tWTR);
-        }
-      } else {
-        rel = std::max(rel, sat_sub(bus_busy_until_, t.tWL));
-        if (any_data_yet_ && last_dir_ == AccessType::kRead) {
-          rel = std::max(rel, sat_sub(last_data_end_ + t.tRTW, t.tWL));
-        }
-      }
-      upd(rel);
+      const bool is_write = e.req.type == AccessType::kWrite;
+      upd(std::max(bank.earliest(is_write ? Command::kWrite : Command::kRead),
+                   is_write ? wr_rel : rd_rel));
     } else if (!bank.has_open_row()) {
-      std::uint64_t rel = bank.earliest(Command::kActivate);
-      if (any_act_yet_) rel = std::max(rel, last_act_cycle_ + t.tRRD);
-      if (t.tFAW != 0 && recent_acts_.size() >= 4) {
-        rel = std::max(rel, recent_acts_[recent_acts_.size() - 4] + t.tFAW);
-      }
-      upd(rel);
+      upd(std::max(bank.earliest(Command::kActivate), act_rel));
     } else {
       upd(bank.earliest(Command::kPrecharge));
     }
@@ -1222,11 +885,6 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
       QueueEntry& e = queue_.front();
       classify(e, bk);
       issue_column(e, cycle_);
-      // Deferred cache maintenance: the closed-form path never consults
-      // the incremental caches, so instead of refreshing ~queue_depth
-      // same-bank entries per issue they go stale here and are rebuilt
-      // once when the general path resumes (see sched_cache_stale_).
-      if (incremental_) sched_cache_stale_ = true;
       erase_queue_entry(0);
     }
     ++cycle_;
@@ -1379,14 +1037,15 @@ void Controller::save(SnapshotWriter& w) const {
     w.boolean(e.classified);
     w.u32(e.wd_retries);
     w.u64(e.wd_deadline);
-    // cached_cmd / cached_row_hit / bank_release are rebuilt on load.
   }
   w.u64(inflight_.size());
   for (const InFlight& f : inflight_) save_request(w, f.req);
   w.u64(completed_.size());
   for (const Request& q : completed_) save_request(w, q);
 
-  w.u64(reliability_events_seen_);
+  // Retired reliability-event counter: the slot stays so the byte layout
+  // (and kSnapshotVersion, which also versions ResultStore records) holds.
+  w.u64(0);
   w.u64(cycle_);
   w.u64(next_id_);
 
@@ -1454,7 +1113,7 @@ void Controller::load(SnapshotReader& r) {
     completed_.push_back(load_request(r));
   }
 
-  reliability_events_seen_ = r.u64();
+  (void)r.u64();  // retired reliability-event counter slot (see save)
   cycle_ = r.u64();
   next_id_ = r.u64();
 
@@ -1499,14 +1158,6 @@ void Controller::load(SnapshotReader& r) {
   inflight_min_done_ = kNeverCycle;
   for (const InFlight& f : inflight_) {
     inflight_min_done_ = std::min(inflight_min_done_, f.req.done_cycle);
-  }
-  if (incremental_) {
-    rebuild_sched_cache();
-  } else {
-    for (auto& h : release_heaps_) h.clear();
-    pos_of_id_.clear();
-    for (auto& v : bank_entries_) v.clear();
-    candidates_.clear();
   }
 }
 

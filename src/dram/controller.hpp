@@ -1,10 +1,8 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -172,16 +170,6 @@ class Controller {
   /// Currently attached command log (nullptr when detached).
   CommandLog* command_log() const { return command_log_; }
 
-  /// Toggle incremental scheduling state (on by default). When on, the
-  /// candidate list and the per-class release minima are maintained
-  /// across rounds — inserted on enqueue, refreshed on the bank events
-  /// that can change them, removed on issue — instead of being recomputed
-  /// from scratch every round. Both modes are bit-identical; the rescan
-  /// path is kept as the reference for the differential tests and as the
-  /// "before" side of the microbenchmark pairs.
-  void set_incremental_scheduling(bool on);
-  bool incremental_scheduling() const { return incremental_; }
-
   /// Toggle the dense-traffic burst-issue fast path (on by default). When
   /// the whole queue is a single-bank row-hit streak in a provably
   /// deterministic steady state (no refresh / maintenance / watchdog /
@@ -200,8 +188,9 @@ class Controller {
   /// NOT serialized — the caller reconstructs a controller with the same
   /// DramConfig, re-attaches its observers (attach_reliability BEFORE
   /// load, so the attach-derived flags are in place and load then restores
-  /// the counters attach reset), and calls load(). The incremental
-  /// scheduling caches are rebuilt on load, not stored.
+  /// the counters attach reset), and calls load(). Derived state (the
+  /// burst-issue streak mirror, the in-flight minimum, the auto-precharge
+  /// count) is recomputed on load, not stored.
   void save(SnapshotWriter& w) const;
   void load(SnapshotReader& r);
 
@@ -212,39 +201,11 @@ class Controller {
     bool classified = false;  ///< row hit/miss/conflict already counted
     unsigned wd_retries = 0;         ///< watchdog escalations so far
     std::uint64_t wd_deadline = 0;   ///< next watchdog check cycle
-    // Incrementally maintained scheduling cache — valid whenever the
-    // entry's bank state is unchanged since the last refresh_entry().
-    // kRefresh doubles as the "never refreshed" sentinel (no candidate
-    // ever needs it).
-    Command cached_cmd = Command::kRefresh;
-    bool cached_row_hit = false;
-    /// Earliest cycle the bank-local constraints allow cached_cmd;
-    /// kNeverCycle while a pending auto-precharge gates the bank.
-    std::uint64_t bank_release = kNeverCycle;
   };
 
   struct InFlight {
     Request req;
   };
-
-  /// Release-minimum bookkeeping: one lazy min-heap per candidate class,
-  /// keyed by the bank-local release cycle. Entries are pushed whenever a
-  /// queue entry's cached release changes and invalidated lazily on pop
-  /// (the id left the queue, changed class, or carries a newer release).
-  enum ReleaseClass : unsigned {
-    kClassAct = 0,
-    kClassPre,
-    kClassColRead,
-    kClassColWrite,
-    kClassCount,
-    kClassNone = kClassCount,  ///< uncached sentinel
-  };
-  struct ReleaseEntry {
-    std::uint64_t cycle = 0;
-    std::uint64_t id = 0;
-  };
-
-  static unsigned class_of(Command cmd);
 
   void classify(QueueEntry& e, const Bank& bank);
   void log_command(const CommandRecord& rec);
@@ -268,7 +229,7 @@ class Controller {
   /// expiries can never wedge the event bound).
   void expire_maintenance_locks();
   /// Maintenance term of the next-event bound (locks, urgent drains,
-  /// idle-slot claims, schedule changes). Shared by both next-event paths.
+  /// idle-slot claims, schedule changes).
   std::uint64_t maintenance_event_bound() const;
   bool bank_has_queued(unsigned b) const;
   /// Any unlocked bank with past-deadline maintenance (power-down gate).
@@ -278,9 +239,9 @@ class Controller {
   /// Retire every in-flight request whose last data beat is done (step 1
   /// of tick(); shared with the burst-issue lite tick).
   void retire_due_inflight();
+  /// One scheduler round's candidate list: each queued request's next
+  /// command and whether the bank and channel constraints allow it now.
   const std::vector<Candidate>& build_candidates();
-  const std::vector<Candidate>& build_candidates_rescan();
-  std::uint64_t next_event_cycle_rescan() const;
   /// Devirtualized scheduler dispatch: every policy class is final, so a
   /// switch on the configured kind lets the compiler inline the pick into
   /// the issue path (no vtable load per round).
@@ -301,29 +262,12 @@ class Controller {
   std::uint64_t issue_burst(std::uint64_t target_cycle,
                             bool stop_after_event = false);
 
-  // --- incremental scheduling cache maintenance ---------------------------
-  /// Recompute one entry's cached command / row-hit / bank release from
-  /// the live bank state and push a fresh heap record when it moved.
-  void refresh_entry(std::size_t pos);
-  /// Bank `b`'s state or auto-precharge gate changed: refresh every
-  /// queued entry targeting it.
-  void invalidate_bank(unsigned b);
-  void invalidate_all_banks();
-  /// Rebuild heaps and every cached entry (mode toggle, reliability
-  /// dirty-flag fallback).
-  void rebuild_sched_cache();
-  /// Remove queue_[pos] and re-index the per-bank position lists.
+  /// Remove queue_[pos] and its streak-mirror slots.
   void erase_queue_entry(std::size_t pos);
-  void push_release(unsigned cls, std::uint64_t rel, std::uint64_t id) const;
-  bool release_entry_live(unsigned cls, const ReleaseEntry& r) const;
-  void compact_heap(unsigned cls) const;
   /// True when a queued request still wants bank `b`'s open row.
   bool open_row_wanted(unsigned b) const;
   void set_autopre(unsigned b);
   void clear_autopre(unsigned b);
-  /// Reliability remap/retire fallback: refresh the whole cache when the
-  /// hooks report graceful-degradation events since the last round.
-  void maybe_reliability_refresh();
 
   DramConfig cfg_;
   AddressMapper mapper_;
@@ -338,24 +282,11 @@ class Controller {
   std::vector<Request> completed_;
   std::vector<Candidate> candidates_;  // scratch, refreshed each round
 
-  // Incremental scheduling state (see docs/performance.md).
-  bool incremental_ = true;
-  /// The burst-issue lite tick never consults the incremental caches, so
-  /// instead of refreshing ~queue_depth entries per closed-form issue it
-  /// sets this flag and skips all cache maintenance; the caches are
-  /// rebuilt wholesale when the general path resumes (tick()), and the
-  /// cache readers (next_event_cycle, open_row_wanted, bank_has_queued)
-  /// fall back to their rescan forms while the flag is up. Derived
-  /// state: never serialized, cleared by rebuild_sched_cache().
-  bool sched_cache_stale_ = false;
-  std::vector<std::vector<std::uint32_t>> bank_entries_;  // queue positions
-  std::unordered_map<std::uint64_t, std::uint32_t> pos_of_id_;
-  /// Lazy min-heaps (std::greater order via push/pop_heap); mutable so
-  /// next_event_cycle() can drop stale tops — a pure cache operation.
-  mutable std::array<std::vector<ReleaseEntry>, kClassCount> release_heaps_;
+  // Cached next-event terms: the earliest in-flight completion and the
+  // pending auto-precharge count, kept current at every issue, retirement
+  // and auto-precharge change.
   std::uint64_t inflight_min_done_ = kNeverCycle;
   unsigned autopre_count_ = 0;
-  std::uint64_t reliability_events_seen_ = 0;
 
   // Burst-issue fast path (see docs/performance.md, "Dense traffic").
   // SoA mirror of the queue for the branch-light streak probe: one packed

@@ -1,13 +1,13 @@
 // Randomized differential testing for the fast-forward and burst-issue
 // fast paths: every generated configuration must produce bit-identical
 // final stats, command logs, and interval telemetry between the per-cycle
-// reference with from-scratch candidate rescans (all fast paths off) and
-// every combination of {per-cycle, fast-forward} x {rescan, incremental}
-// x {burst-issue on, off} — and, for multi-channel, at 1, 2 and 8 tick
-// threads. A slice of the client mixes is high-demand (near-zero pacing,
-// thousands of requests) so the dense-traffic burst path actually
-// engages. Any failure prints the reproducer seed and the full config so
-// the trial can be replayed in isolation.
+// reference (all fast paths off) and every other combination of
+// {per-cycle, fast-forward} x {burst-issue off, on} — and, for
+// multi-channel, at 1, 2 and 8 tick threads. A slice of the client mixes
+// is high-demand (near-zero pacing, thousands of requests) so the
+// dense-traffic burst path actually engages. Any failure prints the
+// reproducer seed and the full config so the trial can be replayed in
+// isolation.
 //
 // The same source builds two binaries: the quick tier (part of the default
 // ctest run) and a `slow`-labelled soak with EDSIM_FUZZ_SOAK defined.
@@ -307,8 +307,8 @@ reliability::ReliabilityConfig random_reliability(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// System-level differential: per-cycle/rescan reference vs per-cycle/
-// incremental vs fast-forward/incremental, all three bit-identical.
+// System-level differential: the per-cycle reference vs fast-forward and
+// burst issue in every combination, all bit-identical.
 
 struct SystemRun {
   clients::MemorySystem sys;
@@ -319,12 +319,10 @@ struct SystemRun {
 
   SystemRun(const DramConfig& cfg, std::uint64_t client_seed,
             std::uint64_t span, bool with_reliability, std::uint64_t rel_seed,
-            bool fast_forward, bool incremental, bool burst,
-            std::uint64_t window)
+            bool fast_forward, bool burst, std::uint64_t window)
       : sys(cfg, clients::ArbiterKind::kRoundRobin), intervals(512) {
     sys.set_fast_forward(fast_forward);
     sys.set_burst_issue(burst);
-    sys.controller().set_incremental_scheduling(incremental);
     sys.controller().attach_command_log(&log);
     sys.attach_telemetry(&intervals);
     if (with_reliability) {
@@ -354,14 +352,13 @@ struct SnapshotRun {
 
   SnapshotRun(const DramConfig& cfg, std::uint64_t client_seed,
               std::uint64_t span, bool with_reliability,
-              std::uint64_t rel_seed, bool incremental, bool burst,
-              std::uint64_t cut, std::uint64_t window)
+              std::uint64_t rel_seed, bool burst, std::uint64_t cut,
+              std::uint64_t window)
       : intervals(512) {
     const auto build = [&] {
       auto s = std::make_unique<clients::MemorySystem>(
           cfg, clients::ArbiterKind::kRoundRobin);
       s->set_burst_issue(burst);
-      s->controller().set_incremental_scheduling(incremental);
       s->controller().attach_command_log(&log);
       s->attach_telemetry(&intervals);
       add_random_clients(*s, cfg, span, client_seed);
@@ -438,35 +435,18 @@ TEST(DifferentialFuzz, SystemLevelThreeWayBitIdentical) {
     const std::uint64_t rel_seed = derive_seed(seed, 2);
 
     const SystemRun reference(cfg, client_seed, span, with_rel, rel_seed,
-                              /*fast_forward=*/false, /*incremental=*/false,
-                              /*burst=*/false, window);
-    const SystemRun incremental(cfg, client_seed, span, with_rel, rel_seed,
-                                /*fast_forward=*/false, /*incremental=*/true,
-                                /*burst=*/false, window);
-    const SystemRun fast(cfg, client_seed, span, with_rel, rel_seed,
-                         /*fast_forward=*/true, /*incremental=*/true,
-                         /*burst=*/false, window);
+                              /*fast_forward=*/false, /*burst=*/false, window);
 
-    {
-      SCOPED_TRACE("per-cycle+incremental");
-      expect_system_runs_eq(reference, incremental);
-    }
-    {
-      SCOPED_TRACE("fast-forward+incremental");
-      expect_system_runs_eq(reference, fast);
-    }
-
-    // Burst-issue axis: the dense-traffic fast path rides the same
-    // contract as fast-forward, so it is fuzzed across the full
-    // {per-cycle, fast-forward} x {rescan, incremental} cross.
-    for (const bool bff : {false, true}) {
-      for (const bool binc : {false, true}) {
-        const SystemRun burst(cfg, client_seed, span, with_rel, rel_seed, bff,
-                              binc, /*burst=*/true, window);
-        SCOPED_TRACE(std::string("burst+") +
-                     (bff ? "fast-forward" : "per-cycle") + "+" +
-                     (binc ? "incremental" : "rescan"));
-        expect_system_runs_eq(reference, burst);
+    // The other three cells of {per-cycle, fast-forward} x {burst off, on}:
+    // the dense-traffic burst path rides the same contract as fast-forward.
+    for (const bool ff : {false, true}) {
+      for (const bool burst : {false, true}) {
+        if (!ff && !burst) continue;  // the reference itself
+        const SystemRun run(cfg, client_seed, span, with_rel, rel_seed, ff,
+                            burst, window);
+        SCOPED_TRACE(std::string(ff ? "fast-forward" : "per-cycle") +
+                     (burst ? "+burst" : ""));
+        expect_system_runs_eq(reference, run);
       }
     }
 
@@ -509,7 +489,6 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     const std::uint64_t window = 20'000 + rng.next_below(30'000);
     const bool with_rel = rng.next_bool(0.5);
     const std::uint64_t cut = 1 + rng.next_below(window - 1);
-    const bool incremental = trial % 2 == 0;
     // Half the snapshot trials run with burst issue on: a cut can land
     // mid-streak, so restore must rebuild the pre-decoded queue arrays
     // bit-exactly (Controller::load re-derives them from the queue).
@@ -518,10 +497,9 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     const std::uint64_t rel_seed = derive_seed(seed, 2);
 
     const SystemRun straight(cfg, client_seed, span, with_rel, rel_seed,
-                             /*fast_forward=*/true, incremental, burst,
-                             window);
+                             /*fast_forward=*/true, burst, window);
     const SnapshotRun resumed(cfg, client_seed, span, with_rel, rel_seed,
-                              incremental, burst, cut, window);
+                              burst, cut, window);
     expect_system_runs_eq(straight, resumed);
 
     // Equal states must serialize to equal bytes (sorted-map dumps make
@@ -582,8 +560,8 @@ struct ChannelRun {
   std::vector<Request> completions;
 
   ChannelRun(const DramConfig& cfg, unsigned channels,
-             dram::ChannelInterleave il, unsigned threads, bool incremental,
-             bool burst, const std::vector<ChannelArrival>& trace,
+             dram::ChannelInterleave il, unsigned threads, bool burst,
+             const std::vector<ChannelArrival>& trace,
              std::uint64_t window)
       : mc(cfg, channels, il) {
     mc.set_tick_threads(threads);
@@ -591,7 +569,6 @@ struct ChannelRun {
       logs.push_back(std::make_unique<dram::CommandLog>());
       intervals.push_back(std::make_unique<telemetry::IntervalReporter>(512));
       mc.channel(c).attach_command_log(logs.back().get());
-      mc.channel(c).set_incremental_scheduling(incremental);
       mc.channel(c).set_burst_issue(burst);
       mc.attach_telemetry(c, intervals.back().get());
     }
@@ -660,15 +637,14 @@ TEST(DifferentialFuzz, MultiChannelBitIdenticalAcrossThreadCounts) {
     const std::vector<ChannelArrival> trace =
         random_channel_trace(rng, span, window);
 
-    // Reference: serial walk, from-scratch rescan scheduling, burst
-    // issue off. The sweep runs burst on, so the direct tick_until drive
-    // (no MemorySystem front end) exercises the closed-form path too.
+    // Reference: serial walk, burst issue off. The sweep runs burst on, so
+    // the direct tick_until drive (no MemorySystem front end) exercises the
+    // closed-form path too.
     const ChannelRun reference(cfg, channels, il, /*threads=*/1,
-                               /*incremental=*/false, /*burst=*/false, trace,
-                               window);
+                               /*burst=*/false, trace, window);
     for (const unsigned threads : {1u, 2u, 8u}) {
-      const ChannelRun run(cfg, channels, il, threads, /*incremental=*/true,
-                           /*burst=*/true, trace, window);
+      const ChannelRun run(cfg, channels, il, threads, /*burst=*/true, trace,
+                           window);
       SCOPED_TRACE("tick_threads=" + std::to_string(threads));
       expect_channel_runs_eq(reference, run);
     }

@@ -287,15 +287,13 @@ TEST(FastForward, ReliabilityWithPowerDownStillIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-scheduling regressions: the cached candidate list and
-// release heaps must survive the awkward cases — arrivals landing inside
-// a stretch the fast path would otherwise skip, and reliability events
-// (row remap, bank retire) mutating bank state behind the scheduler's
-// back. Reference is always the per-cycle walk with from-scratch rescans
-// (set_incremental_scheduling(false)).
+// Fast-forward regressions for the awkward cases — arrivals landing
+// inside a stretch the fast path would otherwise skip, and reliability
+// events (row remap, bank retire) mutating bank state behind the
+// scheduler's back. Reference is always the per-cycle walk.
 
 /// Arrivals clustered around every refresh deadline (one just before, one
-/// at, one just after) — the cycles where a stale cached release or a
+/// at, one just after) — the cycles where a stale next-event bound or a
 /// missed wake-up would first diverge. Rows alternate to keep ACT/PRE
 /// traffic in the mix.
 std::vector<Arrival> boundary_probe_trace(const DramConfig& cfg,
@@ -321,8 +319,8 @@ std::vector<Arrival> boundary_probe_trace(const DramConfig& cfg,
 TEST(FastForwardRegression, ArrivalsInsideSkippedStretch) {
   // Power-down plus timeout close: between arrival clusters the controller
   // enters power-down and (in per-cycle mode) walks timeout closes, so the
-  // fast path must re-prime the candidate cache for requests that land
-  // right after a long bulk advance.
+  // fast path must wake in time for requests that land right after a long
+  // bulk advance.
   DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
   cfg.page_policy = dram::PagePolicy::kTimeout;
   cfg.page_timeout_cycles = 24;
@@ -334,16 +332,11 @@ TEST(FastForwardRegression, ArrivalsInsideSkippedStretch) {
   ASSERT_GT(trace.size(), 10u);
 
   Controller reference(cfg);
-  reference.set_incremental_scheduling(false);
-  Controller incremental(cfg);
   Controller fast(cfg);
   const auto ref_done = run_per_cycle(reference, trace, end);
-  const auto inc_done = run_per_cycle(incremental, trace, end);
   const auto fast_done = run_fast(fast, trace, end);
 
-  EXPECT_EQ(ref_done, inc_done);
   EXPECT_EQ(ref_done, fast_done);
-  expect_stats_eq(reference.stats(), incremental.stats());
   expect_stats_eq(reference.stats(), fast.stats());
   // Sanity: the stretches really were skipped-over power-down territory.
   EXPECT_GT(fast.stats().powerdown_cycles, 1'000u);
@@ -389,15 +382,13 @@ TEST(FastForwardRegression, RowRemapInvalidatesCachedCandidate) {
 
   // Two fault bits in the same ECC word of bank 0 row 0: the first access
   // sees a DED (uncorrectable) and the ladder remaps the row onto a spare
-  // while later requests to the same bank sit in the queue with cached
-  // schedule state.
+  // while later requests to the same bank sit in the queue.
   const auto plant = [](reliability::ReliabilityManager& rel) {
     rel.inject_fault(0, 0, 3, 0);
     rel.inject_fault(0, 0, 5, 0);
   };
 
   Controller reference(cfg);
-  reference.set_incremental_scheduling(false);
   reliability::ReliabilityManager ref_rel(cfg, quiet_reliability(4));
   plant(ref_rel);
   reference.attach_reliability(&ref_rel);
@@ -427,7 +418,7 @@ TEST(FastForwardRegression, BankRetireMidBurst) {
   // One spare row and double-bit faults in two rows: the first
   // uncorrectable consumes the spare, the second retires bank 0 while the
   // sweep still has requests queued for it — enqueue-time redirection and
-  // the scheduler's cached per-bank state must both follow.
+  // the scheduler's per-bank view must both follow.
   const auto plant = [](reliability::ReliabilityManager& rel) {
     rel.inject_fault(0, 0, 3, 0);
     rel.inject_fault(0, 0, 5, 0);
@@ -436,7 +427,6 @@ TEST(FastForwardRegression, BankRetireMidBurst) {
   };
 
   Controller reference(cfg);
-  reference.set_incremental_scheduling(false);
   reliability::ReliabilityManager ref_rel(cfg, quiet_reliability(1));
   plant(ref_rel);
   reference.attach_reliability(&ref_rel);

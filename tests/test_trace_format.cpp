@@ -2,15 +2,19 @@
 // format (round-trip identity, structured rejection of corrupt input),
 // the CompiledTrace arena encoding, and the golden equivalence between
 // ArenaReplayClient and the live generating clients — bit-identical
-// controller stats in both per-cycle and fast-forward runs.
+// controller stats in both per-cycle and fast-forward runs — plus the
+// WorkloadCache that shares compiled arenas, whose hit/miss counters must
+// not depend on thread timing.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "clients/compiled_trace.hpp"
@@ -542,6 +546,34 @@ TEST(WorkloadCache, HitsMissesAndSharing) {
   cache.clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(WorkloadCache, LostCompileRaceCountsAsHit) {
+  // Every thread misses, then blocks inside its compile until all of them
+  // are there, so all N compile the same key and N-1 lose the insert.
+  constexpr int kThreads = 4;
+  clients::WorkloadCache cache;
+  clients::StreamClient::Params p;
+  p.length = 1 << 16;
+  p.burst_bytes = 32;
+  p.total_requests = 50;
+  const std::uint64_t key = clients::compile_key(p, 0);
+  std::latch all_compiling(kThreads);
+  const auto compile = [&] {
+    all_compiling.arrive_and_wait();
+    return clients::compile_stream(p);
+  };
+  std::vector<std::shared_ptr<const clients::CompiledTrace>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back(
+        [&, i] { got[i] = cache.get_or_compile(key, compile); });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(cache.entries(), 1u);
+  for (const auto& arena : got) EXPECT_EQ(arena.get(), got.front().get());
 }
 
 // --- Evaluator memoization --------------------------------------------------
