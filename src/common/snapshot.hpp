@@ -56,6 +56,11 @@ class SnapshotReader {
   std::string str();
 
   bool at_end() const { return off_ == end_; }
+  /// Payload bytes not yet consumed. Loaders bound element counts read
+  /// from the stream by it before reserving (count x minimum encoded
+  /// record size must fit), so a forged count cannot force a huge
+  /// allocation.
+  std::size_t remaining() const { return end_ - off_; }
   /// Throw unless the whole payload was consumed (catches layout skew).
   void expect_end() const;
 

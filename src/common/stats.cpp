@@ -121,6 +121,7 @@ void SampleSet::save(SnapshotWriter& w) const {
 
 void SampleSet::load(SnapshotReader& r) {
   const std::uint64_t n = r.u64();
+  if (n > r.remaining() / 8) r.fail("sample count exceeds snapshot payload");
   samples_.clear();
   samples_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) samples_.push_back(r.f64());

@@ -1,6 +1,7 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -12,6 +13,12 @@ namespace {
 /// a - b clamped at zero (timing releases saturate at cycle 0).
 std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : 0;
+}
+
+/// A queue entry's packed (bank, row, direction) key-mirror slot.
+std::uint64_t queue_key(const Coordinates& c, AccessType type) {
+  return (std::uint64_t{c.bank} << 33) | (std::uint64_t{c.row} << 1) |
+         (type == AccessType::kWrite ? 1u : 0u);
 }
 }  // namespace
 
@@ -89,11 +96,9 @@ bool Controller::enqueue(Request req) {
     e.wd_deadline = cycle_ + cfg_.watchdog_cycles;
   }
   queue_.push_back(e);
-  // Pre-decoded SoA mirror for the burst-issue streak probe.
-  streak_key_.push_back((static_cast<std::uint64_t>(e.coord.bank) << 33) |
-                        (static_cast<std::uint64_t>(e.coord.row) << 1) |
-                        (e.req.type == AccessType::kWrite ? 1u : 0u));
-  streak_client_.push_back(e.req.client_id);
+  // Pre-decoded SoA mirror read by the scheduling scans and burst probe.
+  queue_key_.push_back(queue_key(e.coord, e.req.type));
+  queue_client_.push_back(e.req.client_id);
   if (e.req.type == AccessType::kWrite) ++queued_writes_;
   EDSIM_TELEMETRY(telemetry_, on_request_enqueued(queue_.back().req,
                                                   queue_.back().coord, cycle_));
@@ -152,9 +157,9 @@ bool Controller::column_legal(AccessType type, std::uint64_t cycle) const {
 
 void Controller::erase_queue_entry(std::size_t pos) {
   if (queue_[pos].req.type == AccessType::kWrite) --queued_writes_;
-  streak_key_.erase(streak_key_.begin() + static_cast<std::ptrdiff_t>(pos));
-  streak_client_.erase(streak_client_.begin() +
-                       static_cast<std::ptrdiff_t>(pos));
+  queue_key_.erase(queue_key_.begin() + static_cast<std::ptrdiff_t>(pos));
+  queue_client_.erase(queue_client_.begin() +
+                      static_cast<std::ptrdiff_t>(pos));
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
@@ -183,34 +188,54 @@ void Controller::clear_autopre(unsigned b) {
 
 const std::vector<Candidate>& Controller::build_candidates() {
   std::vector<Candidate>& out = candidates_;
-  out.clear();
-  out.reserve(queue_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const QueueEntry& e = queue_[i];
-    const Bank& bank = banks_[e.coord.bank];
-    Candidate c;
-    c.queue_index = i;
-    c.bank = e.coord.bank;
-    c.client_id = e.req.client_id;
-    c.is_write = e.req.type == AccessType::kWrite;
-    if (bank.has_open_row() && bank.open_row() == e.coord.row) {
-      c.cmd = e.req.type == AccessType::kRead ? Command::kRead
-                                              : Command::kWrite;
-      c.row_hit = true;
-      c.issuable =
-          bank.can_issue(c.cmd, cycle_) && column_legal(e.req.type, cycle_) &&
-          !autopre_pending_[e.coord.bank];
-    } else if (!bank.has_open_row()) {
-      c.cmd = Command::kActivate;
-      c.issuable = bank.can_issue(c.cmd, cycle_) &&
-                   channel_act_legal(cycle_) &&
-                   !autopre_pending_[e.coord.bank];
-    } else {
-      c.cmd = Command::kPrecharge;
-      c.issuable = bank.can_issue(c.cmd, cycle_) &&
-                   !autopre_pending_[e.coord.bank];
+  const std::size_t n = queue_key_.size();
+  out.resize(n);
+  // One verdict per bank, computed on its first queued request; every
+  // request then reads it by (row hit?, direction) from its packed key.
+  struct Verdict {
+    std::uint64_t open;  ///< key >> 1 of a row hit; ~0 when no row is open
+    Command miss_cmd;    ///< ACT on an idle bank, PRE over another row
+    bool miss_ok;
+    bool col_ok[2];      ///< RD, WR issuable on the open row
+  };
+  // DramConfig::validate caps banks at 64. A bank's entry is written on
+  // its first request (seen bit clear) before any read, so the array is
+  // left uninitialized: zeroing it every round cost ~14% on a6.
+  std::array<Verdict, 64> verdict;
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = queue_key_[i];
+    const auto b = static_cast<unsigned>(key >> 33);
+    Verdict& v = verdict[b];
+    if ((seen >> b & 1) == 0) {
+      seen |= std::uint64_t{1} << b;
+      const Bank& bank = banks_[b];
+      const bool free = !autopre_pending_[b];
+      if (bank.has_open_row()) {
+        v.open = (std::uint64_t{b} << 32) | bank.open_row();
+        v.miss_cmd = Command::kPrecharge;
+        v.miss_ok = free && bank.can_issue(Command::kPrecharge, cycle_);
+        const bool col = free && bank.can_issue(Command::kRead, cycle_);
+        v.col_ok[0] = col && column_legal(AccessType::kRead, cycle_);
+        v.col_ok[1] = col && column_legal(AccessType::kWrite, cycle_);
+      } else {
+        v.open = ~std::uint64_t{0};
+        v.miss_cmd = Command::kActivate;
+        v.miss_ok = free && bank.can_issue(Command::kActivate, cycle_) &&
+                    channel_act_legal(cycle_);
+      }
     }
-    out.push_back(c);
+    const bool is_write = (key & 1) != 0;
+    Candidate& c = out[i];
+    c.queue_index = i;
+    c.bank = b;
+    c.client_id = queue_client_[i];
+    c.is_write = is_write;
+    c.row_hit = (key >> 1) == v.open;
+    c.cmd = !c.row_hit ? v.miss_cmd
+            : is_write ? Command::kWrite
+                       : Command::kRead;
+    c.issuable = c.row_hit ? v.col_ok[is_write] : v.miss_ok;
   }
   return out;
 }
@@ -727,25 +752,44 @@ std::uint64_t Controller::next_event_cycle() const {
   // and bus state are frozen during a skip (no commands issue), so these
   // releases stay valid until the skip ends. The bound is conservative:
   // the scheduler may still decline (e.g. FCFS head-of-line blocking),
-  // which only shortens the skip, never corrupts it.
-  if (queue_.empty()) return ne;
+  // which only shortens the skip, never corrupts it. Nothing queued can
+  // pull the bound below cycle_, so that case skips the scan.
+  if (queue_.empty() || ne == cycle_) return ne;
   const std::uint64_t act_rel = channel_act_release();
   const std::uint64_t rd_rel = channel_column_release(AccessType::kRead);
   const std::uint64_t wr_rel = channel_column_release(AccessType::kWrite);
-  for (const QueueEntry& e : queue_) {
-    if (autopre_pending_[e.coord.bank]) continue;  // gated by autopre above
-    const Bank& bank = banks_[e.coord.bank];
-    if (bank.has_open_row() && bank.open_row() == e.coord.row) {
-      const bool is_write = e.req.type == AccessType::kWrite;
-      upd(std::max(bank.earliest(is_write ? Command::kWrite : Command::kRead),
-                   is_write ? wr_rel : rd_rel));
-    } else if (!bank.has_open_row()) {
-      upd(std::max(bank.earliest(Command::kActivate), act_rel));
-    } else {
-      upd(bank.earliest(Command::kPrecharge));
+  // One verdict per bank, as in build_candidates: the read, write and
+  // ACT-or-PRE release cycles. Banks awaiting auto-precharge are gated by
+  // its release above and contribute nothing.
+  struct Release {
+    std::uint64_t open;    ///< key >> 1 of a row hit; ~0 when no row is open
+    std::uint64_t col[2];  ///< RD, WR on the open row
+    std::uint64_t miss;    ///< ACT on an idle bank, PRE over another row
+  };
+  std::array<Release, 64> release;  // written before read, as above
+  std::uint64_t seen = 0;
+  std::uint64_t first = kNeverCycle;
+  for (const std::uint64_t key : queue_key_) {
+    const auto b = static_cast<unsigned>(key >> 33);
+    Release& v = release[b];
+    if ((seen >> b & 1) == 0) {
+      seen |= std::uint64_t{1} << b;
+      const Bank& bank = banks_[b];
+      v.open = ~std::uint64_t{0};
+      if (autopre_pending_[b]) {
+        v.miss = kNeverCycle;
+      } else if (bank.has_open_row()) {
+        v.open = (std::uint64_t{b} << 32) | bank.open_row();
+        v.col[0] = std::max(bank.earliest(Command::kRead), rd_rel);
+        v.col[1] = std::max(bank.earliest(Command::kWrite), wr_rel);
+        v.miss = bank.earliest(Command::kPrecharge);
+      } else {
+        v.miss = std::max(bank.earliest(Command::kActivate), act_rel);
+      }
     }
+    first = std::min(first, (key >> 1) == v.open ? v.col[key & 1] : v.miss);
   }
-
+  upd(first);
   return ne;
 }
 
@@ -803,9 +847,9 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
   // Branch-light streak probe over the packed SoA mirror: the whole queue
   // must target one (bank, row, direction).
   const std::size_t n = queue_.size();
-  const std::uint64_t key = streak_key_[0];
+  const std::uint64_t key = queue_key_[0];
   std::uint64_t mism = 0;
-  for (std::size_t i = 1; i < n; ++i) mism |= streak_key_[i] ^ key;
+  for (std::size_t i = 1; i < n; ++i) mism |= queue_key_[i] ^ key;
   if (mism != 0) return 0;
   const unsigned bank = static_cast<unsigned>(key >> 33);
   const unsigned row = static_cast<unsigned>((key >> 1) & 0xffffffffu);
@@ -828,9 +872,9 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
     const auto& tdm = static_cast<const TdmScheduler&>(*scheduler_);
     tdm_slot_cycles = tdm.slot_cycles();
     tdm_slots = tdm.num_slots();
-    tdm_cls = streak_client_[0] % tdm_slots;
+    tdm_cls = queue_client_[0] % tdm_slots;
     for (std::size_t i = 1; i < n; ++i) {
-      if (streak_client_[i] % tdm_slots != tdm_cls) return 0;
+      if (queue_client_[i] % tdm_slots != tdm_cls) return 0;
     }
   }
   // Hard ceiling: the first cycle whose tick is NOT pure streak progress.
@@ -956,6 +1000,9 @@ void save_request(SnapshotWriter& w, const Request& q) {
   w.boolean(q.ecc_corrected);
   w.boolean(q.data_error);
 }
+
+/// Smallest encoding save_request can produce: nine one-byte varints.
+constexpr std::uint64_t kMinRequestBytes = 9;
 
 Request load_request(SnapshotReader& r) {
   Request q;
@@ -1102,12 +1149,18 @@ void Controller::load(SnapshotReader& r) {
   }
   inflight_.clear();
   const std::uint64_t inflight = r.u64();
+  if (inflight > r.remaining() / kMinRequestBytes) {
+    r.fail("in-flight request count exceeds snapshot payload");
+  }
   inflight_.reserve(inflight);
   for (std::uint64_t i = 0; i < inflight; ++i) {
     inflight_.push_back(InFlight{load_request(r)});
   }
   completed_.clear();
   const std::uint64_t completed = r.u64();
+  if (completed > r.remaining() / kMinRequestBytes) {
+    r.fail("completed request count exceeds snapshot payload");
+  }
   completed_.reserve(completed);
   for (std::uint64_t i = 0; i < completed; ++i) {
     completed_.push_back(load_request(r));
@@ -1141,14 +1194,12 @@ void Controller::load(SnapshotReader& r) {
   load_controller_stats(r, stats_);
 
   // Derived caches: recompute rather than trust the stream.
-  streak_key_.clear();
-  streak_client_.clear();
+  queue_key_.clear();
+  queue_client_.clear();
   queued_writes_ = 0;
   for (const QueueEntry& e : queue_) {
-    streak_key_.push_back((static_cast<std::uint64_t>(e.coord.bank) << 33) |
-                          (static_cast<std::uint64_t>(e.coord.row) << 1) |
-                          (e.req.type == AccessType::kWrite ? 1u : 0u));
-    streak_client_.push_back(e.req.client_id);
+    queue_key_.push_back(queue_key(e.coord, e.req.type));
+    queue_client_.push_back(e.req.client_id);
     if (e.req.type == AccessType::kWrite) ++queued_writes_;
   }
   autopre_count_ = 0;

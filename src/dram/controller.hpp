@@ -189,7 +189,7 @@ class Controller {
   /// DramConfig, re-attaches its observers (attach_reliability BEFORE
   /// load, so the attach-derived flags are in place and load then restores
   /// the counters attach reset), and calls load(). Derived state (the
-  /// burst-issue streak mirror, the in-flight minimum, the auto-precharge
+  /// queue key mirror, the in-flight minimum, the auto-precharge
   /// count) is recomputed on load, not stored.
   void save(SnapshotWriter& w) const;
   void load(SnapshotReader& r);
@@ -240,7 +240,8 @@ class Controller {
   /// of tick(); shared with the burst-issue lite tick).
   void retire_due_inflight();
   /// One scheduler round's candidate list: each queued request's next
-  /// command and whether the bank and channel constraints allow it now.
+  /// command and whether the bank and channel constraints allow it now,
+  /// read from a verdict computed once per bank with queued work.
   const std::vector<Candidate>& build_candidates();
   /// Devirtualized scheduler dispatch: every policy class is final, so a
   /// switch on the configured kind lets the compiler inline the pick into
@@ -262,7 +263,7 @@ class Controller {
   std::uint64_t issue_burst(std::uint64_t target_cycle,
                             bool stop_after_event = false);
 
-  /// Remove queue_[pos] and its streak-mirror slots.
+  /// Remove queue_[pos] and its key-mirror slots.
   void erase_queue_entry(std::size_t pos);
   /// True when a queued request still wants bank `b`'s open row.
   bool open_row_wanted(unsigned b) const;
@@ -288,14 +289,14 @@ class Controller {
   std::uint64_t inflight_min_done_ = kNeverCycle;
   unsigned autopre_count_ = 0;
 
-  // Burst-issue fast path (see docs/performance.md, "Dense traffic").
-  // SoA mirror of the queue for the branch-light streak probe: one packed
-  // (bank, row, direction) key and one client id per entry, maintained on
-  // enqueue / erase / load alongside queue_. The counters make the
-  // remaining eligibility gates O(1).
+  // SoA mirror of the queue: one packed (bank, row, direction) key and one
+  // client id per entry, maintained on enqueue / erase / load alongside
+  // queue_. Three scans read it: build_candidates and next_event_cycle
+  // (per-bank verdicts, see docs/performance.md, "Scheduling scans") and
+  // the burst-issue streak probe ("Dense traffic").
+  std::vector<std::uint64_t> queue_key_;   // (bank << 33) | (row << 1) | w
+  std::vector<std::uint32_t> queue_client_;
   bool burst_issue_ = true;
-  std::vector<std::uint64_t> streak_key_;   // (bank << 33) | (row << 1) | w
-  std::vector<std::uint32_t> streak_client_;
   unsigned queued_writes_ = 0;  ///< write entries in queue_ (counter, so
                                 ///< the hysteresis note needs no rescan)
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -18,7 +19,10 @@
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
+#include "dram/bank.hpp"
 #include "dram/multi_channel.hpp"
+#include "dram/refresh.hpp"
+#include "dram/scheduler.hpp"
 #include "reliability/manager.hpp"
 
 namespace edsim {
@@ -421,6 +425,75 @@ TEST(SnapshotCorruption, VersionMismatchRejected) {
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat);
   }
+}
+
+// A sealed blob (valid checksum) whose element count claims 2^60 records
+// must fail as a format error before any reserve() sees the count.
+constexpr std::uint64_t kForgedCount = std::uint64_t{1} << 60;
+
+template <typename Load>
+void expect_forged_count_rejected(const SnapshotWriter& w, Load load) {
+  const std::vector<std::uint8_t> blob = w.seal();
+  SnapshotReader r(blob);
+  try {
+    load(r);
+    FAIL() << "forged element count accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat);
+  }
+}
+
+TEST(SnapshotCorruption, SampleSetForgedCountRejected) {
+  SnapshotWriter w;
+  w.u64(kForgedCount);
+  w.f64(1.0);
+  w.boolean(false);
+  SampleSet s;
+  expect_forged_count_rejected(w, [&](SnapshotReader& r) { s.load(r); });
+}
+
+/// Controller::save's fields ahead of its queue: a fresh controller's
+/// banks, auto-precharge flags, column cycles, scheduler and refresh state.
+SnapshotWriter fresh_controller_prefix(const dram::DramConfig& cfg) {
+  SnapshotWriter w;
+  w.u32(cfg.banks);
+  for (unsigned b = 0; b < cfg.banks; ++b) dram::Bank(cfg.timing).save(w);
+  for (unsigned b = 0; b < cfg.banks; ++b) w.boolean(false);
+  for (unsigned b = 0; b < cfg.banks; ++b) w.u64(0);
+  dram::Scheduler::make(cfg)->save(w);
+  dram::RefreshEngine(cfg.timing, cfg.refresh_enabled, cfg.refresh_burst)
+      .save(w);
+  // Guard against layout drift: the hand-built prefix must match what a
+  // fresh controller actually writes.
+  dram::Controller fresh(cfg);
+  SnapshotWriter full;
+  fresh.save(full);
+  const auto& pre = w.payload();
+  EXPECT_TRUE(full.payload().size() > pre.size() &&
+              std::equal(pre.begin(), pre.end(), full.payload().begin()))
+      << "controller snapshot layout changed; update this prefix";
+  return w;
+}
+
+TEST(SnapshotCorruption, ControllerForgedInflightCountRejected) {
+  const dram::DramConfig cfg = small_config();
+  SnapshotWriter w = fresh_controller_prefix(cfg);
+  w.u64(0);             // queued
+  w.u64(kForgedCount);  // in flight
+  w.u64(0);
+  dram::Controller ctl(cfg);
+  expect_forged_count_rejected(w, [&](SnapshotReader& r) { ctl.load(r); });
+}
+
+TEST(SnapshotCorruption, ControllerForgedCompletedCountRejected) {
+  const dram::DramConfig cfg = small_config();
+  SnapshotWriter w = fresh_controller_prefix(cfg);
+  w.u64(0);             // queued
+  w.u64(0);             // in flight
+  w.u64(kForgedCount);  // completed
+  w.u64(0);
+  dram::Controller ctl(cfg);
+  expect_forged_count_rejected(w, [&](SnapshotReader& r) { ctl.load(r); });
 }
 
 TEST(SnapshotCorruption, GarbagePayloadNeverUb) {
