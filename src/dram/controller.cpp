@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -164,8 +165,9 @@ void Controller::erase_queue_entry(std::size_t pos) {
 }
 
 bool Controller::open_row_wanted(unsigned b) const {
-  for (const QueueEntry& e : queue_) {
-    if (e.coord.bank == b && e.coord.row == banks_[b].open_row()) return true;
+  const std::uint64_t open = (std::uint64_t{b} << 32) | banks_[b].open_row();
+  for (const std::uint64_t key : queue_key_) {
+    if (key >> 1 == open) return true;
   }
   return false;
 }
@@ -186,58 +188,35 @@ void Controller::clear_autopre(unsigned b) {
 
 // --- candidate construction -------------------------------------------------
 
-const std::vector<Candidate>& Controller::build_candidates() {
-  std::vector<Candidate>& out = candidates_;
-  const std::size_t n = queue_key_.size();
-  out.resize(n);
-  // One verdict per bank, computed on its first queued request; every
-  // request then reads it by (row hit?, direction) from its packed key.
-  struct Verdict {
-    std::uint64_t open;  ///< key >> 1 of a row hit; ~0 when no row is open
-    Command miss_cmd;    ///< ACT on an idle bank, PRE over another row
-    bool miss_ok;
-    bool col_ok[2];      ///< RD, WR issuable on the open row
-  };
-  // DramConfig::validate caps banks at 64. A bank's entry is written on
-  // its first request (seen bit clear) before any read, so the array is
-  // left uninitialized: zeroing it every round cost ~14% on a6.
-  std::array<Verdict, 64> verdict;
+Controller::CandidateView Controller::build_candidates() const {
+  CandidateView view;
+  view.keys = queue_key_.data();
+  view.clients = queue_client_.data();
+  view.n = queue_key_.size();
+  // One verdict per bank with queued work; every request then reads its
+  // bank's by (row hit?, direction) from its packed key.
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = queue_key_[i];
-    const auto b = static_cast<unsigned>(key >> 33);
-    Verdict& v = verdict[b];
-    if ((seen >> b & 1) == 0) {
-      seen |= std::uint64_t{1} << b;
-      const Bank& bank = banks_[b];
-      const bool free = !autopre_pending_[b];
-      if (bank.has_open_row()) {
-        v.open = (std::uint64_t{b} << 32) | bank.open_row();
-        v.miss_cmd = Command::kPrecharge;
-        v.miss_ok = free && bank.can_issue(Command::kPrecharge, cycle_);
-        const bool col = free && bank.can_issue(Command::kRead, cycle_);
-        v.col_ok[0] = col && column_legal(AccessType::kRead, cycle_);
-        v.col_ok[1] = col && column_legal(AccessType::kWrite, cycle_);
-      } else {
-        v.open = ~std::uint64_t{0};
-        v.miss_cmd = Command::kActivate;
-        v.miss_ok = free && bank.can_issue(Command::kActivate, cycle_) &&
-                    channel_act_legal(cycle_);
-      }
+  for (const auto key : queue_key_) seen |= std::uint64_t{1} << (key >> 33);
+  for (; seen != 0; seen &= seen - 1) {
+    const auto b = static_cast<unsigned>(std::countr_zero(seen));
+    BankVerdict& v = view.verdicts[b];
+    const Bank& bank = banks_[b];
+    const bool free = !autopre_pending_[b];
+    if (bank.has_open_row()) {
+      v.open = (std::uint64_t{b} << 32) | bank.open_row();
+      v.miss_cmd = Command::kPrecharge;
+      v.miss_ok = free && bank.can_issue(Command::kPrecharge, cycle_);
+      const bool col = free && bank.can_issue(Command::kRead, cycle_);
+      v.col_ok[0] = col && column_legal(AccessType::kRead, cycle_);
+      v.col_ok[1] = col && column_legal(AccessType::kWrite, cycle_);
+    } else {
+      v.open = ~std::uint64_t{0};
+      v.miss_cmd = Command::kActivate;
+      v.miss_ok = free && bank.can_issue(Command::kActivate, cycle_) &&
+                  channel_act_legal(cycle_);
     }
-    const bool is_write = (key & 1) != 0;
-    Candidate& c = out[i];
-    c.queue_index = i;
-    c.bank = b;
-    c.client_id = queue_client_[i];
-    c.is_write = is_write;
-    c.row_hit = (key >> 1) == v.open;
-    c.cmd = !c.row_hit ? v.miss_cmd
-            : is_write ? Command::kWrite
-                       : Command::kRead;
-    c.issuable = c.row_hit ? v.col_ok[is_write] : v.miss_ok;
   }
-  return out;
+  return view;
 }
 
 void Controller::issue_column(QueueEntry& e, std::uint64_t cycle) {
@@ -339,8 +318,8 @@ bool Controller::tick_refresh() {
 }
 
 bool Controller::bank_has_queued(unsigned b) const {
-  for (const QueueEntry& e : queue_) {
-    if (e.coord.bank == b) return true;
+  for (const std::uint64_t key : queue_key_) {
+    if (key >> 33 == b) return true;
   }
   return false;
 }
@@ -481,28 +460,28 @@ void Controller::retire_due_inflight() {
   }
 }
 
-std::size_t Controller::dispatch_pick(const std::vector<Candidate>& candidates,
+std::size_t Controller::dispatch_pick(const CandidateView& view,
                                       std::uint64_t oldest_wait) const {
   // Every policy class is final: the static type makes each call below a
   // direct (inlinable) call instead of a per-round virtual dispatch.
   switch (cfg_.scheduler) {
     case SchedulerKind::kFcfs:
       return static_cast<const FcfsScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick_in(view, cycle_, oldest_wait);
     case SchedulerKind::kFcfsPerBank:
       return static_cast<const FcfsPerBankScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick_in(view, cycle_, oldest_wait);
     case SchedulerKind::kFrFcfs:
       return static_cast<const FrFcfsScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick_in(view, cycle_, oldest_wait);
     case SchedulerKind::kReadFirst:
       return static_cast<const ReadFirstScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick_in(view, cycle_, oldest_wait);
     case SchedulerKind::kTdm:
-      return static_cast<const TdmScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+      break;
   }
-  return scheduler_->pick(candidates, cycle_, oldest_wait);
+  return static_cast<const TdmScheduler&>(*scheduler_)
+      .pick_in(view, cycle_, oldest_wait);
 }
 
 void Controller::scheduler_note_pick() const {
@@ -597,7 +576,7 @@ void Controller::tick() {
   // REF sweep is replaced by maintenance arbitration over idle bank slots.
   if (!(self_managed_ ? tick_maintenance() : tick_refresh())) {
     // 4. Normal scheduling: one command this cycle.
-    const auto& candidates = build_candidates();
+    const CandidateView view = build_candidates();
     const std::uint64_t oldest_wait =
         queue_.empty() ? 0 : cycle_ - queue_.front().req.arrival_cycle;
     std::size_t pick;
@@ -609,9 +588,9 @@ void Controller::tick() {
       // the escalation still routes through the scheduler — slot ownership
       // is inviolate (that isolation is the policy's entire guarantee), and
       // the rotation itself bounds how long the front entry can wait.
-      pick = candidates.front().issuable ? 0 : Scheduler::kNone;
+      pick = view[0].issuable ? 0 : Scheduler::kNone;
     } else {
-      pick = dispatch_pick(candidates, oldest_wait);
+      pick = dispatch_pick(view, oldest_wait);
     }
     if (pick == Scheduler::kNone &&
         cfg_.page_policy == PagePolicy::kTimeout) {
@@ -632,7 +611,7 @@ void Controller::tick() {
       }
     }
     if (pick != Scheduler::kNone) {
-      const Candidate c = candidates[pick];
+      const Candidate c = view[pick];
       QueueEntry& e = queue_[c.queue_index];
       Bank& bank = banks_[e.coord.bank];
       classify(e, bank);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -239,17 +240,54 @@ class Controller {
   /// Retire every in-flight request whose last data beat is done (step 1
   /// of tick(); shared with the burst-issue lite tick).
   void retire_due_inflight();
-  /// One scheduler round's candidate list: each queued request's next
-  /// command and whether the bank and channel constraints allow it now,
-  /// read from a verdict computed once per bank with queued work.
-  const std::vector<Candidate>& build_candidates();
+  /// One bank's verdict for this round: what a row hit and a row miss to
+  /// it would issue, and whether the bank and channel constraints allow it.
+  struct BankVerdict {
+    std::uint64_t open;  ///< key >> 1 of a row hit; ~0 when no row is open
+    Command miss_cmd;    ///< ACT on an idle bank, PRE over another row
+    bool miss_ok;
+    bool col_ok[2];      ///< RD, WR issuable on the open row
+  };
+  /// One scheduler round's candidates, read on demand: view[i] derives
+  /// queued request i's Candidate from its packed key, its client id and
+  /// its bank's verdict. Valid until the queue or a bank changes.
+  struct CandidateView {
+    const std::uint64_t* keys;
+    const std::uint32_t* clients;
+    std::size_t n;
+    // DramConfig::validate caps banks at 64. Only banks with queued work
+    // get a verdict and only those are read, so the array is left
+    // uninitialized: zeroing it every round cost ~14% on a6.
+    std::array<BankVerdict, 64> verdicts;
+
+    std::size_t size() const { return n; }
+    Candidate operator[](std::size_t i) const {
+      const std::uint64_t key = keys[i];
+      const auto b = static_cast<unsigned>(key >> 33);
+      const BankVerdict& v = verdicts[b];
+      Candidate c;
+      c.queue_index = i;
+      c.bank = b;
+      c.client_id = clients[i];
+      c.is_write = (key & 1) != 0;
+      c.row_hit = (key >> 1) == v.open;
+      c.cmd = !c.row_hit   ? v.miss_cmd
+              : c.is_write ? Command::kWrite
+                           : Command::kRead;
+      c.issuable = c.row_hit ? v.col_ok[c.is_write] : v.miss_ok;
+      return c;
+    }
+  };
+  /// This round's candidate view: one verdict per bank with queued work
+  /// (seen-mask pre-pass over the key mirror), read by every request.
+  CandidateView build_candidates() const;
   /// Devirtualized scheduler dispatch: every policy class is final, so a
-  /// switch on the configured kind lets the compiler inline the pick into
-  /// the issue path (no vtable load per round).
-  std::size_t dispatch_pick(const std::vector<Candidate>& candidates,
+  /// switch on the configured kind lets the compiler inline the policy's
+  /// pick body over the view into the issue path.
+  std::size_t dispatch_pick(const CandidateView& view,
                             std::uint64_t oldest_wait) const;
   /// Scheduler-state side effect of one pick round (ReadFirst hysteresis);
-  /// the burst path applies it without building a candidate list.
+  /// the burst path applies it without a pick.
   void scheduler_note_pick() const;
   /// Dense-traffic fast path: when the queue is a homogeneous single-bank
   /// row-hit streak in a deterministic steady state, advance through issue
@@ -281,7 +319,6 @@ class Controller {
   std::vector<QueueEntry> queue_;  // age-ordered
   std::vector<InFlight> inflight_;
   std::vector<Request> completed_;
-  std::vector<Candidate> candidates_;  // scratch, refreshed each round
 
   // Cached next-event terms: the earliest in-flight completion and the
   // pending auto-precharge count, kept current at every issue, retirement
@@ -291,9 +328,8 @@ class Controller {
 
   // SoA mirror of the queue: one packed (bank, row, direction) key and one
   // client id per entry, maintained on enqueue / erase / load alongside
-  // queue_. Three scans read it: build_candidates and next_event_cycle
-  // (per-bank verdicts, see docs/performance.md, "Scheduling scans") and
-  // the burst-issue streak probe ("Dense traffic").
+  // queue_. Every queue scan reads it (see docs/performance.md,
+  // "Scheduling scans" and "Dense traffic").
   std::vector<std::uint64_t> queue_key_;   // (bank << 33) | (row << 1) | w
   std::vector<std::uint32_t> queue_client_;
   bool burst_issue_ = true;

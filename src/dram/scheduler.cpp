@@ -29,54 +29,6 @@ std::unique_ptr<Scheduler> Scheduler::make(const DramConfig& cfg) {
   return make(cfg.scheduler);
 }
 
-std::size_t FcfsScheduler::pick(const std::vector<Candidate>& candidates,
-                                std::uint64_t /*cycle*/,
-                                std::uint64_t /*oldest_wait*/) const {
-  // Only the head of the queue may issue; everything else waits behind it.
-  if (!candidates.empty() && candidates.front().queue_index == 0 &&
-      candidates.front().issuable) {
-    return 0;
-  }
-  return kNone;
-}
-
-std::size_t FcfsPerBankScheduler::pick(
-    const std::vector<Candidate>& candidates,
-    std::uint64_t /*cycle*/,
-    std::uint64_t /*oldest_wait*/) const {
-  // The oldest candidate per bank may issue; pick the oldest issuable one.
-  std::uint64_t seen_banks = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const auto& c = candidates[i];
-    const std::uint64_t bit = 1ull << (c.bank & 63u);
-    const bool head_of_bank = (seen_banks & bit) == 0;
-    seen_banks |= bit;
-    if (head_of_bank && c.issuable) return i;
-  }
-  return kNone;
-}
-
-std::size_t FrFcfsScheduler::pick(const std::vector<Candidate>& candidates,
-                                  std::uint64_t /*cycle*/,
-                                  std::uint64_t oldest_wait) const {
-  if (oldest_wait > starvation_cap_) {
-    // Starvation guard: serve strictly oldest-first until the queue drains
-    // below the cap. Candidates are age-ordered, so take the first
-    // issuable one belonging to the oldest request's bank chain — in
-    // practice the first issuable candidate.
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      if (candidates[i].issuable) return i;
-    return kNone;
-  }
-  // First ready: issuable row-hit column command, oldest first.
-  for (std::size_t i = 0; i < candidates.size(); ++i)
-    if (candidates[i].issuable && candidates[i].row_hit) return i;
-  // Then: any issuable command, oldest first.
-  for (std::size_t i = 0; i < candidates.size(); ++i)
-    if (candidates[i].issuable) return i;
-  return kNone;
-}
-
 ReadFirstScheduler::ReadFirstScheduler(unsigned high_watermark,
                                        unsigned low_watermark,
                                        std::uint64_t starvation_cap)
@@ -85,37 +37,6 @@ ReadFirstScheduler::ReadFirstScheduler(unsigned high_watermark,
       starvation_cap_(starvation_cap) {
   require(low_watermark_ < high_watermark_,
           "read-first scheduler: watermarks must satisfy low < high");
-}
-
-std::size_t ReadFirstScheduler::pick(const std::vector<Candidate>& candidates,
-                                     std::uint64_t /*cycle*/,
-                                     std::uint64_t oldest_wait) const {
-  unsigned writes = 0;
-  for (const Candidate& c : candidates)
-    if (c.is_write) ++writes;
-  note_writes(writes);
-
-  if (oldest_wait > starvation_cap_) {
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      if (candidates[i].issuable) return i;
-    return kNone;
-  }
-
-  const bool favour_writes = draining_;
-  // Four priority classes: (favoured, row hit) > (favoured) >
-  // (other, row hit) > (other). Oldest-first within a class.
-  for (const int pass : {0, 1, 2, 3}) {
-    const bool want_write = (pass < 2) == favour_writes;
-    const bool want_hit = pass % 2 == 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
-      if (!c.issuable) continue;
-      if (c.is_write != want_write) continue;
-      if (want_hit && !c.row_hit) continue;
-      return i;
-    }
-  }
-  return kNone;
 }
 
 void ReadFirstScheduler::save(SnapshotWriter& w) const {
@@ -128,24 +49,6 @@ TdmScheduler::TdmScheduler(unsigned slot_cycles, unsigned num_slots)
     : slot_cycles_(slot_cycles), num_slots_(num_slots) {
   require(slot_cycles_ >= 1, "tdm scheduler: slot_cycles must be >= 1");
   require(num_slots_ >= 1, "tdm scheduler: num_slots must be >= 1");
-}
-
-std::size_t TdmScheduler::pick(const std::vector<Candidate>& candidates,
-                               std::uint64_t cycle,
-                               std::uint64_t /*oldest_wait*/) const {
-  // Hard slot isolation: only the slot owner's requests may issue, no
-  // matter how long anyone else has waited — the rotation itself is the
-  // starvation guard. Within the slot, FR-FCFS order.
-  const unsigned own = owner(cycle);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Candidate& c = candidates[i];
-    if (c.issuable && c.row_hit && c.client_id % num_slots_ == own) return i;
-  }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Candidate& c = candidates[i];
-    if (c.issuable && c.client_id % num_slots_ == own) return i;
-  }
-  return kNone;
 }
 
 }  // namespace edsim::dram

@@ -27,8 +27,11 @@ struct Candidate {
 };
 
 /// Scheduling policy: picks which candidate to issue. Pure function of the
-/// candidate list (plus the current cycle, for time-sliced policies) so
-/// policies are trivially testable.
+/// candidates (plus the current cycle, for time-sliced policies) so
+/// policies are trivially testable. Each policy's pick body is a template
+/// `pick_in` over any indexable candidate source (`size()` and
+/// `operator[]` yielding a Candidate): the virtual `pick` runs it on a
+/// written list, the controller on a view derived from its queue.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -61,7 +64,18 @@ class FcfsScheduler final : public Scheduler {
  public:
   std::size_t pick(const std::vector<Candidate>& candidates,
                    std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override;
+                   std::uint64_t oldest_wait) const override {
+    return pick_in(candidates, cycle, oldest_wait);
+  }
+
+  template <class Cands>
+  std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
+                      std::uint64_t /*oldest_wait*/) const {
+    // Only the head of the queue may issue; everything else waits behind it.
+    return cands.size() != 0 && cands[0].queue_index == 0 && cands[0].issuable
+               ? 0
+               : kNone;
+  }
 };
 
 /// In-order within each bank, banks progress independently.
@@ -69,7 +83,24 @@ class FcfsPerBankScheduler final : public Scheduler {
  public:
   std::size_t pick(const std::vector<Candidate>& candidates,
                    std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override;
+                   std::uint64_t oldest_wait) const override {
+    return pick_in(candidates, cycle, oldest_wait);
+  }
+
+  template <class Cands>
+  std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
+                      std::uint64_t /*oldest_wait*/) const {
+    // The oldest candidate per bank may issue; pick the oldest issuable one.
+    std::uint64_t seen_banks = 0;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      const Candidate& c = cands[i];
+      const std::uint64_t bit = 1ull << (c.bank & 63u);
+      const bool head_of_bank = (seen_banks & bit) == 0;
+      seen_banks |= bit;
+      if (head_of_bank && c.issuable) return i;
+    }
+    return kNone;
+  }
 };
 
 /// First-ready FCFS: issuable row-hit column commands first (oldest such),
@@ -82,7 +113,25 @@ class FrFcfsScheduler final : public Scheduler {
 
   std::size_t pick(const std::vector<Candidate>& candidates,
                    std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override;
+                   std::uint64_t oldest_wait) const override {
+    return pick_in(candidates, cycle, oldest_wait);
+  }
+
+  /// One pass: the first issuable row hit, else the first issuable one;
+  /// past the starvation cap the first issuable one (strict age order).
+  template <class Cands>
+  std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
+                      std::uint64_t oldest_wait) const {
+    const bool starved = oldest_wait > starvation_cap_;
+    std::size_t first = kNone;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      const Candidate& c = cands[i];
+      if (!c.issuable) continue;
+      if (c.row_hit || starved) return i;
+      if (first == kNone) first = i;
+    }
+    return first;
+  }
 
   std::uint64_t starvation_cap() const { return starvation_cap_; }
 
@@ -102,7 +151,40 @@ class ReadFirstScheduler final : public Scheduler {
 
   std::size_t pick(const std::vector<Candidate>& candidates,
                    std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override;
+                   std::uint64_t oldest_wait) const override {
+    return pick_in(candidates, cycle, oldest_wait);
+  }
+
+  template <class Cands>
+  std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
+                      std::uint64_t oldest_wait) const {
+    unsigned writes = 0;
+    for (std::size_t i = 0; i < cands.size(); ++i)
+      if (cands[i].is_write) ++writes;
+    note_writes(writes);
+
+    if (oldest_wait > starvation_cap_) {
+      for (std::size_t i = 0; i < cands.size(); ++i)
+        if (cands[i].issuable) return i;
+      return kNone;
+    }
+
+    const bool favour_writes = draining_;
+    // Four priority classes: (favoured, row hit) > (favoured) >
+    // (other, row hit) > (other). Oldest-first within a class.
+    for (const int pass : {0, 1, 2, 3}) {
+      const bool want_write = (pass < 2) == favour_writes;
+      const bool want_hit = pass % 2 == 0;
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        const Candidate& c = cands[i];
+        if (!c.issuable) continue;
+        if (c.is_write != want_write) continue;
+        if (want_hit && !c.row_hit) continue;
+        return i;
+      }
+    }
+    return kNone;
+  }
 
   bool draining() const { return draining_; }
   std::uint64_t starvation_cap() const { return starvation_cap_; }
@@ -142,7 +224,26 @@ class TdmScheduler final : public Scheduler {
 
   std::size_t pick(const std::vector<Candidate>& candidates,
                    std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override;
+                   std::uint64_t oldest_wait) const override {
+    return pick_in(candidates, cycle, oldest_wait);
+  }
+
+  /// Hard slot isolation: only the slot owner's requests may issue, no
+  /// matter how long anyone else has waited — the rotation itself is the
+  /// starvation guard. Within the slot, FR-FCFS order in one pass.
+  template <class Cands>
+  std::size_t pick_in(const Cands& cands, std::uint64_t cycle,
+                      std::uint64_t /*oldest_wait*/) const {
+    const unsigned own = owner(cycle);
+    std::size_t first = kNone;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      const Candidate& c = cands[i];
+      if (!c.issuable || c.client_id % num_slots_ != own) continue;
+      if (c.row_hit) return i;
+      if (first == kNone) first = i;
+    }
+    return first;
+  }
 
   /// Which slot (and thus which client-id class) owns `cycle`.
   unsigned owner(std::uint64_t cycle) const {

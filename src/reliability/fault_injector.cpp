@@ -191,6 +191,8 @@ void FaultInjector::load(SnapshotReader& r) {
     const std::uint64_t key = r.u64();
     if (key >= key_end) r.fail("weak-cell row key out of range");
     const std::uint64_t n = r.u64();
+    // A weak cell is at least a one-byte bit varint and an 8-byte double.
+    if (n > r.remaining() / 9) r.fail("weak-cell count exceeds payload");
     auto& cells = weak_[key];
     cells.reserve(n);
     for (std::uint64_t j = 0; j < n; ++j) {

@@ -497,6 +497,8 @@ void ReliabilityManager::load(SnapshotReader& r) {
     if (key >= key_end) r.fail("faulty-row key out of range");
     RowState& st = faulty_rows_[key];
     const std::uint64_t n_bits = r.u64();
+    // Bits and replaced rows/columns are u32 varints: at least one byte.
+    if (n_bits > r.remaining()) r.fail("faulty-bit count exceeds payload");
     st.bad_bits.reserve(n_bits);
     for (std::uint64_t j = 0; j < n_bits; ++j) {
       const std::uint32_t b = r.u32();
@@ -513,10 +515,12 @@ void ReliabilityManager::load(SnapshotReader& r) {
     p.feasible = r.boolean();
     p.replaced_rows.clear();
     const std::uint64_t nr = r.u64();
+    if (nr > r.remaining()) r.fail("replaced-row count exceeds payload");
     p.replaced_rows.reserve(nr);
     for (std::uint64_t i = 0; i < nr; ++i) p.replaced_rows.push_back(r.u32());
     p.replaced_cols.clear();
     const std::uint64_t nc = r.u64();
+    if (nc > r.remaining()) r.fail("replaced-column count exceeds payload");
     p.replaced_cols.reserve(nc);
     for (std::uint64_t i = 0; i < nc; ++i) p.replaced_cols.push_back(r.u32());
   }
@@ -543,6 +547,9 @@ void ReliabilityManager::load(SnapshotReader& r) {
 
   log_.clear();
   const std::uint64_t n_events = r.u64();
+  // An event is at least five one-byte varints (cycle, kind, bank, row,
+  // bit).
+  if (n_events > r.remaining() / 5) r.fail("event count exceeds payload");
   log_.reserve(n_events);
   for (std::uint64_t i = 0; i < n_events; ++i) {
     ReliabilityEvent ev;

@@ -199,9 +199,11 @@ std::uint64_t golden_digest(const dram::CommandLog& log,
 /// Run the trace to `end`, per cycle or through tick_until. Both enqueue
 /// every ready arrival at the same cycles: tick_until stops at the next
 /// arrival, and at every cycle while a ready arrival waits on a full queue.
+/// `stats`, when given, receives the final channel statistics.
 std::uint64_t golden_run(const dram::DramConfig& cfg,
                          const std::vector<GoldenArrival>& trace,
-                         std::uint64_t end, bool per_cycle) {
+                         std::uint64_t end, bool per_cycle,
+                         dram::ControllerStats* stats = nullptr) {
   dram::Controller ctl(cfg);
   dram::CommandLog log;
   ctl.attach_command_log(&log);
@@ -231,6 +233,7 @@ std::uint64_t golden_run(const dram::DramConfig& cfg,
   EXPECT_TRUE(ctl.idle()) << "trace did not drain by cycle " << end;
   EXPECT_EQ(ctl.stats().queue_occupancy.max(), cfg.queue_depth)
       << "the traffic must fill the queue";
+  if (stats != nullptr) *stats = ctl.stats();
   return golden_digest(log, ctl.stats());
 }
 
@@ -294,6 +297,57 @@ TEST(GoldenModel, SchedulingMatchesRecordedDigests) {
             << " banks " << shape.banks << " depth " << shape.queue_depth;
         ++k;
       }
+    }
+  }
+}
+
+// The watchdog-escalation branch: once the oldest request has been
+// escalated it owns the command slot (FR-FCFS, ReadFirst), or still waits
+// for its owner's slot (TDM routes escalation through the policy). A short
+// age budget makes escalations frequent; the retry budget is large enough
+// that none of them ever exhausts it and throws.
+TEST(GoldenModel, WatchdogEscalationMatchesRecordedDigests) {
+  using dram::SchedulerKind;
+  struct Shape {
+    unsigned banks, queue_depth;
+  };
+  constexpr std::array<Shape, 3> kShapes{{{2, 4}, {16, 32}, {64, 128}}};
+  constexpr std::array<SchedulerKind, 3> kSchedulers{
+      SchedulerKind::kFrFcfs, SchedulerKind::kReadFirst, SchedulerKind::kTdm};
+  // Grid order: scheduler, then shape (one row per scheduler).
+  constexpr std::array<std::uint64_t, 9> kExpected{{
+      // fr-fcfs
+      0x7677029ca78ae59bull, 0x7712d17989338162ull, 0x1b3817d0e10fa721ull,
+      // read-first
+      0x75f37306015c2078ull, 0x63f93ab7327bb64full, 0x2ed7c646409aa3c5ull,
+      // tdm
+      0x5056477990d38b34ull, 0x15ab935d6b741166ull, 0xf6bb484013683be5ull,
+  }};
+  std::size_t k = 0;
+  for (const SchedulerKind sched : kSchedulers) {
+    for (const Shape& shape : kShapes) {
+      dram::DramConfig cfg;
+      cfg.banks = shape.banks;
+      cfg.rows_per_bank = 64;
+      cfg.queue_depth = shape.queue_depth;
+      cfg.scheduler = sched;
+      cfg.tdm_slot_cycles = 16;
+      cfg.timing.tFAW = 9;
+      cfg.watchdog_enabled = true;
+      cfg.watchdog_cycles = 40;
+      cfg.watchdog_retries = 1'000'000;
+      const auto trace = golden_traffic(cfg, 2000 + k);
+      const std::uint64_t end = trace.back().cycle + 60'000;
+      dram::ControllerStats stats;
+      const std::uint64_t slow = golden_run(cfg, trace, end, true, &stats);
+      const std::uint64_t fast = golden_run(cfg, trace, end, false);
+      EXPECT_GT(stats.watchdog_retries, 0u) << "case " << k;
+      EXPECT_EQ(slow, fast) << "per-cycle vs tick_until, case " << k;
+      EXPECT_EQ(slow, kExpected[k])
+          << dram::to_string(sched) << " banks " << shape.banks << " depth "
+          << shape.queue_depth << " watchdog retries "
+          << stats.watchdog_retries;
+      ++k;
     }
   }
 }

@@ -446,6 +446,61 @@ TEST(RetentionBins, IdleSweepIsBitIdenticalUnderFastForward) {
 }
 
 // ---------------------------------------------------------------------------
+// Idle-slot arbitration: queued traffic keeps its bank from non-urgent
+// maintenance; banks with nothing queued donate their slot.
+
+/// Self-managed hooks with non-urgent work pending on every bank; records
+/// each bank a claim is offered for.
+class PendingEverywhere final : public dram::ReliabilityHooks {
+ public:
+  void on_cycle(std::uint64_t) override {}
+  dram::AccessOutcome on_access(const dram::Coordinates&, dram::AccessType,
+                                std::uint64_t) override {
+    return dram::AccessOutcome::kClean;
+  }
+  void on_refresh(std::uint64_t) override {}
+  bool self_managed() const override { return true; }
+  bool maintenance_pending(unsigned, std::uint64_t) const override {
+    return true;
+  }
+  unsigned maintenance_claim(unsigned bank, std::uint64_t) override {
+    claimed.insert(bank);
+    return 8;
+  }
+  bool bank_retired(unsigned) const override { return false; }
+  const dram::ReliabilityCounters& counters() const override { return c_; }
+
+  std::set<unsigned> claimed;
+
+ private:
+  dram::ReliabilityCounters c_;
+};
+
+TEST(MaintenanceArbitration, QueuedTrafficKeepsItsBankSlot) {
+  const DramConfig cfg = small_cfg();
+  for (unsigned busy = 0; busy < cfg.banks; ++busy) {
+    Controller ctl(cfg);
+    PendingEverywhere hooks;
+    ctl.attach_reliability(&hooks);
+    // A row past the first bits of the row field, so a bank decoded from
+    // the wrong bits of the queue's packed key would name another bank.
+    std::uint64_t addr = 0;
+    while (ctl.mapper().decode(addr).bank != busy ||
+           ctl.mapper().decode(addr).row < 3) {
+      addr += cfg.bytes_per_access();
+    }
+    Request r;
+    r.addr = addr;
+    ASSERT_TRUE(ctl.enqueue(r));
+    ctl.tick();
+    for (unsigned b = 0; b < cfg.banks; ++b) {
+      EXPECT_EQ(hooks.claimed.count(b), b == busy ? 0u : 1u)
+          << "bank " << b << " with traffic queued on bank " << busy;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Lock-region protocol: the checker understands (and polices) MAINT.
 
 TEST(MaintenanceProtocol, SelfManagedTracesVerifyClean) {

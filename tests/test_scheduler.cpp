@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+
 namespace edsim::dram {
 namespace {
 
@@ -165,6 +167,98 @@ TEST(Tdm, ClientIdsFoldOntoSlots) {
   };
   EXPECT_EQ(s.pick(cs, 0, 0), 0u);
   EXPECT_EQ(s.pick(cs, 10, 0), Scheduler::kNone);
+}
+
+// ---------------------------------------------------------------------------
+// FR-FCFS and TDM pick in one pass: the first issuable row hit, else the
+// first issuable candidate seen. Their two-pass definitions, written out
+// here, must pick the same index on every list.
+
+std::size_t two_pass_fr_fcfs(const std::vector<Candidate>& cs,
+                             std::uint64_t oldest_wait,
+                             std::uint64_t starvation_cap) {
+  if (oldest_wait > starvation_cap) {
+    for (std::size_t i = 0; i < cs.size(); ++i)
+      if (cs[i].issuable) return i;
+    return Scheduler::kNone;
+  }
+  for (std::size_t i = 0; i < cs.size(); ++i)
+    if (cs[i].issuable && cs[i].row_hit) return i;
+  for (std::size_t i = 0; i < cs.size(); ++i)
+    if (cs[i].issuable) return i;
+  return Scheduler::kNone;
+}
+
+std::size_t two_pass_tdm(const std::vector<Candidate>& cs, std::uint64_t cycle,
+                         unsigned slot_cycles, unsigned num_slots) {
+  const auto own = static_cast<unsigned>((cycle / slot_cycles) % num_slots);
+  for (std::size_t i = 0; i < cs.size(); ++i)
+    if (cs[i].issuable && cs[i].row_hit && cs[i].client_id % num_slots == own)
+      return i;
+  for (std::size_t i = 0; i < cs.size(); ++i)
+    if (cs[i].issuable && cs[i].client_id % num_slots == own) return i;
+  return Scheduler::kNone;
+}
+
+/// An indexable source that yields candidates by value, like the
+/// controller's queue view: pick_in over it must agree with pick().
+struct ByValue {
+  const std::vector<Candidate>& list;
+  std::size_t size() const { return list.size(); }
+  Candidate operator[](std::size_t i) const { return list[i]; }
+};
+
+TEST(OnePassPick, MatchesTwoPassDefinitionOnRandomLists) {
+  constexpr std::uint64_t kCap = 64;
+  constexpr unsigned kSlotCycles = 8, kSlots = 3;
+  const FrFcfsScheduler fr(kCap);
+  const TdmScheduler tdm(kSlotCycles, kSlots);
+  Rng rng(20'261'017);
+  unsigned starved = 0, hit_picks = 0, miss_picks = 0, none = 0;
+  std::vector<Candidate> cs;
+  for (int list = 0; list < 10'000; ++list) {
+    // Per-list densities, so sparse and dense mixes of each flag appear.
+    const double p_issuable = rng.next_double();
+    const double p_hit = rng.next_double();
+    const double p_write = rng.next_double();
+    cs.resize(rng.next_below(129));
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      Candidate& c = cs[i];
+      c.queue_index = i;
+      c.bank = static_cast<unsigned>(rng.next_below(16));
+      c.client_id = static_cast<unsigned>(rng.next_below(8));
+      c.is_write = rng.next_bool(p_write);
+      c.row_hit = rng.next_bool(p_hit);
+      c.issuable = rng.next_bool(p_issuable);
+      c.cmd = !c.row_hit   ? (rng.next_bool(0.5) ? Command::kActivate
+                                                 : Command::kPrecharge)
+              : c.is_write ? Command::kWrite
+                           : Command::kRead;
+    }
+    const std::uint64_t wait = rng.next_below(2 * kCap);
+    const std::uint64_t cycle = rng.next_below(1'000);
+
+    const std::size_t want_fr = two_pass_fr_fcfs(cs, wait, kCap);
+    ASSERT_EQ(fr.pick(cs, cycle, wait), want_fr) << "list " << list;
+    ASSERT_EQ(fr.pick_in(ByValue{cs}, cycle, wait), want_fr) << "list " << list;
+    const std::size_t want_tdm = two_pass_tdm(cs, cycle, kSlotCycles, kSlots);
+    ASSERT_EQ(tdm.pick(cs, cycle, wait), want_tdm) << "list " << list;
+    ASSERT_EQ(tdm.pick_in(ByValue{cs}, cycle, wait), want_tdm)
+        << "list " << list;
+
+    if (want_fr == Scheduler::kNone) {
+      ++none;
+    } else if (wait > kCap) {
+      ++starved;
+    } else {
+      ++(cs[want_fr].row_hit ? hit_picks : miss_picks);
+    }
+  }
+  // Every branch of the FR-FCFS definition was taken many times.
+  EXPECT_GT(starved, 1'000u);
+  EXPECT_GT(hit_picks, 1'000u);
+  EXPECT_GT(miss_picks, 200u);
+  EXPECT_GT(none, 100u);
 }
 
 }  // namespace

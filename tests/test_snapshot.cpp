@@ -23,6 +23,7 @@
 #include "dram/multi_channel.hpp"
 #include "dram/refresh.hpp"
 #include "dram/scheduler.hpp"
+#include "reliability/fault_injector.hpp"
 #include "reliability/manager.hpp"
 
 namespace edsim {
@@ -494,6 +495,64 @@ TEST(SnapshotCorruption, ControllerForgedCompletedCountRejected) {
   w.u64(0);
   dram::Controller ctl(cfg);
   expect_forged_count_rejected(w, [&](SnapshotReader& r) { ctl.load(r); });
+}
+
+TEST(SnapshotCorruption, ReliabilityForgedBadBitCountRejected) {
+  // The manager's stream opens with its counters and the faulty-row table;
+  // forge one row claiming 2^60 bad bits.
+  SnapshotWriter w;
+  dram::ReliabilityCounters{}.save(w);
+  w.u64(1);             // faulty rows
+  w.u64(0);             // row key
+  w.u64(kForgedCount);  // bad bits
+  reliability::ReliabilityManager rel(small_config(), {});
+  expect_forged_count_rejected(w, [&](SnapshotReader& r) { rel.load(r); });
+}
+
+TEST(SnapshotCorruption, ReliabilityForgedEventCountRejected) {
+  // A fresh manager's stream ends with an empty event log (count 0), the
+  // overflow flag (false) and the injector's state: splice a forged event
+  // count over the first of those.
+  const dram::DramConfig cfg = small_config();
+  reliability::ReliabilityManager fresh(cfg, {});
+  SnapshotWriter full;
+  fresh.save(full);
+  SnapshotWriter inj;
+  fresh.injector().save(inj);
+  const auto& p = full.payload();
+  const std::size_t tail = inj.payload().size() + 2;
+  ASSERT_GT(p.size(), tail);
+  const std::size_t cut = p.size() - tail;
+  ASSERT_TRUE(p[cut] == 0 && p[cut + 1] == 0 &&
+              std::equal(inj.payload().begin(), inj.payload().end(),
+                         p.begin() + static_cast<std::ptrdiff_t>(cut + 2)))
+      << "reliability snapshot layout changed; update this splice";
+  SnapshotWriter w;
+  w.bytes(p.data(), cut);
+  w.u64(kForgedCount);  // events
+  w.boolean(false);
+  w.bytes(inj.payload().data(), inj.payload().size());
+  reliability::ReliabilityManager rel(cfg, {});
+  expect_forged_count_rejected(w, [&](SnapshotReader& r) { rel.load(r); });
+}
+
+TEST(SnapshotCorruption, FaultInjectorForgedWeakCellCountRejected) {
+  // With no weak cells configured the injector's stream ends with an
+  // empty weak-row table (count 0): replace it by one row claiming 2^60
+  // weak cells.
+  const dram::DramConfig cfg = small_config();
+  const reliability::FaultInjector fresh(cfg, {});
+  SnapshotWriter full;
+  fresh.save(full);
+  const auto& p = full.payload();
+  ASSERT_EQ(p.back(), 0u) << "injector snapshot layout changed";
+  SnapshotWriter w;
+  w.bytes(p.data(), p.size() - 1);
+  w.u64(1);             // weak rows
+  w.u64(0);             // row key
+  w.u64(kForgedCount);  // weak cells
+  reliability::FaultInjector inj(cfg, {});
+  expect_forged_count_rejected(w, [&](SnapshotReader& r) { inj.load(r); });
 }
 
 TEST(SnapshotCorruption, GarbagePayloadNeverUb) {
