@@ -165,13 +165,16 @@ void BM_IdleHeavyFastForward(benchmark::State& state) {
 }
 BENCHMARK(BM_IdleHeavyFastForward)->Unit(benchmark::kMillisecond);
 
-// --- dense-traffic burst issue: before/after pairs -------------------------
+// --- dense traffic, resident front end: before/after pairs -----------------
 // The saturated-channel shape: 100%-duty demand keeps the controller
 // queue full with single-bank row-hit streaks — the opposite regime from
-// the idle-heavy pair above. "Baseline" steps every DRAM clock through
-// the dense stretch; "Burst" proves the steady state and retires the
-// issue sequence in closed form (bit-identical stats, command log and
-// telemetry — the differential fuzz enforces it).
+// the idle-heavy pair above. "Baseline" runs the front end's step() on
+// every DRAM clock; "Burst" (set_burst_issue, which switches
+// MemorySystem::dense_stretch) keeps the front end resident, advancing
+// the controller event to event through dense_advance and bulk-crediting
+// the stall cycles between (bit-identical stats, command log and
+// telemetry — the differential fuzz enforces it). Both sides run the
+// controller's one scheduling path.
 
 constexpr std::uint64_t kDenseWindow = 400'000;
 
@@ -208,7 +211,7 @@ BENCHMARK(BM_SaturatedStreamBurst)->Unit(benchmark::kMillisecond);
 
 // Row-major sweep over a multi-row surface in one bank: hit streaks the
 // length of a row, broken by an activate at every row boundary — the
-// burst path re-proves the steady state after each miss.
+// dense stretch carries the front end across the misses too.
 std::uint64_t run_strided_sweep(bool burst) {
   dram::DramConfig cfg = dram::presets::edram_module(16, 128, 4, 2048);
   cfg.mapping = dram::AddressMapping::kBankRowCol;  // surface in one bank

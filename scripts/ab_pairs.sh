@@ -12,7 +12,7 @@
 # interquartile range. A is the parent, B the change.
 #
 # Usage: scripts/ab_pairs.sh <build-A> <build-B> [pairs=10] <binary>...
-#   e.g. scripts/ab_pairs.sh ../parent/build build 10 e4_sustained_bw a6_fifo_sizing
+#   e.g. scripts/ab_pairs.sh ../parent/build build 10 e4_sustained_bw a6_multichannel
 set -euo pipefail
 [ "$#" -ge 3 ] || {
   echo "usage: $0 <build-A> <build-B> [pairs=10] <binary>..." >&2

@@ -5,7 +5,7 @@
 # before/after pairs — per-cycle vs fast-forward system runs, serial vs
 # pooled sweeps, regenerated vs arena-replayed workloads, cold vs memoized
 # evaluation, uniform-tREFI vs self-managed maintenance, per-cycle vs
-# burst-issue dense traffic — so one file holds both sides of each
+# resident-front-end dense traffic — so one file holds both sides of each
 # comparison, plus the per-scheduler-policy runs whose counters pair the
 # simulated bandwidth/latency with the analytical WCET bound.
 #

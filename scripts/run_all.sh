@@ -10,7 +10,7 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# Differential fuzz gate: the fast paths (fast-forward, burst issue,
+# Differential fuzz gate: the fast paths (fast-forward, dense stretch,
 # channel fan-out) vs the per-cycle reference, quick tier. The slow soak
 # runs under `ctest -L slow`.
 echo

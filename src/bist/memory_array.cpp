@@ -6,7 +6,8 @@ namespace edsim::bist {
 
 MemoryArray::MemoryArray(unsigned rows, unsigned cols)
     : rows_(rows), cols_(cols),
-      bits_(static_cast<std::size_t>(rows) * cols, 0) {
+      bits_(static_cast<std::size_t>(rows) * cols, 0),
+      fault_flags_(bits_.size(), 0) {
   require(rows >= 1 && cols >= 1, "memory array: degenerate geometry");
 }
 
@@ -16,12 +17,14 @@ void MemoryArray::inject(const Fault& f) {
   const std::size_t fi = faults_.size();
   faults_.push_back(f);
   by_victim_[idx(f.victim.row, f.victim.col)].push_back(fi);
+  fault_flags_[idx(f.victim.row, f.victim.col)] |= kVictim;
   if (f.kind == FaultKind::kCouplingInversion ||
       f.kind == FaultKind::kCouplingIdempotent ||
       f.kind == FaultKind::kAddressFault) {
     require(f.aggressor.row < rows_ && f.aggressor.col < cols_,
             "memory array: fault aggressor out of range");
     by_aggressor_[idx(f.aggressor.row, f.aggressor.col)].push_back(fi);
+    fault_flags_[idx(f.aggressor.row, f.aggressor.col)] |= kAggressor;
   }
   if (f.kind == FaultKind::kRetention) {
     last_write_ms_[idx(f.victim.row, f.victim.col)] = now_ms_;
@@ -53,10 +56,11 @@ void MemoryArray::write(unsigned row, unsigned col, bool v) {
   require(row < rows_ && col < cols_, "memory array: write out of range");
   const std::size_t cell = idx(row, col);
   const bool old_v = raw_get(row, col);
+  const std::uint8_t flags = fault_flags_[cell];
   bool effective = v;
 
-  if (auto it = by_victim_.find(cell); it != by_victim_.end()) {
-    for (std::size_t fi : it->second) {
+  if (flags & kVictim) {
+    for (std::size_t fi : by_victim_.find(cell)->second) {
       const Fault& f = faults_[fi];
       switch (f.kind) {
         case FaultKind::kStuckAt0: effective = false; break;
@@ -77,11 +81,12 @@ void MemoryArray::write(unsigned row, unsigned col, bool v) {
   }
   raw_set(row, col, effective);
 
-  if (auto it = by_aggressor_.find(cell); it != by_aggressor_.end()) {
-    apply_aggressor_transitions(row, col, old_v, effective, it->second);
+  if (flags & kAggressor) {
+    const std::vector<std::size_t>& fis = by_aggressor_.find(cell)->second;
+    apply_aggressor_transitions(row, col, old_v, effective, fis);
     // Address-decoder shorts mirror *every* write into the victim cell,
     // transition or not.
-    for (std::size_t fi : it->second) {
+    for (std::size_t fi : fis) {
       const Fault& f = faults_[fi];
       if (f.kind == FaultKind::kAddressFault) {
         raw_set(f.victim.row, f.victim.col, effective);
@@ -94,8 +99,8 @@ bool MemoryArray::read(unsigned row, unsigned col) {
   require(row < rows_ && col < cols_, "memory array: read out of range");
   const std::size_t cell = idx(row, col);
   bool v = raw_get(row, col);
-  if (auto it = by_victim_.find(cell); it != by_victim_.end()) {
-    for (std::size_t fi : it->second) {
+  if (fault_flags_[cell] & kVictim) {
+    for (std::size_t fi : by_victim_.find(cell)->second) {
       const Fault& f = faults_[fi];
       switch (f.kind) {
         case FaultKind::kStuckAt0: v = false; break;

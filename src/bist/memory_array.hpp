@@ -48,9 +48,15 @@ class MemoryArray {
                                    bool new_v,
                                    const std::vector<std::size_t>& faults);
 
+  // Per-cell fault flags: a march touches every cell but only a few carry
+  // a fault, so a clear flag answers the lookup below with one byte load.
+  static constexpr std::uint8_t kVictim = 1;     ///< cell is in by_victim_
+  static constexpr std::uint8_t kAggressor = 2;  ///< cell is in by_aggressor_
+
   unsigned rows_;
   unsigned cols_;
   std::vector<std::uint8_t> bits_;
+  std::vector<std::uint8_t> fault_flags_;
   std::vector<Fault> faults_;
   // victim-cell index -> fault indices affecting reads/writes of that cell
   std::unordered_map<std::size_t, std::vector<std::size_t>> by_victim_;

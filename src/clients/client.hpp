@@ -63,7 +63,7 @@ class Client {
   /// promise readiness does not lapse mid-run and must keep the default
   /// (no-op) notify_rejected, so arbitration losses cannot perturb their
   /// pacing. The conservative default claims nothing, which disables the
-  /// memory system's dense-stretch burst path for this client.
+  /// memory system's dense stretch for this client.
   virtual std::uint64_t pending_run_length(std::uint64_t /*now*/) const {
     return 0;
   }

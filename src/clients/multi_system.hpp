@@ -45,17 +45,6 @@ class MultiChannelSystem {
   /// MemorySystem::set_fast_forward).
   void set_fast_forward(bool on) { fast_forward_ = on; }
 
-  /// Disable/enable every channel's controller-level burst-issue fast
-  /// path (on by default; see dram::Controller::set_burst_issue). The
-  /// multi-channel front end has no dense-stretch of its own — parked
-  /// retries make its step ordering observable — but each channel's
-  /// tick_until still bursts through saturated streaks.
-  void set_burst_issue(bool on) {
-    for (unsigned c = 0; c < memory_.channels(); ++c) {
-      memory_.channel(c).set_burst_issue(on);
-    }
-  }
-
   /// Attach observability probes to channel `i` (nullptr detaches); see
   /// dram::MultiChannel::attach_telemetry.
   void attach_telemetry(unsigned i, dram::TelemetryHooks* hooks) {

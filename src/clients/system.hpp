@@ -46,17 +46,15 @@ class MemorySystem {
   /// for the equivalence tests and for debugging with per-cycle traces.
   void set_fast_forward(bool on) { fast_forward_ = on; }
 
-  /// Disable/enable the dense-traffic burst path (on by default): when the
-  /// controller queue is full and every ready client promises persistent
-  /// demand (pending_run_length), front-end steps between controller
-  /// events are pure stall/sample bookkeeping and are credited in bulk
-  /// while the controller advances via its own burst-issue fast path.
-  /// Bit-identical to per-cycle stepping; off is the differential
-  /// reference for the equivalence and fuzz suites.
-  void set_burst_issue(bool on) {
-    burst_issue_ = on;
-    controller_.set_burst_issue(on);
-  }
+  /// Disable/enable the resident front end for dense traffic (on by
+  /// default; see dense_stretch). When the controller queue is full and
+  /// every ready client promises persistent demand (pending_run_length),
+  /// front-end steps between controller events are pure stall/sample
+  /// bookkeeping: they are credited in bulk while the controller runs
+  /// event to event through Controller::dense_advance. Bit-identical to
+  /// per-cycle stepping; off is the differential reference for the
+  /// equivalence and fuzz suites.
+  void set_burst_issue(bool on) { burst_issue_ = on; }
   bool burst_issue() const { return burst_issue_; }
 
   /// Attach observability probes to the channel (nullptr detaches); see

@@ -198,10 +198,11 @@ class Evaluator {
   void set_checkpoint(bool on) { checkpoint_ = on; }
   bool checkpoint() const { return checkpoint_; }
 
-  /// Dense-traffic burst fast path inside the simulated systems (default
-  /// on). Bit-identical to per-cycle stepping — see
-  /// clients::MemorySystem::set_burst_issue — so results (and cache keys)
-  /// do not depend on it; off is the differential reference.
+  /// Resident front end for dense traffic inside the simulated systems
+  /// (default on; see clients::MemorySystem::set_burst_issue, which
+  /// switches MemorySystem::dense_stretch). Bit-identical to per-cycle
+  /// stepping, so results (and cache keys) do not depend on it; off is
+  /// the differential reference.
   void set_burst_issue(bool on) { burst_issue_ = on; }
   bool burst_issue() const { return burst_issue_; }
 

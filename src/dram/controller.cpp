@@ -97,10 +97,9 @@ bool Controller::enqueue(Request req) {
     e.wd_deadline = cycle_ + cfg_.watchdog_cycles;
   }
   queue_.push_back(e);
-  // Pre-decoded SoA mirror read by the scheduling scans and burst probe.
+  // Pre-decoded SoA mirror read by the scheduling scans.
   queue_key_.push_back(queue_key(e.coord, e.req.type));
   queue_client_.push_back(e.req.client_id);
-  if (e.req.type == AccessType::kWrite) ++queued_writes_;
   EDSIM_TELEMETRY(telemetry_, on_request_enqueued(queue_.back().req,
                                                   queue_.back().coord, cycle_));
   return true;
@@ -157,7 +156,6 @@ bool Controller::column_legal(AccessType type, std::uint64_t cycle) const {
 }
 
 void Controller::erase_queue_entry(std::size_t pos) {
-  if (queue_[pos].req.type == AccessType::kWrite) --queued_writes_;
   queue_key_.erase(queue_key_.begin() + static_cast<std::ptrdiff_t>(pos));
   queue_client_.erase(queue_client_.begin() +
                       static_cast<std::ptrdiff_t>(pos));
@@ -484,13 +482,6 @@ std::size_t Controller::dispatch_pick(const CandidateView& view,
       .pick_in(view, cycle_, oldest_wait);
 }
 
-void Controller::scheduler_note_pick() const {
-  if (cfg_.scheduler == SchedulerKind::kReadFirst) {
-    static_cast<const ReadFirstScheduler&>(*scheduler_)
-        .note_writes(queued_writes_);
-  }
-}
-
 void Controller::tick() {
   stats_.queue_occupancy.add(static_cast<double>(queue_.size()));
   if (hooks_ != nullptr) hooks_->on_cycle(cycle_);
@@ -810,120 +801,8 @@ void Controller::advance_idle(std::uint64_t count) {
   EDSIM_TELEMETRY(telemetry_, on_bulk_advance(from, tick_sample(), stats_));
 }
 
-std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
-                                      bool stop_after_event) {
-  // Eligibility gates: any condition that could make a cycle in the
-  // stretch do something other than {quiet bookkeeping, a row-hit column
-  // issue to the streak bank, an in-flight retirement} falls back to the
-  // fully general tick() path. Reliability hooks observe every cycle and
-  // can mutate the stream, so their presence disables the path outright.
-  if (!burst_issue_ || hooks_ != nullptr || queue_.empty()) return 0;
-  if (cfg_.page_policy == PagePolicy::kClosed) return 0;
-  if (autopre_count_ != 0 || refresh_draining_) return 0;
-  if (cfg_.powerdown_enabled && (powered_down_ || cycle_ < wake_until_)) {
-    return 0;
-  }
-  // Branch-light streak probe over the packed SoA mirror: the whole queue
-  // must target one (bank, row, direction).
-  const std::size_t n = queue_.size();
-  const std::uint64_t key = queue_key_[0];
-  std::uint64_t mism = 0;
-  for (std::size_t i = 1; i < n; ++i) mism |= queue_key_[i] ^ key;
-  if (mism != 0) return 0;
-  const unsigned bank = static_cast<unsigned>(key >> 33);
-  const unsigned row = static_cast<unsigned>((key >> 1) & 0xffffffffu);
-  const bool is_write = (key & 1) != 0;
-  Bank& bk = banks_[bank];
-  if (!bk.has_open_row() || bk.open_row() != row) return 0;
-  if (cfg_.page_policy == PagePolicy::kTimeout) {
-    // Another bank's idle open row would be closed by the page-timeout
-    // sweep mid-stretch; the streak bank's own row is always wanted.
-    for (unsigned b = 0; b < cfg_.banks; ++b) {
-      if (b != bank && banks_[b].has_open_row()) return 0;
-    }
-  }
-  // TDM: the streak must belong to one slot class, and issue cycles snap
-  // forward to that class's slots.
-  unsigned tdm_slot_cycles = 0;
-  unsigned tdm_slots = 0;
-  unsigned tdm_cls = 0;
-  if (cfg_.scheduler == SchedulerKind::kTdm) {
-    const auto& tdm = static_cast<const TdmScheduler&>(*scheduler_);
-    tdm_slot_cycles = tdm.slot_cycles();
-    tdm_slots = tdm.num_slots();
-    tdm_cls = queue_client_[0] % tdm_slots;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (queue_client_[i] % tdm_slots != tdm_cls) return 0;
-    }
-  }
-  // Hard ceiling: the first cycle whose tick is NOT pure streak progress.
-  // Refresh urgency is constant across the stretch (urgent() batches
-  // lazily and next_due_ cannot move before it first fires).
-  std::uint64_t limit = target_cycle;
-  if (cfg_.refresh_enabled) {
-    limit = std::min(limit, refresh_.next_urgent_cycle(cycle_));
-  }
-
-  const Command col = is_write ? Command::kWrite : Command::kRead;
-  const AccessType dir = is_write ? AccessType::kWrite : AccessType::kRead;
-  const std::uint64_t start = cycle_;
-  while (!queue_.empty()) {
-    // Watchdog: the escalation tick at the front deadline needs the
-    // general path; deadlines are age-ordered so re-deriving from the
-    // current front after each erase keeps the bound exact.
-    std::uint64_t lim = limit;
-    if (cfg_.watchdog_enabled) {
-      if (queue_.front().wd_retries != 0) break;
-      lim = std::min(lim, queue_.front().wd_deadline);
-    }
-    // Closed-form next events: the only things that can happen in this
-    // regime are the next column issue and an in-flight retirement.
-    std::uint64_t ni =
-        std::max(cycle_,
-                 std::max(bk.earliest(col), channel_column_release(dir)));
-    if (tdm_slots != 0) {
-      const std::uint64_t slot = ni / tdm_slot_cycles;
-      const std::uint64_t delta =
-          (tdm_cls + tdm_slots - slot % tdm_slots) % tdm_slots;
-      if (delta != 0) ni = (slot + delta) * tdm_slot_cycles;
-    }
-    const std::uint64_t ev = std::min(ni, inflight_min_done_);
-    if (ev >= lim) break;
-    // Every cycle in (cycle_, ev) is pure bookkeeping — exactly
-    // advance_idle's contract. Scheduler rounds skipped here are
-    // hysteresis-idempotent for a fixed queue composition; the note at
-    // the issue (or the next real tick) lands the identical state.
-    if (ev > cycle_) advance_idle(ev - cycle_);
-    // Lite tick at `ev`, in tick()'s exact order. The general-path gates
-    // (maintenance, auto-precharge, watchdog, refresh, page-timeout
-    // closes) are all provably inert here; the scheduler round reduces to
-    // the front pick the homogeneous streak guarantees for every policy.
-    stats_.queue_occupancy.add(static_cast<double>(queue_.size()));
-    if (cfg_.powerdown_enabled) was_idle_ = false;
-    if (!inflight_.empty() && inflight_min_done_ <= cycle_) {
-      retire_due_inflight();
-    }
-    if (ni == cycle_) {
-      scheduler_note_pick();
-      QueueEntry& e = queue_.front();
-      classify(e, bk);
-      issue_column(e, cycle_);
-      erase_queue_entry(0);
-    }
-    ++cycle_;
-    ++stats_.cycles;
-    notify_tick();
-    // Every lite tick issues or retires (ev is one of the two), so in
-    // stop-after-event mode the first iteration is also the last.
-    if (stop_after_event) break;
-  }
-  return cycle_ - start;
-}
-
 void Controller::tick_until(std::uint64_t target_cycle) {
   while (cycle_ < target_cycle) {
-    // Dense steady state: retire the stretch's issues in closed form.
-    if (issue_burst(target_cycle) != 0) continue;
     // One real tick settles same-cycle transitions (idle-streak starts,
     // scheduler hysteresis, lazy refresh batching) before any skip.
     tick();
@@ -935,11 +814,8 @@ void Controller::tick_until(std::uint64_t target_cycle) {
 
 void Controller::dense_advance(std::uint64_t bound) {
   while (cycle_ < bound) {
-    // The burst lite tick is itself an event (issue and/or retire): one
-    // iteration, then hand the cycle after it back to the front end.
-    if (issue_burst(bound, /*stop_after_event=*/true) != 0) return;
-    // General path: a real tick, with the front-end-visible transitions
-    // detected by their only possible footprints — a queue slot freed
+    // A real tick, with the front-end-visible transitions detected by
+    // their only possible footprints — a queue slot freed
     // (column issue, invalidation) or a retirement into the completed
     // list. Anything else (ACT/PRE, refresh, maintenance, power-down) is
     // invisible to the front end and the stretch continues.
@@ -1175,11 +1051,9 @@ void Controller::load(SnapshotReader& r) {
   // Derived caches: recompute rather than trust the stream.
   queue_key_.clear();
   queue_client_.clear();
-  queued_writes_ = 0;
   for (const QueueEntry& e : queue_) {
     queue_key_.push_back(queue_key(e.coord, e.req.type));
     queue_client_.push_back(e.req.client_id);
-    if (e.req.type == AccessType::kWrite) ++queued_writes_;
   }
   autopre_count_ = 0;
   for (unsigned b = 0; b < cfg_.banks; ++b) {

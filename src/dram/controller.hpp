@@ -171,17 +171,6 @@ class Controller {
   /// Currently attached command log (nullptr when detached).
   CommandLog* command_log() const { return command_log_; }
 
-  /// Toggle the dense-traffic burst-issue fast path (on by default). When
-  /// the whole queue is a single-bank row-hit streak in a provably
-  /// deterministic steady state (no refresh / maintenance / watchdog /
-  /// power-down deadline, no pending auto-precharge, no attached
-  /// reliability hooks), tick_until() computes the next command issues in
-  /// closed form instead of running the full scheduler round every event.
-  /// Both settings are bit-identical across stats, command log, and
-  /// telemetry; the off position is the differential-fuzz reference.
-  void set_burst_issue(bool on) { burst_issue_ = on; }
-  bool burst_issue() const { return burst_issue_; }
-
   /// Serialize / restore the full dynamic channel state: banks, refresh
   /// pacing, scheduler hysteresis, queued and in-flight requests, bus and
   /// channel constraints, power-down and maintenance-lock state, stats.
@@ -238,7 +227,7 @@ class Controller {
   bool tick_autoprecharge();
   void tick_watchdog();
   /// Retire every in-flight request whose last data beat is done (step 1
-  /// of tick(); shared with the burst-issue lite tick).
+  /// of tick()).
   void retire_due_inflight();
   /// One bank's verdict for this round: what a row hit and a row miss to
   /// it would issue, and whether the bank and channel constraints allow it.
@@ -286,20 +275,6 @@ class Controller {
   /// pick body over the view into the issue path.
   std::size_t dispatch_pick(const CandidateView& view,
                             std::uint64_t oldest_wait) const;
-  /// Scheduler-state side effect of one pick round (ReadFirst hysteresis);
-  /// the burst path applies it without a pick.
-  void scheduler_note_pick() const;
-  /// Dense-traffic fast path: when the queue is a homogeneous single-bank
-  /// row-hit streak in a deterministic steady state, advance through issue
-  /// and retire events in closed form up to (exclusive) the first cycle
-  /// that needs the general tick() path, never beyond `target_cycle`.
-  /// Returns the number of cycles advanced (0 = not eligible). Bit-
-  /// identical to ticking through the same stretch. With
-  /// `stop_after_event` the loop exits right after its first lite tick
-  /// (every lite tick issues or retires — a front-end-visible event), so
-  /// dense_advance can hand control back without re-deriving the bound.
-  std::uint64_t issue_burst(std::uint64_t target_cycle,
-                            bool stop_after_event = false);
 
   /// Remove queue_[pos] and its key-mirror slots.
   void erase_queue_entry(std::size_t pos);
@@ -332,9 +307,6 @@ class Controller {
   // "Scheduling scans" and "Dense traffic").
   std::vector<std::uint64_t> queue_key_;   // (bank << 33) | (row << 1) | w
   std::vector<std::uint32_t> queue_client_;
-  bool burst_issue_ = true;
-  unsigned queued_writes_ = 0;  ///< write entries in queue_ (counter, so
-                                ///< the hysteresis note needs no rescan)
 
   std::uint64_t cycle_ = 0;
   std::uint64_t next_id_ = 0;

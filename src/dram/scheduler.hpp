@@ -189,21 +189,18 @@ class ReadFirstScheduler final : public Scheduler {
   bool draining() const { return draining_; }
   std::uint64_t starvation_cap() const { return starvation_cap_; }
 
-  /// Apply exactly the hysteresis update pick() performs for a candidate
-  /// list containing `writes` write entries, without selecting anything.
-  /// The update is idempotent for a fixed queue composition, so the
-  /// controller's burst-issue fast path calls it once per composition
-  /// segment instead of once per skipped tick and lands on the same
-  /// draining_ state per-cycle stepping would.
+  void save(SnapshotWriter& w) const override;
+  void load(SnapshotReader& r) override;
+
+ private:
+  /// Write-drain hysteresis: start draining at the high watermark, stop
+  /// at the low one. Idempotent for a fixed `writes` count, so a round
+  /// whose queue composition did not change leaves draining_ as it was.
   void note_writes(unsigned writes) const {
     if (writes >= high_watermark_) draining_ = true;
     if (writes <= low_watermark_) draining_ = false;
   }
 
-  void save(SnapshotWriter& w) const override;
-  void load(SnapshotReader& r) override;
-
- private:
   unsigned high_watermark_;
   unsigned low_watermark_;
   std::uint64_t starvation_cap_;

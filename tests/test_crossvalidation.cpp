@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
+#include "clients/system.hpp"
 #include "dram/controller.hpp"
 #include "dram/presets.hpp"
 
@@ -90,6 +95,51 @@ TEST_P(DeviceSweep, StreamingThroughputApproachesOneBurstPerDataSlot) {
   const double achieved = static_cast<double>(ctl.stats().reads);
   EXPECT_GT(achieved, ideal * 0.85) << dc.name;
   EXPECT_LE(achieved, ideal + 1.0) << dc.name;
+}
+
+TEST_P(DeviceSweep, SaturatedRowStreakSustainsOneAccessPerColumnSlot) {
+  // The dense-traffic regime, end to end through the client front end: a
+  // 100%-duty stream that wraps inside one row keeps the queue full of
+  // row hits, so after the opening ACT no command gap is left but the
+  // column slot itself — one bytes_per_access() every
+  // max(tCCD, data_cycles_per_access()) cycles. Holds with the resident
+  // front end (dense_stretch) on and off; the only slack is the fill edge
+  // before the first column command.
+  const DeviceCase dc = devices()[GetParam()];
+  if (dc.cfg.page_policy != PagePolicy::kOpen) GTEST_SKIP();
+  const auto& t = dc.cfg.timing;
+  const unsigned slot = std::max(t.tCCD, dc.cfg.data_cycles_per_access());
+  const std::uint64_t window = 40'000;
+  const double ideal = static_cast<double>(dc.cfg.bytes_per_access()) / slot;
+  // Fill edge: the cold ACT, tRCD to the first column command and one
+  // front-end cycle to put the first request in the queue, rounded up to
+  // whole column slots, plus the slot cut at the window's end.
+  const std::uint64_t edge_slots = (1 + t.tRCD + slot - 1) / slot + 1;
+  const double edge_bytes =
+      static_cast<double>(edge_slots * dc.cfg.bytes_per_access());
+  for (const AccessType type : {AccessType::kRead, AccessType::kWrite}) {
+    for (const bool dense : {false, true}) {
+      clients::MemorySystem sys(dc.cfg, clients::ArbiterKind::kRoundRobin);
+      sys.set_burst_issue(dense);
+      clients::StreamClient::Params p;
+      p.length = dc.cfg.page_bytes;  // wraps inside one row: no ACT gaps
+      p.burst_bytes = dc.cfg.bytes_per_access();
+      p.type = type;
+      p.period_cycles = 0;  // endless 100%-duty demand
+      sys.add_client(std::make_unique<clients::StreamClient>(0, "duty", p));
+      sys.run(window);
+      const auto& st = sys.controller().stats();
+      const double bytes = static_cast<double>(st.bytes_transferred);
+      const double per_cycle = bytes / static_cast<double>(st.cycles);
+      SCOPED_TRACE(std::string(dc.name) +
+                   (type == AccessType::kRead ? " read" : " write") +
+                   (dense ? " dense" : " per-cycle"));
+      EXPECT_EQ(st.cycles, window);
+      EXPECT_EQ(st.row_misses + st.row_conflicts, 1u);
+      EXPECT_LE(per_cycle, ideal);
+      EXPECT_GE(bytes, ideal * static_cast<double>(window) - edge_bytes);
+    }
+  }
 }
 
 TEST_P(DeviceSweep, WriteLatencyMatchesFormula) {

@@ -1,11 +1,11 @@
-// Randomized differential testing for the fast-forward and burst-issue
+// Randomized differential testing for the fast-forward and dense-traffic
 // fast paths: every generated configuration must produce bit-identical
 // final stats, command logs, and interval telemetry between the per-cycle
 // reference (all fast paths off) and every other combination of
-// {per-cycle, fast-forward} x {burst-issue off, on} — and, for
-// multi-channel, at 1, 2 and 8 tick threads. A slice of the client mixes
-// is high-demand (near-zero pacing, thousands of requests) so the
-// dense-traffic burst path actually engages. Any failure prints the
+// {per-cycle, fast-forward} x {dense stretch off, on} — and, for
+// multi-channel, at 2 and 8 tick threads against the serial walk. A slice
+// of the client mixes is high-demand (near-zero pacing, thousands of
+// requests) so the resident front end's dense stretch actually engages. Any failure prints the
 // reproducer seed and the full config so the trial can be replayed in
 // isolation.
 //
@@ -201,8 +201,8 @@ std::vector<core::WcetClient> add_random_clients(clients::MemorySystem& sys,
   std::vector<core::WcetClient> wclients;
   // ~35% of mixes are high-demand: near-zero pacing, thousands of
   // requests and a compact footprint keep the controller queue full with
-  // long same-row streaks — the regime the burst-issue fast path engages
-  // in. The rest stay paced so fast-forward has idle gaps to skip.
+  // long same-row streaks — the regime the resident front end's dense
+  // stretch engages in. The rest stay paced so fast-forward has idle gaps to skip.
   const bool dense = rng.next_bool(0.35);
   const unsigned n = 1 + static_cast<unsigned>(rng.next_below(3));
   for (unsigned i = 0; i < n; ++i) {
@@ -308,7 +308,8 @@ reliability::ReliabilityConfig random_reliability(std::uint64_t seed) {
 
 // ---------------------------------------------------------------------------
 // System-level differential: the per-cycle reference vs fast-forward and
-// burst issue in every combination, all bit-identical.
+// the dense stretch (MemorySystem::set_burst_issue) in every combination,
+// all bit-identical.
 
 struct SystemRun {
   clients::MemorySystem sys;
@@ -437,8 +438,9 @@ TEST(DifferentialFuzz, SystemLevelThreeWayBitIdentical) {
     const SystemRun reference(cfg, client_seed, span, with_rel, rel_seed,
                               /*fast_forward=*/false, /*burst=*/false, window);
 
-    // The other three cells of {per-cycle, fast-forward} x {burst off, on}:
-    // the dense-traffic burst path rides the same contract as fast-forward.
+    // The other three cells of {per-cycle, fast-forward} x {dense stretch
+    // off, on}: the resident front end rides the same contract as
+    // fast-forward.
     for (const bool ff : {false, true}) {
       for (const bool burst : {false, true}) {
         if (!ff && !burst) continue;  // the reference itself
@@ -489,9 +491,9 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     const std::uint64_t window = 20'000 + rng.next_below(30'000);
     const bool with_rel = rng.next_bool(0.5);
     const std::uint64_t cut = 1 + rng.next_below(window - 1);
-    // Half the snapshot trials run with burst issue on: a cut can land
-    // mid-streak, so restore must rebuild the pre-decoded queue arrays
-    // bit-exactly (Controller::load re-derives them from the queue).
+    // Half the snapshot trials run with the dense stretch on: a cut can
+    // land mid-streak, so restore must rebuild the pre-decoded queue
+    // arrays bit-exactly (Controller::load re-derives them from the queue).
     const bool burst = trial % 2 == 1;
     const std::uint64_t client_seed = derive_seed(seed, 1);
     const std::uint64_t rel_seed = derive_seed(seed, 2);
@@ -560,7 +562,7 @@ struct ChannelRun {
   std::vector<Request> completions;
 
   ChannelRun(const DramConfig& cfg, unsigned channels,
-             dram::ChannelInterleave il, unsigned threads, bool burst,
+             dram::ChannelInterleave il, unsigned threads,
              const std::vector<ChannelArrival>& trace,
              std::uint64_t window)
       : mc(cfg, channels, il) {
@@ -569,7 +571,6 @@ struct ChannelRun {
       logs.push_back(std::make_unique<dram::CommandLog>());
       intervals.push_back(std::make_unique<telemetry::IntervalReporter>(512));
       mc.channel(c).attach_command_log(logs.back().get());
-      mc.channel(c).set_burst_issue(burst);
       mc.attach_telemetry(c, intervals.back().get());
     }
     std::vector<Request> scratch;
@@ -637,14 +638,13 @@ TEST(DifferentialFuzz, MultiChannelBitIdenticalAcrossThreadCounts) {
     const std::vector<ChannelArrival> trace =
         random_channel_trace(rng, span, window);
 
-    // Reference: serial walk, burst issue off. The sweep runs burst on, so
-    // the direct tick_until drive (no MemorySystem front end) exercises the
-    // closed-form path too.
-    const ChannelRun reference(cfg, channels, il, /*threads=*/1,
-                               /*burst=*/false, trace, window);
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      const ChannelRun run(cfg, channels, il, threads, /*burst=*/true, trace,
-                           window);
+    // Reference: the serial walk. The direct tick_until drive (no
+    // MemorySystem front end) runs each channel's one scheduling path;
+    // the threaded walks must reproduce it bit for bit.
+    const ChannelRun reference(cfg, channels, il, /*threads=*/1, trace,
+                               window);
+    for (const unsigned threads : {2u, 8u}) {
+      const ChannelRun run(cfg, channels, il, threads, trace, window);
       SCOPED_TRACE("tick_threads=" + std::to_string(threads));
       expect_channel_runs_eq(reference, run);
     }
@@ -746,9 +746,10 @@ TEST(DifferentialFuzz, EvaluatorArenaMemoBitIdenticalAcrossThreadCounts) {
     w.warmup_cycles = trial % 3 == 0 ? 4'000 + rng.next_below(8'000) : 0;
 
     // Reference: regenerate clients per point, no memoization, no warm-up
-    // checkpointing, no burst issue, serial. The candidate evaluators
-    // keep burst on (the default), so every sweep differentially checks
-    // the dense-traffic fast path through the evaluator pipeline.
+    // checkpointing, no dense stretch, serial. The candidate evaluators
+    // keep the dense stretch on (the default), so every sweep
+    // differentially checks the resident front end through the evaluator
+    // pipeline.
     core::Evaluator ref;
     ref.set_workload_arena(false);
     ref.set_memoize(false);

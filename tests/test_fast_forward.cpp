@@ -555,11 +555,13 @@ TEST(FastForward, MultiChannelSystemMatchesPerCycle) {
 }
 
 // ---------------------------------------------------------------------------
-// Saturated-channel equivalence: the dense-traffic burst path (controller
-// issue_burst + MemorySystem dense_stretch) against per-cycle stepping.
-// The suite above is idle-shape-heavy; these run at 100% duty, where
-// every cycle carries a command and set_burst_issue is the knob under
-// test. Reference is burst off + fast-forward off (pure per-cycle).
+// Saturated-channel equivalence: the resident front end for dense traffic
+// (MemorySystem::dense_stretch driving Controller::dense_advance) against
+// per-cycle stepping. The suite above is idle-shape-heavy; these run at
+// 100% duty, where every cycle carries a command and set_burst_issue
+// (which switches dense_stretch) is the knob under test. The controller
+// has one scheduling path either way. Reference is dense_stretch off +
+// fast-forward off (pure per-cycle).
 
 void expect_systems_eq(const clients::MemorySystem& a,
                        const clients::MemorySystem& b) {
@@ -586,8 +588,8 @@ std::unique_ptr<clients::Client> duty_stream(unsigned id,
   return std::make_unique<clients::StreamClient>(id, "duty", p);
 }
 
-/// Run the same roster under {reference, burst + fast-forward,
-/// burst + per-cycle front end} and demand identical bits.
+/// Run the same roster under {reference, dense stretch + fast-forward,
+/// dense stretch + per-cycle quiet stepping} and demand identical bits.
 void expect_saturated_equivalent(
     const DramConfig& cfg,
     const std::function<void(clients::MemorySystem&)>& fill,
@@ -660,8 +662,9 @@ TEST(BurstIssue, SaturatedWriteStreamTimeoutPolicy) {
 
 TEST(BurstIssue, BankPrivatizedStridedMatchesPerCycle) {
   // kBankRowCol + disjoint per-client regions: each client owns one bank,
-  // so the queue mixes banks and the controller burst only engages on
-  // single-client streaks — the fall-back boundary gets exercised hard.
+  // so the queue mixes banks and every pick row-misses: dense_advance
+  // hands control back after ACT/PRE-heavy stretches, and the stretch
+  // entry and exit boundaries get exercised hard.
   DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
   cfg.mapping = dram::AddressMapping::kBankRowCol;
   const std::uint64_t bank_span = cfg.capacity().byte_count() / cfg.banks;
@@ -705,8 +708,9 @@ TEST(BurstIssue, TdmFullSlotsMatchesPerCycle) {
 }
 
 TEST(BurstIssue, ReadFirstSchedulerMixedDirectionMatchesPerCycle) {
-  // Write-drain hysteresis across burst segments: a read stream and a
-  // write stream contend, so draining_ flips while bursts start and stop.
+  // Write-drain hysteresis across dense stretches: a read stream and a
+  // write stream contend, so draining_ flips while stretches start and
+  // stop.
   DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
   cfg.scheduler = dram::SchedulerKind::kReadFirst;
   expect_saturated_equivalent(
@@ -727,7 +731,7 @@ TEST(BurstIssue, ReadFirstSchedulerMixedDirectionMatchesPerCycle) {
 
 TEST(BurstIssue, CommandLogIdenticalUnderBurst) {
   // The logic-analyzer view must not change: same commands, same cycles,
-  // same decode, whether the controller bursts or steps.
+  // same decode, whether the front end runs dense stretches or steps.
   const DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
   dram::CommandLog ref_log;
   dram::CommandLog burst_log;

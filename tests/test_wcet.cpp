@@ -358,16 +358,18 @@ TEST(WcetOracle, FcfsBoundIsTighterThanFrFcfs) {
 // a bound that holds but is hopelessly loose is not a useful oracle.
 
 // ---------------------------------------------------------------------------
-// Dense-traffic fast path under the WCET oracles: runs with burst issue
-// enabled must respect the analytical bounds exactly as per-cycle runs
-// do — the closed-form issue math cannot move a byte or a cycle past
-// what the datasheet admits.
+// Dense-traffic front end under the WCET oracles: runs with the resident
+// front end on (set_burst_issue, which switches MemorySystem::
+// dense_stretch) must respect the analytical bounds exactly as per-cycle
+// runs do — bulk-crediting the stall cycles between controller events
+// cannot move a byte or a cycle past what the datasheet admits.
 
 TEST(WcetOracle, BurstIssuedRunsRespectWcetBounds) {
-  // Regime 1: a saturated single-row stream — the steady state the burst
-  // path retires in closed form. Overload rightly diverges the latency
-  // fixed point, so the unconditional bytes bound is the oracle here,
-  // cross-checked against a burst-off reference and the protocol rules.
+  // Regime 1: a saturated single-row stream — the steady state the dense
+  // stretch covers from one controller event to the next. Overload
+  // rightly diverges the latency fixed point, so the unconditional bytes
+  // bound is the oracle here, cross-checked against a dense-stretch-off
+  // reference and the protocol rules.
   {
     DramConfig cfg;
     cfg.scheduler = dram::SchedulerKind::kFrFcfs;
@@ -403,7 +405,7 @@ TEST(WcetOracle, BurstIssuedRunsRespectWcetBounds) {
               burst_off->controller().stats().bytes_transferred);
     EXPECT_EQ(stats.read_latency.max(),
               burst_off->controller().stats().read_latency.max());
-    // The burst-issued command stream must satisfy the datasheet rules.
+    // The dense-stretch command stream must satisfy the datasheet rules.
     const dram::ProtocolChecker checker(cfg);
     const auto violations = checker.verify(log);
     EXPECT_TRUE(violations.empty())
@@ -412,7 +414,7 @@ TEST(WcetOracle, BurstIssuedRunsRespectWcetBounds) {
 
   // Regime 2: an admissible paced set sharing one row behind a shallow
   // queue. The aligned start floods the queue (6 ready clients, depth 4)
-  // so the burst path engages, yet the interference fixed point
+  // so the dense stretch engages, yet the interference fixed point
   // converges — the latency bound is claimable for every request.
   {
     DramConfig cfg;
