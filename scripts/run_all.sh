@@ -41,6 +41,15 @@ echo "self-managed maintenance:"
 ctest --test-dir build -L maintenance --output-on-failure
 build/examples/soak_test --rowhammer --retention-bins
 
+# Datasheet calibration gate: closed-form latency ladders (cold read,
+# row hit, row conflict, write), sustained row-streak bandwidth and the
+# refresh duty cycle, checked against the DramConfig timing fields
+# across the device presets. Agreement with outside algebra, not only
+# with the simulator's own reference paths.
+echo
+echo "accuracy (datasheet calibration):"
+ctest --test-dir build -L accuracy --output-on-failure
+
 # Predictable-performance gate: the analytical WCET bounds must hold as
 # oracles over the policy x mapping grid (including TDM slot-ownership
 # protocol rules and the bound-tightness claim on bank-privatized strided

@@ -324,8 +324,9 @@ bool Controller::bank_has_queued(unsigned b) const {
 
 bool Controller::maintenance_any_urgent() const {
   if (!self_managed_) return false;
-  for (unsigned b = 0; b < cfg_.banks; ++b) {
-    if (maint_until_[b] == 0 && hooks_->maintenance_urgent(b, cycle_)) {
+  for (std::uint64_t bits = hooks_->maintenance_banks(cycle_).urgent;
+       bits != 0; bits &= bits - 1) {
+    if (maint_until_[static_cast<unsigned>(std::countr_zero(bits))] == 0) {
       return true;
     }
   }
@@ -350,11 +351,12 @@ bool Controller::tick_maintenance() {
   // and take the bank). Claims are not bus commands, so several banks can
   // start maintenance in one cycle; only a preempting PRE costs the slot.
   bool slot_used = false;
-  for (unsigned b = 0; b < cfg_.banks; ++b) {
+  const MaintenanceBanks work = hooks_->maintenance_banks(cycle_);
+  for (std::uint64_t bits = work.pending | work.urgent; bits != 0;
+       bits &= bits - 1) {
+    const auto b = static_cast<unsigned>(std::countr_zero(bits));
     if (maint_until_[b] != 0) continue;  // already under maintenance
-    if (hooks_->bank_retired(b)) continue;
-    const bool urg = hooks_->maintenance_urgent(b, cycle_);
-    if (!urg && !hooks_->maintenance_pending(b, cycle_)) continue;
+    const bool urg = (work.urgent >> b & 1u) != 0;
     Bank& bank = banks_[b];
     if (bank.has_open_row()) {
       // Only a past-deadline op may close an open row (one PRE per cycle
@@ -394,18 +396,21 @@ std::uint64_t Controller::maintenance_event_bound() const {
   const auto upd = [&](std::uint64_t c) {
     ne = std::min(ne, std::max(c, cycle_));
   };
-  for (unsigned b = 0; b < cfg_.banks; ++b) {
-    if (maint_until_[b] != 0) {
-      upd(maint_until_[b]);  // lock expiry (kMaintEnd record)
-      continue;
+  if (maint_locked_ != 0) {
+    for (const std::uint64_t until : maint_until_) {
+      if (until != 0) upd(until);  // lock expiry (kMaintEnd record)
     }
-    if (hooks_->bank_retired(b)) continue;
-    if (hooks_->maintenance_urgent(b, cycle_)) {
+  }
+  const MaintenanceBanks work = hooks_->maintenance_banks(cycle_);
+  for (std::uint64_t bits = work.pending | work.urgent; bits != 0;
+       bits &= bits - 1) {
+    const auto b = static_cast<unsigned>(std::countr_zero(bits));
+    if (maint_until_[b] != 0) continue;
+    if ((work.urgent >> b & 1u) != 0) {
       upd(banks_[b].has_open_row()
               ? banks_[b].earliest(Command::kPrecharge)
               : banks_[b].earliest(Command::kMaintStart));
-    } else if (hooks_->maintenance_pending(b, cycle_) &&
-               !banks_[b].has_open_row() && !bank_has_queued(b)) {
+    } else if (!banks_[b].has_open_row() && !bank_has_queued(b)) {
       upd(banks_[b].earliest(Command::kMaintStart));
     }
   }

@@ -85,6 +85,13 @@ struct ReliabilityCounters {
   }
 };
 
+/// Banks with self-managed maintenance work at one cycle: bit b stands for
+/// bank b (banks <= 64 by DramConfig::validate).
+struct MaintenanceBanks {
+  std::uint64_t pending = 0;  ///< work queued (an idle slot would be used)
+  std::uint64_t urgent = 0;   ///< past its deadline (may preempt traffic)
+};
+
 /// Runtime-reliability callbacks the controller drives from its datapath.
 /// Implemented by reliability::ReliabilityManager; the indirection keeps
 /// `dram/` free of a dependency on the reliability library.
@@ -122,19 +129,18 @@ class ReliabilityHooks {
   // When self_managed() is true the controller suppresses its tREFI REF
   // sweep and instead offers precharged, unlocked banks to the hooks:
   // maintenance_claim returns a lock duration (0 declines) and the
-  // controller fences the bank for that many cycles. pending/urgent and
-  // next_maintenance_cycle are pure queries so the fast-forward event
-  // bound can consult them without perturbing state.
+  // controller fences the bank for that many cycles.
+  //
+  // maintenance_banks and next_maintenance_cycle are pure queries, so the
+  // fast-forward event bound can consult them without perturbing state.
+  // maintenance_banks answers for every bank at once: each controller call
+  // site (idle-slot claims, the event bound, the power-down gate) asks once
+  // and walks only the set bits, in ascending bank order. Retired banks are
+  // never set.
   virtual bool self_managed() const { return false; }
-  /// Maintenance work is queued for `bank` (an idle slot would be used).
-  virtual bool maintenance_pending(unsigned /*bank*/,
-                                   std::uint64_t /*cycle*/) const {
-    return false;
-  }
-  /// Maintenance for `bank` has passed its deadline (may preempt traffic).
-  virtual bool maintenance_urgent(unsigned /*bank*/,
-                                  std::uint64_t /*cycle*/) const {
-    return false;
+  /// Banks with maintenance work at `cycle`, one bit per bank.
+  virtual MaintenanceBanks maintenance_banks(std::uint64_t /*cycle*/) const {
+    return {};
   }
   /// Offer `bank` (idle, unlocked, past tRP) to the hooks at `cycle`.
   /// Returns the lock duration in cycles, 0 to decline; row restores,

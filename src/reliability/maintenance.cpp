@@ -121,6 +121,7 @@ MaintenanceEngine::MaintenanceEngine(const dram::DramConfig& dram_cfg,
   neighbor_q_.assign(banks_, {});
   queued_.assign(banks_, std::vector<bool>(rows_, false));
   bank_dropped_.assign(banks_, false);
+  due_.assign(banks_, dram::kNeverCycle);
   rebuild_bins(injector);
 }
 
@@ -161,36 +162,37 @@ void MaintenanceEngine::rebuild_bins(const FaultInjector& injector) {
       // slots on the same cycle (deterministic in the geometry).
       st.next_due = 1 + (b * 131ull + i * 37ull) % st.period;
     }
+    update_due(b);
   }
 }
 
-bool MaintenanceEngine::pending(unsigned bank, std::uint64_t cycle) const {
-  if (bank_dropped_[bank]) return false;
-  if (!neighbor_q_[bank].empty()) return true;
+void MaintenanceEngine::update_due(unsigned bank) {
+  std::uint64_t due = dram::kNeverCycle;
   for (unsigned i = 0; i < cfg_.bins; ++i) {
-    const BinState& st = bin_state_[bin_index(bank, i)];
-    if (st.next_due != dram::kNeverCycle && st.next_due <= cycle) return true;
+    due = std::min(due, bin_state_[bin_index(bank, i)].next_due);
   }
-  return false;
+  due_[bank] = due;
 }
 
-bool MaintenanceEngine::urgent(unsigned bank, std::uint64_t cycle) const {
-  if (bank_dropped_[bank]) return false;
-  if (!neighbor_q_[bank].empty()) return true;
-  for (unsigned i = 0; i < cfg_.bins; ++i) {
-    const BinState& st = bin_state_[bin_index(bank, i)];
-    if (st.next_due != dram::kNeverCycle && st.next_due + slack_ <= cycle) {
-      return true;
-    }
+dram::MaintenanceBanks MaintenanceEngine::banks(std::uint64_t cycle) const {
+  dram::MaintenanceBanks m;
+  for (unsigned b = 0; b < banks_; ++b) {
+    if (pending(b, cycle)) m.pending |= std::uint64_t{1} << b;
+    if (urgent(b, cycle)) m.urgent |= std::uint64_t{1} << b;
   }
-  return false;
+  return m;
 }
 
 std::uint64_t MaintenanceEngine::next_cycle(std::uint64_t now) const {
+  if (neighbor_banks_ != 0) return now;
   std::uint64_t ne = dram::kNeverCycle;
   for (unsigned b = 0; b < banks_; ++b) {
-    if (bank_dropped_[b]) continue;
-    if (!neighbor_q_[b].empty()) return now;
+    // Nothing due yet (or nothing scheduled): the bank's schedule changes
+    // at its earliest due cycle.
+    if (due_[b] > now) {
+      ne = std::min(ne, due_[b]);
+      continue;
+    }
     for (unsigned i = 0; i < cfg_.bins; ++i) {
       const BinState& st = bin_state_[bin_index(b, i)];
       if (st.next_due == dram::kNeverCycle) continue;
@@ -213,6 +215,9 @@ MaintenanceEngine::Claim MaintenanceEngine::claim(unsigned bank,
   if (!neighbor_q_[bank].empty()) {
     const unsigned agg = neighbor_q_[bank].front();
     neighbor_q_[bank].pop_front();
+    if (neighbor_q_[bank].empty()) {
+      neighbor_banks_ &= ~(std::uint64_t{1} << bank);
+    }
     queued_[bank][agg] = false;
     trackers_[bank].reset_row(agg);
     c.kind = Claim::Kind::kNeighbor;
@@ -244,6 +249,7 @@ MaintenanceEngine::Claim MaintenanceEngine::claim(unsigned bank,
     // Fixed cadence: overload shows up as lag (urgency), not as a
     // silently stretched window.
     st.next_due += st.period;
+    update_due(bank);
   }
   c.duration = static_cast<unsigned>(
       std::max<std::size_t>(1, c.rows.size()) * row_cycles_);
@@ -262,6 +268,7 @@ void MaintenanceEngine::record_activation(unsigned bank, unsigned row,
   if (est >= cfg_.hammer_threshold && !queued_[bank][row]) {
     queued_[bank][row] = true;
     neighbor_q_[bank].push_back(row);
+    neighbor_banks_ |= std::uint64_t{1} << bank;
   }
 }
 
@@ -327,15 +334,38 @@ void MaintenanceEngine::load(SnapshotReader& r) {
   for (unsigned b = 0; b < banks_; ++b) {
     bank_dropped_[b] = r.boolean();
   }
+  // A due bin must make progress when claimed and keep its deadline
+  // representable; a dropped bank has no work at all. Anything else would
+  // hold a slot (and, past the slack, preempt traffic) forever.
+  neighbor_banks_ = 0;
+  for (unsigned b = 0; b < banks_; ++b) {
+    for (unsigned i = 0; i < cfg_.bins; ++i) {
+      const BinState& st = bin_state_[bin_index(b, i)];
+      if (st.next_due == dram::kNeverCycle) continue;
+      if (st.rows.empty()) r.fail("due maintenance bin has no rows");
+      if (st.period == 0) r.fail("due maintenance bin has a zero period");
+      if (bank_dropped_[b]) r.fail("maintenance bin due on a dropped bank");
+      if (st.next_due > dram::kNeverCycle - slack_) {
+        r.fail("maintenance bin due cycle overflows with the slack");
+      }
+    }
+    if (!neighbor_q_[b].empty()) {
+      if (bank_dropped_[b]) r.fail("neighbor refresh queued on a dropped bank");
+      neighbor_banks_ |= std::uint64_t{1} << b;
+    }
+    update_due(b);
+  }
 }
 
 void MaintenanceEngine::drop_bank(unsigned bank) {
   bank_dropped_[bank] = true;
   neighbor_q_[bank].clear();
+  neighbor_banks_ &= ~(std::uint64_t{1} << bank);
   std::fill(queued_[bank].begin(), queued_[bank].end(), false);
   for (unsigned i = 0; i < cfg_.bins; ++i) {
     bin_state_[bin_index(bank, i)].next_due = dram::kNeverCycle;
   }
+  due_[bank] = dram::kNeverCycle;
 }
 
 }  // namespace edsim::reliability

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dram/config.hpp"
+#include "dram/reliability_hooks.hpp"
 #include "dram/request.hpp"
 
 namespace edsim {
@@ -108,10 +109,18 @@ class MaintenanceEngine {
   void rebuild_bins(const FaultInjector& injector);
 
   /// Work is queued for `bank` (neighbor refresh, or a bin sweep due).
-  bool pending(unsigned bank, std::uint64_t cycle) const;
+  bool pending(unsigned bank, std::uint64_t cycle) const {
+    return (neighbor_banks_ >> bank & 1u) != 0 ||
+           (due_[bank] != dram::kNeverCycle && due_[bank] <= cycle);
+  }
   /// Work for `bank` has passed its deadline (neighbor refreshes are
   /// always urgent — the defense margin is the whole point).
-  bool urgent(unsigned bank, std::uint64_t cycle) const;
+  bool urgent(unsigned bank, std::uint64_t cycle) const {
+    return (neighbor_banks_ >> bank & 1u) != 0 ||
+           (due_[bank] != dram::kNeverCycle && due_[bank] + slack_ <= cycle);
+  }
+  /// pending() and urgent() of every bank as bitmasks (bit b = bank b).
+  dram::MaintenanceBanks banks(std::uint64_t cycle) const;
   /// Earliest cycle >= `now` the schedule changes on its own.
   std::uint64_t next_cycle(std::uint64_t now) const;
 
@@ -147,6 +156,14 @@ class MaintenanceEngine {
     return trackers_[bank];
   }
   unsigned hammer_threshold() const { return cfg_.hammer_threshold; }
+  /// Next due cycle of one bin (kNeverCycle when it has none).
+  std::uint64_t bin_due(unsigned bank, unsigned bin) const {
+    return bin_state_[bin_index(bank, bin)].next_due;
+  }
+  std::size_t neighbor_queued(unsigned bank) const {
+    return neighbor_q_[bank].size();
+  }
+  bool dropped(unsigned bank) const { return bank_dropped_[bank]; }
 
   /// Snapshot the evolving schedule: bin membership and sweep positions,
   /// tracker tables and epochs, the neighbor-refresh queues, and dropped
@@ -165,6 +182,8 @@ class MaintenanceEngine {
   std::size_t bin_index(unsigned bank, unsigned bin) const {
     return static_cast<std::size_t>(bank) * cfg_.bins + bin;
   }
+  /// Recompute `bank`'s earliest due cycle from its bins.
+  void update_due(unsigned bank);
 
   MaintenanceConfig cfg_;
   unsigned banks_;
@@ -180,6 +199,11 @@ class MaintenanceEngine {
   std::vector<std::deque<unsigned>> neighbor_q_;   ///< aggressors, FIFO
   std::vector<std::vector<bool>> queued_;          ///< aggressor already queued
   std::vector<bool> bank_dropped_;
+  /// Per bank: the earliest next_due of its bins (kNeverCycle when none),
+  /// kept current at every schedule mutation so pending/urgent read one
+  /// value instead of walking the bins.
+  std::vector<std::uint64_t> due_;
+  std::uint64_t neighbor_banks_ = 0;  ///< bit b: neighbor_q_[b] non-empty
 };
 
 }  // namespace edsim::reliability

@@ -534,7 +534,16 @@ void ReliabilityManager::load(SnapshotReader& r) {
   if (has_engine != (engine_ != nullptr)) {
     r.fail("maintenance engine presence mismatch");
   }
-  if (engine_) engine_->load(r);
+  if (engine_) {
+    engine_->load(r);
+    // Retiring a bank drops it from the engine; maintenance_banks relies
+    // on that to keep retired banks out of its masks.
+    for (unsigned b = 0; b < banks_; ++b) {
+      if (!alive_[b] && !engine_->dropped(b)) {
+        r.fail("retired bank still scheduled for maintenance");
+      }
+    }
+  }
 
   disturb_.clear();
   const std::uint64_t n_disturb = r.u64();

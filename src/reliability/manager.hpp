@@ -102,12 +102,10 @@ class ReliabilityManager final : public dram::ReliabilityHooks {
   bool self_managed() const override {
     return engine_ != nullptr && self_managed_;
   }
-  bool maintenance_pending(unsigned bank,
-                           std::uint64_t cycle) const override {
-    return self_managed() && alive_[bank] && engine_->pending(bank, cycle);
-  }
-  bool maintenance_urgent(unsigned bank, std::uint64_t cycle) const override {
-    return self_managed() && alive_[bank] && engine_->urgent(bank, cycle);
+  /// Retired banks are dropped from the engine, so its masks exclude them.
+  dram::MaintenanceBanks maintenance_banks(
+      std::uint64_t cycle) const override {
+    return self_managed() ? engine_->banks(cycle) : dram::MaintenanceBanks{};
   }
   unsigned maintenance_claim(unsigned bank, std::uint64_t cycle) override;
   std::uint64_t next_maintenance_cycle(std::uint64_t now) const override {

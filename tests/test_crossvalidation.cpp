@@ -74,6 +74,38 @@ TEST_P(DeviceSweep, RowHitReadLatencyMatchesFormula) {
       << dc.name;
 }
 
+TEST_P(DeviceSweep, RowConflictReadLatencyMatchesFormula) {
+  // A read to another row of the open bank pays the full ladder: close
+  // the open row (tRP), open the new one (tRCD), then CAS and data.
+  const DeviceCase dc = devices()[GetParam()];
+  if (dc.cfg.page_policy != PagePolicy::kOpen) GTEST_SKIP();
+  Controller ctl(dc.cfg);
+  Request warm;
+  warm.addr = 0;
+  ctl.enqueue(warm);
+  ctl.drain();
+  ctl.drain_completed();
+  const Coordinates open = ctl.mapper().decode(0);
+  std::uint64_t addr = dc.cfg.bytes_per_access();
+  while (ctl.mapper().decode(addr).bank != open.bank ||
+         ctl.mapper().decode(addr).row == open.row) {
+    addr += dc.cfg.bytes_per_access();
+  }
+  // Let the warm-up ACT's tRAS (and the read-to-precharge gap) expire
+  // first, so the PRE issues on arrival and only the ladder is measured.
+  ctl.tick_until(ctl.cycle() + 1'000);
+  Request conflict;
+  conflict.addr = addr;
+  ctl.enqueue(conflict);
+  ctl.drain();
+  const auto done = ctl.drain_completed();
+  ASSERT_EQ(done.size(), 1u);
+  const auto& t = dc.cfg.timing;
+  EXPECT_EQ(done[0].latency(),
+            t.tRP + t.tRCD + t.tCL + dc.cfg.data_cycles_per_access())
+      << dc.name;
+}
+
 TEST_P(DeviceSweep, StreamingThroughputApproachesOneBurstPerDataSlot) {
   // A saturating linear stream should place one burst every
   // data_cycles_per_access cycles (minus refresh/ACT gaps at page

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
 #include "dram/address_map.hpp"
 #include "dram/command_log.hpp"
 #include "dram/controller.hpp"
@@ -234,6 +236,141 @@ TEST(MaintenanceEngine, NextCycleBoundsTheSchedule) {
 }
 
 // ---------------------------------------------------------------------------
+// The engine's O(1) queries against their per-bin definitions: the engine
+// keeps one earliest-due cycle per bank, so every schedule mutation must
+// keep it current. The loops below are the definitions, walking every bin.
+
+bool pending_by_bins(const MaintenanceEngine& e, unsigned bank,
+                     std::uint64_t cycle) {
+  if (e.dropped(bank)) return false;
+  if (e.neighbor_queued(bank) != 0) return true;
+  for (unsigned i = 0; i < e.bins(); ++i) {
+    const std::uint64_t due = e.bin_due(bank, i);
+    if (due != dram::kNeverCycle && due <= cycle) return true;
+  }
+  return false;
+}
+
+bool urgent_by_bins(const MaintenanceEngine& e, unsigned bank,
+                    std::uint64_t cycle) {
+  if (e.dropped(bank)) return false;
+  if (e.neighbor_queued(bank) != 0) return true;
+  for (unsigned i = 0; i < e.bins(); ++i) {
+    const std::uint64_t due = e.bin_due(bank, i);
+    if (due != dram::kNeverCycle && due + e.slack() <= cycle) return true;
+  }
+  return false;
+}
+
+std::uint64_t next_cycle_by_bins(const MaintenanceEngine& e, unsigned banks,
+                                 std::uint64_t now) {
+  std::uint64_t ne = dram::kNeverCycle;
+  for (unsigned b = 0; b < banks; ++b) {
+    if (e.dropped(b)) continue;
+    if (e.neighbor_queued(b) != 0) return now;
+    for (unsigned i = 0; i < e.bins(); ++i) {
+      const std::uint64_t due = e.bin_due(b, i);
+      if (due == dram::kNeverCycle) continue;
+      ne = std::min(ne, due > now ? due : std::max(now, due + e.slack()));
+    }
+  }
+  return ne;
+}
+
+TEST(MaintenanceEngine, QueriesMatchTheirPerBinDefinitions) {
+  const DramConfig cfg = small_cfg();
+  FaultInjectorConfig icfg;
+  icfg.seed = 11;
+  icfg.weak_cells = 12;
+  const FaultInjector injector(cfg, icfg);
+
+  MaintenanceConfig mc;
+  mc.enabled = true;
+  mc.bins = 3;
+  mc.base_window_cycles = 3'000;
+  mc.rows_per_op = 4;
+  mc.hammer_threshold = 3;
+  mc.hammer_table_rows = 2;
+  mc.hammer_reset_window = 50'000;
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    auto engine = std::make_unique<MaintenanceEngine>(cfg, mc, injector);
+    Rng rng(seed);
+    std::uint64_t cycle = 0;
+    for (int step = 0; step < 4'000; ++step) {
+      const auto bank = static_cast<unsigned>(rng.next_below(cfg.banks));
+      const std::uint64_t op = rng.next_below(1'000);
+      if (op < 450) {
+        engine->claim(bank, cycle);
+      } else if (op < 900) {
+        // A few hot rows, so the tracker crosses the defense threshold.
+        engine->record_activation(
+            bank, static_cast<unsigned>(rng.next_below(6)), cycle);
+      } else if (op < 901) {  // rare: a dropped bank stays dropped
+        engine->drop_bank(bank);
+      } else {
+        SnapshotWriter w;
+        engine->save(w);
+        const std::vector<std::uint8_t> blob = w.seal();
+        SnapshotReader r(blob);
+        auto restored = std::make_unique<MaintenanceEngine>(cfg, mc, injector);
+        restored->load(r);
+        r.expect_end();
+        engine = std::move(restored);
+      }
+      // Short steps walk through due cycles; long ones cross the slack.
+      cycle += rng.next_bool(0.9) ? rng.next_below(64) : rng.next_below(2'000);
+
+      for (const std::uint64_t at :
+           {cycle, cycle + rng.next_below(200), cycle + engine->slack()}) {
+        dram::MaintenanceBanks want;
+        for (unsigned b = 0; b < cfg.banks; ++b) {
+          const bool p = pending_by_bins(*engine, b, at);
+          const bool u = urgent_by_bins(*engine, b, at);
+          ASSERT_EQ(engine->pending(b, at), p)
+              << "seed " << seed << " step " << step << " bank " << b;
+          ASSERT_EQ(engine->urgent(b, at), u)
+              << "seed " << seed << " step " << step << " bank " << b;
+          want.pending |= std::uint64_t{p} << b;
+          want.urgent |= std::uint64_t{u} << b;
+        }
+        const dram::MaintenanceBanks got = engine->banks(at);
+        ASSERT_EQ(got.pending, want.pending) << "seed " << seed << " step "
+                                             << step;
+        ASSERT_EQ(got.urgent, want.urgent) << "seed " << seed << " step "
+                                           << step;
+        ASSERT_EQ(engine->next_cycle(at),
+                  next_cycle_by_bins(*engine, cfg.banks, at))
+            << "seed " << seed << " step " << step;
+      }
+    }
+  }
+}
+
+TEST(MaintenanceMasks, RetiredBankLeavesTheMasks) {
+  // A retired bank leaves the schedule: its bit never shows, even with
+  // work queued on every bank.
+  DramConfig cfg = small_cfg();
+  cfg.ecc_enabled = true;
+  ReliabilityConfig rc = hammer_reliability(/*defended=*/true);
+  rc.spare_rows_per_bank = 0;  // first uncorrectable error retires
+  ReliabilityManager mgr(cfg, rc);
+  for (unsigned b = 0; b < cfg.banks; ++b) {
+    for (int i = 0; i < 32; ++i) mgr.on_activate(b, 10, 100);
+  }
+  const std::uint64_t all = (std::uint64_t{1} << cfg.banks) - 1;
+  EXPECT_EQ(mgr.maintenance_banks(100).pending, all);
+  EXPECT_EQ(mgr.maintenance_banks(100).urgent, all);
+
+  mgr.inject_fault(1, 1, 0, 101);
+  mgr.inject_fault(1, 1, 1, 101);
+  mgr.on_access(dram::Coordinates{1, 1, 0}, dram::AccessType::kRead, 102);
+  ASSERT_TRUE(mgr.bank_retired(1));
+  EXPECT_EQ(mgr.maintenance_banks(102).pending, all & ~std::uint64_t{2});
+  EXPECT_EQ(mgr.maintenance_banks(102).urgent, all & ~std::uint64_t{2});
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end RowHammer storm through the controller.
 
 struct StormRun {
@@ -453,6 +590,8 @@ TEST(RetentionBins, IdleSweepIsBitIdenticalUnderFastForward) {
 /// each bank a claim is offered for.
 class PendingEverywhere final : public dram::ReliabilityHooks {
  public:
+  explicit PendingEverywhere(unsigned banks)
+      : all_banks_((std::uint64_t{1} << banks) - 1) {}
   void on_cycle(std::uint64_t) override {}
   dram::AccessOutcome on_access(const dram::Coordinates&, dram::AccessType,
                                 std::uint64_t) override {
@@ -460,8 +599,8 @@ class PendingEverywhere final : public dram::ReliabilityHooks {
   }
   void on_refresh(std::uint64_t) override {}
   bool self_managed() const override { return true; }
-  bool maintenance_pending(unsigned, std::uint64_t) const override {
-    return true;
+  dram::MaintenanceBanks maintenance_banks(std::uint64_t) const override {
+    return {all_banks_, 0};
   }
   unsigned maintenance_claim(unsigned bank, std::uint64_t) override {
     claimed.insert(bank);
@@ -473,6 +612,7 @@ class PendingEverywhere final : public dram::ReliabilityHooks {
   std::set<unsigned> claimed;
 
  private:
+  std::uint64_t all_banks_;
   dram::ReliabilityCounters c_;
 };
 
@@ -480,7 +620,7 @@ TEST(MaintenanceArbitration, QueuedTrafficKeepsItsBankSlot) {
   const DramConfig cfg = small_cfg();
   for (unsigned busy = 0; busy < cfg.banks; ++busy) {
     Controller ctl(cfg);
-    PendingEverywhere hooks;
+    PendingEverywhere hooks(cfg.banks);
     ctl.attach_reliability(&hooks);
     // A row past the first bits of the row field, so a bank decoded from
     // the wrong bits of the queue's packed key would name another bank.

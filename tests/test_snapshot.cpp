@@ -24,6 +24,7 @@
 #include "dram/refresh.hpp"
 #include "dram/scheduler.hpp"
 #include "reliability/fault_injector.hpp"
+#include "reliability/maintenance.hpp"
 #include "reliability/manager.hpp"
 
 namespace edsim {
@@ -553,6 +554,193 @@ TEST(SnapshotCorruption, FaultInjectorForgedWeakCellCountRejected) {
   w.u64(kForgedCount);  // weak cells
   reliability::FaultInjector inj(cfg, {});
   expect_forged_count_rejected(w, [&](SnapshotReader& r) { inj.load(r); });
+}
+
+/// A MaintenanceEngine stream decoded field by field (every field is a
+/// varint): the row-bin table, the per-(bank, bin) sweep states, and the
+/// rest (trackers, epochs, neighbor queues, then one dropped flag per bank).
+struct EngineImage {
+  struct Bin {
+    std::vector<std::uint64_t> rows;
+    std::uint64_t ptr = 0;
+    std::uint64_t next_due = 0;
+    std::uint64_t period = 0;
+  };
+  std::vector<std::uint64_t> row_bins;
+  std::vector<Bin> bins;
+  std::vector<std::uint64_t> tail;
+
+  explicit EngineImage(const reliability::MaintenanceEngine& e) {
+    SnapshotWriter w;
+    e.save(w);
+    const std::vector<std::uint8_t> blob = w.seal();
+    SnapshotReader r(blob);
+    row_bins.resize(r.u64());
+    for (std::uint64_t& b : row_bins) b = r.u64();
+    bins.resize(r.u64());
+    for (Bin& b : bins) {
+      b.rows.resize(r.u64());
+      for (std::uint64_t& row : b.rows) row = r.u64();
+      b.ptr = r.u64();
+      b.next_due = r.u64();
+      b.period = r.u64();
+    }
+    while (!r.at_end()) tail.push_back(r.u64());
+    // Guard against layout drift: re-encoding must give the same bytes.
+    EXPECT_EQ(write().payload(), w.payload())
+        << "maintenance snapshot layout changed; update EngineImage";
+  }
+
+  SnapshotWriter write() const {
+    SnapshotWriter w;
+    w.u64(row_bins.size());
+    for (const std::uint64_t b : row_bins) w.u64(b);
+    w.u64(bins.size());
+    for (const Bin& b : bins) {
+      w.u64(b.rows.size());
+      for (const std::uint64_t row : b.rows) w.u64(row);
+      w.u64(b.ptr);
+      w.u64(b.next_due);
+      w.u64(b.period);
+    }
+    for (const std::uint64_t v : tail) w.u64(v);
+    return w;
+  }
+};
+
+/// Three retention bins on small_config() with no weak cells: every row
+/// sits in the top bin, so bins 0 and 1 of each bank are empty and never
+/// due while the top bin is scheduled.
+struct EngineFixture {
+  dram::DramConfig cfg = small_config();
+  reliability::FaultInjector injector{cfg, {}};
+  reliability::MaintenanceConfig mc = [] {
+    reliability::MaintenanceConfig c;
+    c.enabled = true;
+    c.bins = 3;
+    c.base_window_cycles = 4'000;
+    return c;
+  }();
+  reliability::MaintenanceEngine engine{cfg, mc, injector};
+  EngineImage image{engine};
+
+  EngineImage::Bin& bin(unsigned bank, unsigned b) {
+    return image.bins[bank * mc.bins + b];
+  }
+  std::uint64_t& dropped_flag(unsigned bank) {
+    return image.tail[image.tail.size() - cfg.banks + bank];
+  }
+  /// Load the (edited) image into a fresh engine.
+  void load() const {
+    const std::vector<std::uint8_t> blob = image.write().seal();
+    SnapshotReader r(blob);
+    reliability::MaintenanceEngine fresh(cfg, mc, injector);
+    fresh.load(r);
+    r.expect_end();
+  }
+};
+
+void expect_format_error(const EngineFixture& f) {
+  try {
+    f.load();
+    FAIL() << "corrupt maintenance schedule accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat);
+  }
+}
+
+TEST(SnapshotCorruption, MaintenanceImageRoundTrips) {
+  EngineFixture f;
+  ASSERT_EQ(f.image.bins.size(), f.cfg.banks * f.mc.bins);
+  ASSERT_TRUE(f.bin(0, 0).rows.empty());
+  ASSERT_EQ(f.bin(0, 0).next_due, dram::kNeverCycle);
+  ASSERT_EQ(f.bin(0, 2).rows.size(), f.cfg.rows_per_bank);
+  ASSERT_NE(f.bin(0, 2).next_due, dram::kNeverCycle);
+  EXPECT_NO_THROW(f.load());
+}
+
+TEST(SnapshotCorruption, MaintenanceDueBinWithoutRowsRejected) {
+  EngineFixture f;
+  f.bin(0, 0).next_due = 5;
+  f.bin(0, 0).period = 10;
+  expect_format_error(f);
+}
+
+TEST(SnapshotCorruption, MaintenanceDueBinWithZeroPeriodRejected) {
+  // claim() would add 0: the bin stays due forever and takes every slot.
+  EngineFixture f;
+  f.bin(1, 2).period = 0;
+  expect_format_error(f);
+}
+
+TEST(SnapshotCorruption, MaintenanceDueBinOnDroppedBankRejected) {
+  EngineFixture f;
+  ASSERT_EQ(f.dropped_flag(3), 0u);
+  f.dropped_flag(3) = 1;
+  expect_format_error(f);
+}
+
+TEST(SnapshotCorruption, MaintenanceDueCycleOverflowingSlackRejected) {
+  // next_due + slack would wrap to a small cycle: instantly urgent.
+  EngineFixture f;
+  f.bin(2, 2).next_due = dram::kNeverCycle - 1;
+  expect_format_error(f);
+}
+
+TEST(SnapshotCorruption, ReliabilityRetiredBankStillScheduledRejected) {
+  // Retiring a bank drops it from the maintenance engine; a snapshot whose
+  // engine still schedules a retired bank would leak it into the masks.
+  const dram::DramConfig cfg = small_config();
+  reliability::ReliabilityConfig rc;
+  rc.spare_rows_per_bank = 0;  // first uncorrectable error retires
+  rc.maintenance.enabled = true;
+  rc.maintenance.base_window_cycles = 4'000;
+  reliability::ReliabilityManager mgr(cfg, rc);
+  mgr.inject_fault(1, 1, 0, 1);
+  mgr.inject_fault(1, 1, 1, 1);
+  mgr.on_access(dram::Coordinates{1, 1, 0}, dram::AccessType::kRead, 2);
+  ASSERT_TRUE(mgr.bank_retired(1));
+  const reliability::MaintenanceEngine& engine = *mgr.maintenance_engine();
+  ASSERT_TRUE(engine.dropped(1));
+
+  SnapshotWriter full;
+  mgr.save(full);
+  SnapshotWriter engine_bytes;
+  engine.save(engine_bytes);
+  const auto& p = full.payload();
+  const auto& e = engine_bytes.payload();
+  const auto at = std::search(p.begin(), p.end(), e.begin(), e.end());
+  ASSERT_NE(at, p.end());
+  ASSERT_EQ(std::search(at + 1, p.end(), e.begin(), e.end()), p.end())
+      << "engine bytes not unique in the manager snapshot";
+
+  // Splice the engine stream, with or without bank 1's dropped flag.
+  const auto splice = [&](bool keep_dropped) {
+    EngineImage image(engine);
+    image.tail[image.tail.size() - cfg.banks + 1] = keep_dropped ? 1 : 0;
+    const SnapshotWriter forged = image.write();
+    SnapshotWriter w;
+    const auto head = static_cast<std::size_t>(at - p.begin());
+    w.bytes(p.data(), head);
+    w.bytes(forged.payload().data(), forged.payload().size());
+    w.bytes(p.data() + head + e.size(), p.size() - head - e.size());
+    return w.seal();
+  };
+  {
+    const std::vector<std::uint8_t> blob = splice(true);
+    SnapshotReader r(blob);
+    reliability::ReliabilityManager rel(cfg, rc);
+    EXPECT_NO_THROW(rel.load(r));
+  }
+  const std::vector<std::uint8_t> blob = splice(false);
+  SnapshotReader r(blob);
+  reliability::ReliabilityManager rel(cfg, rc);
+  try {
+    rel.load(r);
+    FAIL() << "retired bank with a live maintenance schedule accepted";
+  } catch (const Error& err) {
+    EXPECT_EQ(err.kind(), ErrorKind::kSnapshotFormat);
+  }
 }
 
 TEST(SnapshotCorruption, GarbagePayloadNeverUb) {
