@@ -30,7 +30,6 @@
 #include "dram/presets.hpp"
 #include "dram/protocol_checker.hpp"
 #include "reliability/manager.hpp"
-#include "service/batch.hpp"
 #include "service/result_store.hpp"
 #include "telemetry/interval.hpp"
 #include "telemetry/multi_hooks.hpp"
@@ -497,48 +496,6 @@ void BM_SweepWarmStore(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * cfgs.size()));
 }
 BENCHMARK(BM_SweepWarmStore)->Unit(benchmark::kMillisecond);
-
-// --- sharded batch evaluation: before/after pair ---------------------------
-// The exploration-service fan-out: the same deduplicated batch evaluated
-// serially in-process versus sharded across forked worker processes
-// (warm-up snapshots shipped per task; results streamed back). Store-less
-// on both sides so the comparison isolates the sharding win.
-
-void BM_BatchSerial(benchmark::State& state) {
-  const auto cfgs = sweep_candidates();
-  core::EvalWorkload w;
-  w.demand_gbyte_s = 2.0;
-  w.sim_cycles = 50'000;
-  for (auto _ : state) {
-    core::Evaluator ev;
-    ev.set_threads(1);
-    service::BatchEvaluator batch(ev, service::BatchOptions{});
-    for (const auto& c : cfgs) batch.submit(c, w);
-    benchmark::DoNotOptimize(batch.run());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfgs.size()));
-}
-BENCHMARK(BM_BatchSerial)->Unit(benchmark::kMillisecond);
-
-void BM_BatchSharded(benchmark::State& state) {
-  const auto cfgs = sweep_candidates();
-  core::EvalWorkload w;
-  w.demand_gbyte_s = 2.0;
-  w.sim_cycles = 50'000;
-  for (auto _ : state) {
-    core::Evaluator ev;
-    ev.set_threads(1);
-    service::BatchOptions bo;
-    bo.workers = static_cast<unsigned>(state.range(0));
-    service::BatchEvaluator batch(ev, bo);
-    for (const auto& c : cfgs) batch.submit(c, w);
-    benchmark::DoNotOptimize(batch.run());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfgs.size()));
-}
-BENCHMARK(BM_BatchSharded)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // --- checkpoint-and-fan-out: before/after pair -----------------------------
 // The warm-up amortization shape: nine config variants share one channel

@@ -3,12 +3,12 @@
 // point (simulation + models), extract the cost/bandwidth/power Pareto
 // front, and print the §2 advisor's verdicts for the paper's markets.
 //
-// Exploration-as-a-service options:
+// Options:
 //   --store <path>   attach a persistent result store (.edrs append log);
 //                    re-running against a populated store skips straight
 //                    to cache hits (see docs/service.md)
-//   --workers <n>    shard the sweep across n forked worker processes
-//                    via service::BatchEvaluator (0 = in-process)
+//   --cache-stats    print the counters of every cache tier
+//   --wcet           print the analytical worst-case bounds per candidate
 
 #include <iostream>
 #include <memory>
@@ -18,7 +18,6 @@
 #include "core/advisor.hpp"
 #include "core/evaluator.hpp"
 #include "core/pareto.hpp"
-#include "service/batch.hpp"
 #include "service/result_store.hpp"
 
 int main(int argc, char** argv) {
@@ -27,7 +26,6 @@ int main(int argc, char** argv) {
 
   const Args args(argc, argv, {"cache-stats", "wcet"});
   const std::string store_path = args.get("store");
-  const unsigned workers = static_cast<unsigned>(args.get_u64("workers", 0));
 
   std::vector<SystemConfig> cfgs;
   for (const BaseProcess p :
@@ -68,25 +66,7 @@ int main(int argc, char** argv) {
   // shape fan out from one checkpointed warm-up (visible in --cache-stats).
   w.warmup_cycles = 10'000;
 
-  std::vector<Metrics> metrics;
-  if (workers > 0) {
-    // Sharded batch evaluation: dedup against the store, ship warm-up
-    // snapshots to forked workers, stream results back. Bit-identical to
-    // ev.sweep at every worker count.
-    service::BatchOptions bo;
-    bo.workers = workers;
-    bo.progress = &std::cout;
-    service::BatchEvaluator batch(ev, bo);
-    for (const auto& c : cfgs) batch.submit(c, w);
-    metrics = batch.run();
-    const service::BatchProgress& bp = batch.progress();
-    std::cout << "batch: " << bp.queued << " queued, " << bp.deduped
-              << " deduped, " << bp.store_hits << " cache/store hits, "
-              << bp.done << " done on " << workers << " workers ("
-              << bp.workers_lost << " lost)\n";
-  } else {
-    metrics = ev.sweep(cfgs, w);
-  }
+  const std::vector<Metrics> metrics = ev.sweep(cfgs, w);
 
   // Re-score the same candidates, as a refinement loop would: every
   // point is now a memo hit, and the workload arenas compiled above are

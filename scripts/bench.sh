@@ -39,7 +39,6 @@ refresh path (uniform tREFI vs self-managed)|BM_RefreshBaseline|BM_SelfManagedMa
 warm-up fan-out (checkpoint restore)|BM_SweepColdWarmup|BM_SweepCheckpointFanout
 sampled simulation (SMARTS windows)|BM_FullRun|BM_SampledRun
 cross-process sweep (persistent result store)|BM_SweepColdStore|BM_SweepWarmStore
-batch evaluation (4 forked workers)|BM_BatchSerial|BM_BatchSharded/4
 saturated stream (burst issue)|BM_SaturatedStreamBaseline|BM_SaturatedStreamBurst
 strided sweep (burst issue)|BM_StridedSweepBaseline|BM_StridedSweepBurst
 PAIRS

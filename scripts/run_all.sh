@@ -61,12 +61,11 @@ ctest --test-dir build -L wcet --output-on-failure
 build/examples/scheduler_tournament
 
 # Exploration-service gate: the persistent EDRS result store (round
-# trips, torn-tail crash recovery, corruption fuzz), the fork-based
-# worker pool, and the sharded batch differentials (results bit-identical
-# to the in-process reference at every worker count, including with a
-# worker killed mid-batch).
+# trips, torn-tail crash recovery, failed-append rollback, corruption
+# fuzz), the Metrics wire codec, and the cross-process warm start
+# (results bit-identical to the in-process reference).
 echo
-echo "exploration service (result store + sharded batch):"
+echo "exploration service (result store + warm starts):"
 ctest --test-dir build -L service --output-on-failure
 
 {

@@ -43,7 +43,6 @@ build-asan/tests/edsim_wcet_tests
 
 # Result-store hardening: the service suite decodes every truncation and
 # every byte flip of an EDRS append log (varint length prefixes, sealed
-# record envelopes, torn-tail truncation via resize_file), and drives the
-# fork/pipe worker protocol — buffer handling on both sides of the frame
-# framing gets exercised under ASan/UBSan.
+# record envelopes, torn-tail truncation on open, failed-append rollback)
+# under ASan/UBSan.
 build-asan/tests/edsim_service_tests

@@ -14,7 +14,6 @@ enum class ErrorKind : std::uint8_t {
   kTraceFormat,        ///< binary trace stream is corrupt or truncated
   kSnapshotFormat,     ///< simulator-state snapshot is corrupt or truncated
   kStoreFormat,        ///< persistent result store is corrupt mid-file
-  kWorkerProtocol,     ///< sharded-evaluation worker frame is malformed
 };
 
 inline const char* to_string(ErrorKind k) {
@@ -25,7 +24,6 @@ inline const char* to_string(ErrorKind k) {
     case ErrorKind::kTraceFormat: return "trace-format";
     case ErrorKind::kSnapshotFormat: return "snapshot-format";
     case ErrorKind::kStoreFormat: return "store-format";
-    case ErrorKind::kWorkerProtocol: return "worker-protocol";
   }
   return "?";
 }

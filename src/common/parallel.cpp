@@ -1,14 +1,7 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdlib>
-#include <cstring>
-
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 namespace edsim {
 
@@ -132,202 +125,6 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
     return;
   }
   ThreadPool::global().for_each_index(n, fn, threads);
-}
-
-namespace {
-
-/// Upper bound on a single frame; anything larger is treated as a
-/// protocol error (the peer is declared dead) rather than an allocation.
-constexpr std::uint64_t kMaxFrameBytes = 1ull << 30;
-
-bool write_all(int fd, const void* p, std::size_t n) {
-  const auto* cur = static_cast<const std::uint8_t*>(p);
-  while (n > 0) {
-    const ssize_t got = ::write(fd, cur, n);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    cur += got;
-    n -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-/// Read exactly n bytes; false on EOF or error (partial reads from a
-/// dying peer count as EOF).
-bool read_all(int fd, void* p, std::size_t n) {
-  auto* cur = static_cast<std::uint8_t*>(p);
-  while (n > 0) {
-    const ssize_t got = ::read(fd, cur, n);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (got == 0) return false;
-    cur += got;
-    n -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-bool write_frame(int fd, const std::vector<std::uint8_t>& payload) {
-  std::uint8_t len[8];
-  const std::uint64_t n = payload.size();
-  for (int i = 0; i < 8; ++i) len[i] = static_cast<std::uint8_t>(n >> (8 * i));
-  return write_all(fd, len, sizeof len) &&
-         write_all(fd, payload.data(), payload.size());
-}
-
-bool read_frame(int fd, std::vector<std::uint8_t>& payload) {
-  std::uint8_t len[8];
-  if (!read_all(fd, len, sizeof len)) return false;
-  std::uint64_t n = 0;
-  for (int i = 0; i < 8; ++i) n |= static_cast<std::uint64_t>(len[i]) << (8 * i);
-  if (n > kMaxFrameBytes) return false;
-  payload.resize(static_cast<std::size_t>(n));
-  return n == 0 || read_all(fd, payload.data(), payload.size());
-}
-
-/// Child-side request loop. Never returns: _exit keeps the forked copy
-/// from running parent-owned atexit handlers and destructors.
-[[noreturn]] void serve(int rd, int wr, const ProcessPool::Handler& handler) {
-  std::vector<std::uint8_t> req;
-  while (read_frame(rd, req)) {
-    std::vector<std::uint8_t> resp;
-    try {
-      resp = handler(req);
-    } catch (...) {
-      ::_exit(2);
-    }
-    if (!write_frame(wr, resp)) ::_exit(3);
-  }
-  ::_exit(0);  // request pipe closed: clean shutdown
-}
-
-}  // namespace
-
-ProcessPool::ProcessPool(unsigned workers, Handler handler) {
-  // A worker killed mid-read must not take the coordinator down with
-  // SIGPIPE; sends to it fail with EPIPE and wait() reports the death.
-  std::signal(SIGPIPE, SIG_IGN);
-  workers_.resize(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    int to_child[2] = {-1, -1};
-    int to_parent[2] = {-1, -1};
-    if (::pipe(to_child) != 0) continue;  // worker stays dead
-    if (::pipe(to_parent) != 0) {
-      ::close(to_child[0]);
-      ::close(to_child[1]);
-      continue;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(to_child[0]);
-      ::close(to_child[1]);
-      ::close(to_parent[0]);
-      ::close(to_parent[1]);
-      continue;
-    }
-    if (pid == 0) {
-      // Child: drop the parent-side ends of its own pipes plus every
-      // earlier worker's fds, so sibling pipes close as soon as the
-      // coordinator closes them.
-      ::close(to_child[1]);
-      ::close(to_parent[0]);
-      for (unsigned i = 0; i < w; ++i) {
-        if (workers_[i].in >= 0) ::close(workers_[i].in);
-        if (workers_[i].out >= 0) ::close(workers_[i].out);
-      }
-      serve(to_child[0], to_parent[1], handler);
-    }
-    ::close(to_child[0]);
-    ::close(to_parent[1]);
-    workers_[w] = Worker{pid, to_child[1], to_parent[0], true};
-  }
-}
-
-ProcessPool::~ProcessPool() {
-  // Closing the request pipes is the shutdown signal: workers see EOF
-  // and _exit(0). Then reap everything still breathing.
-  for (auto& w : workers_) {
-    if (w.in >= 0) {
-      ::close(w.in);
-      w.in = -1;
-    }
-  }
-  for (auto& w : workers_) {
-    if (w.pid > 0) ::waitpid(w.pid, nullptr, 0);
-    if (w.out >= 0) ::close(w.out);
-  }
-}
-
-bool ProcessPool::alive(unsigned w) const {
-  return w < workers_.size() && workers_[w].alive;
-}
-
-unsigned ProcessPool::alive_count() const {
-  unsigned n = 0;
-  for (const auto& w : workers_) n += w.alive ? 1u : 0u;
-  return n;
-}
-
-bool ProcessPool::send(unsigned w, const std::vector<std::uint8_t>& payload) {
-  if (!alive(w)) return false;
-  // On failure (EPIPE from a dead child) the response pipe is already at
-  // EOF, so the next wait() delivers the exit event; don't reap here.
-  return write_frame(workers_[w].in, payload);
-}
-
-void ProcessPool::reap(unsigned w) {
-  Worker& wk = workers_[w];
-  wk.alive = false;
-  if (wk.in >= 0) {
-    ::close(wk.in);
-    wk.in = -1;
-  }
-  if (wk.out >= 0) {
-    ::close(wk.out);
-    wk.out = -1;
-  }
-  if (wk.pid > 0) {
-    ::waitpid(wk.pid, nullptr, 0);
-    wk.pid = -1;
-  }
-}
-
-bool ProcessPool::wait(Event& ev) {
-  std::vector<pollfd> fds;
-  std::vector<unsigned> owner;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    if (!workers_[w].alive) continue;
-    fds.push_back(pollfd{workers_[w].out, POLLIN, 0});
-    owner.push_back(w);
-  }
-  if (fds.empty()) return false;
-  while (::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1) < 0) {
-    if (errno != EINTR) return false;
-  }
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (fds[i].revents == 0) continue;
-    const unsigned w = owner[i];
-    // Even on POLLHUP try the read first: a worker that answered and then
-    // exited still has its final frame buffered in the pipe.
-    std::vector<std::uint8_t> payload;
-    if (read_frame(workers_[w].out, payload)) {
-      ev = Event{w, false, std::move(payload)};
-      return true;
-    }
-    reap(w);
-    ev = Event{w, true, {}};
-    return true;
-  }
-  return false;  // poll woke with nothing actionable; callers retry
-}
-
-void ProcessPool::terminate(unsigned w) {
-  if (!alive(w)) return;
-  if (workers_[w].pid > 0) ::kill(workers_[w].pid, SIGKILL);
 }
 
 }  // namespace edsim

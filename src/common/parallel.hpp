@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include <sys/types.h>
-
 namespace edsim {
 
 /// Worker count used when a caller passes 0: the EDSIM_THREADS environment
@@ -79,85 +77,5 @@ class ThreadPool {
 /// independent of the thread count.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   unsigned threads = 0);
-
-/// Pool of forked worker *processes* speaking a length-framed binary
-/// request/response protocol over pipes. This is the sharding substrate
-/// for service/batch.hpp: each worker is a fork-time copy of the parent
-/// (so it inherits evaluator state for free), receives one sealed request
-/// frame at a time, and answers with exactly one response frame.
-///
-/// Frame layout on both pipes: 8-byte little-endian payload length
-/// followed by the payload bytes. Workers that die (crash, SIGKILL via
-/// terminate(), malformed frame) surface as an Event with exited == true
-/// from wait(); the pool never blocks on a dead worker and the caller is
-/// free to requeue whatever that worker was holding.
-///
-/// Fork caveats, honoured by the batch layer: workers must be forked
-/// before the parent starts heavy multi-threading (only the forking
-/// thread survives in the child), and the child-side handler must not
-/// touch resources whose file offsets are shared with the parent (e.g.
-/// it runs with the persistent result store detached and with
-/// single-threaded evaluation). The constructor ignores SIGPIPE
-/// process-wide so writes to a dead worker fail with an error return
-/// instead of killing the coordinator.
-class ProcessPool {
- public:
-  /// Child-side request handler: payload in, payload out. Runs inside the
-  /// forked worker; a throwing handler terminates that worker (the parent
-  /// observes an exit event, not the exception).
-  using Handler =
-      std::function<std::vector<std::uint8_t>(const std::vector<std::uint8_t>&)>;
-
-  /// One observation from wait(): either a complete response frame from
-  /// `worker`, or notice that `worker` died (exited == true, empty
-  /// payload).
-  struct Event {
-    unsigned worker = 0;
-    bool exited = false;
-    std::vector<std::uint8_t> payload;
-  };
-
-  /// Forks `workers` children, each serving `handler` until its request
-  /// pipe closes. Workers whose pipes or fork fail simply come up dead;
-  /// check alive_count() — a pool with zero live workers is usable (every
-  /// send fails) so callers can fall back to in-process evaluation.
-  ProcessPool(unsigned workers, Handler handler);
-
-  /// Closes all request pipes (workers see EOF and exit) and reaps every
-  /// child.
-  ~ProcessPool();
-
-  ProcessPool(const ProcessPool&) = delete;
-  ProcessPool& operator=(const ProcessPool&) = delete;
-
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-  bool alive(unsigned w) const;
-  unsigned alive_count() const;
-
-  /// Queue one request frame to worker `w`. Returns false (without
-  /// raising) if the worker is dead or the pipe write fails; the
-  /// subsequent wait() reports the death.
-  bool send(unsigned w, const std::vector<std::uint8_t>& payload);
-
-  /// Block until some worker yields a response frame or dies. Returns
-  /// false when no workers are alive to wait on.
-  bool wait(Event& ev);
-
-  /// SIGKILL worker `w` — the chaos hook the kill-a-worker-mid-batch test
-  /// uses. The death is delivered through wait() like any other.
-  void terminate(unsigned w);
-
- private:
-  struct Worker {
-    pid_t pid = -1;
-    int in = -1;   ///< parent-side write end (requests)
-    int out = -1;  ///< parent-side read end (responses)
-    bool alive = false;
-  };
-
-  void reap(unsigned w);
-
-  std::vector<Worker> workers_;
-};
 
 }  // namespace edsim

@@ -156,7 +156,7 @@ std::unique_ptr<clients::MemorySystem> build_eval_system(
 }
 
 /// The checkpoint-cache key for one simulation shape (channel config,
-/// driven region, arena mode, workload). Mirrored by warmup_key().
+/// driven region, arena mode, workload).
 std::uint64_t shape_key(const SimShape& sh, const EvalWorkload& w,
                         bool use_arena) {
   ContentHasher ck;
@@ -241,12 +241,6 @@ void Evaluator::preload_result(std::uint64_t key, const Metrics& m) const {
   if (store != nullptr) store->put(key, m);
 }
 
-std::uint64_t Evaluator::warmup_key(const SystemConfig& cfg,
-                                    const EvalWorkload& w) const {
-  cfg.validate();
-  return shape_key(make_shape(cfg, w), w, use_arena_);
-}
-
 std::shared_ptr<const std::vector<std::uint8_t>> Evaluator::warmup_checkpoint(
     const SystemConfig& cfg, const EvalWorkload& w) const {
   cfg.validate();
@@ -259,17 +253,6 @@ std::shared_ptr<const std::vector<std::uint8_t>> Evaluator::warmup_checkpoint(
     return std::make_shared<const std::vector<std::uint8_t>>(
         warm->save_snapshot());
   });
-}
-
-void Evaluator::import_checkpoint(std::uint64_t key,
-                                  std::vector<std::uint8_t> blob) const {
-  std::promise<std::shared_ptr<const std::vector<std::uint8_t>>> promise;
-  promise.set_value(std::make_shared<const std::vector<std::uint8_t>>(
-      std::move(blob)));
-  std::lock_guard<std::mutex> lock(caches_->ckpt_mu);
-  // First-insert-wins: an already-present (possibly in-flight) warm-up
-  // produces identical bytes, so the import is dropped.
-  caches_->ckpt.emplace(key, promise.get_future().share());
 }
 
 void Evaluator::clear_caches() const {

@@ -177,17 +177,6 @@ class Evaluator {
   std::uint64_t result_key(const SystemConfig& cfg,
                            const EvalWorkload& w) const;
 
-  /// Cache-only lookup (memo, then store): fills `*out` and returns true
-  /// without simulating, or returns false leaving `*out` untouched. The
-  /// batch front end uses this to deduplicate queued requests against
-  /// the store before sharding the residual.
-  bool lookup_result(std::uint64_t key, Metrics* out) const;
-
-  /// Insert an externally computed result (e.g. one streamed back from a
-  /// sharded worker) into the memo and, when attached, the store — the
-  /// caller asserts it equals what evaluate() would have produced.
-  void preload_result(std::uint64_t key, const Metrics& m) const;
-
   /// Checkpoint-and-fan-out (default on, inert while warmup_cycles == 0):
   /// the warm-up prefix is simulated once per channel shape, snapshot
   /// in-memory, and every config variant sharing that shape restores the
@@ -225,18 +214,11 @@ class Evaluator {
     sample_measure_cycles_ = measure_cycles;
   }
 
-  /// Warm-up checkpoints as the unit of work migration: the shape key a
-  /// (config, workload) pair checkpoints under, the sealed warm snapshot
-  /// for it (computed once through the checkpoint cache; nullptr when
-  /// warmup_cycles == 0), and an import that pre-seeds the cache so a
-  /// worker process restores a shipped snapshot instead of re-warming.
-  /// import_checkpoint is first-insert-wins, like the cache itself.
-  std::uint64_t warmup_key(const SystemConfig& cfg,
-                           const EvalWorkload& w) const;
+  /// The sealed warm-up snapshot a (config, workload) pair restores from,
+  /// computed once per channel shape through the checkpoint cache;
+  /// nullptr when warmup_cycles == 0.
   std::shared_ptr<const std::vector<std::uint8_t>> warmup_checkpoint(
       const SystemConfig& cfg, const EvalWorkload& w) const;
-  void import_checkpoint(std::uint64_t key,
-                         std::vector<std::uint8_t> blob) const;
 
   Metrics evaluate(const SystemConfig& cfg, const EvalWorkload& w) const;
 
@@ -298,6 +280,11 @@ class Evaluator {
 
   Metrics evaluate_into(const SystemConfig& cfg, const EvalWorkload& w,
                         telemetry::MetricRegistry* reg) const;
+  /// Cache-only lookup (memo, then store): fills `*out` and returns true
+  /// without simulating, or returns false leaving `*out` untouched.
+  bool lookup_result(std::uint64_t key, Metrics* out) const;
+  /// Record a computed result in the memo and, when attached, the store.
+  void preload_result(std::uint64_t key, const Metrics& m) const;
   /// The warm snapshot for one simulation shape, computing it (once) via
   /// `warm` on a miss.
   std::shared_ptr<const std::vector<std::uint8_t>> checkpoint_blob(

@@ -1,10 +1,14 @@
 #include "service/result_store.hpp"
 
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/varint.hpp"
@@ -37,6 +41,21 @@ std::vector<std::uint8_t> encode_record(std::uint64_t key,
   return rec;
 }
 
+/// Write all `n` bytes to `fd`; false on the first error (EFBIG, ENOSPC,
+/// ...), possibly after a partial write.
+bool write_all(int fd, const std::uint8_t* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t got = ::write(fd, p, n);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += got;
+    n -= static_cast<std::size_t>(got);
+  }
+  return true;
+}
+
 }  // namespace
 
 ResultStore::ResultStore(std::string path) : path_(std::move(path)) {
@@ -44,7 +63,7 @@ ResultStore::ResultStore(std::string path) : path_(std::move(path)) {
 }
 
 ResultStore::~ResultStore() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void ResultStore::open_or_create() {
@@ -108,22 +127,20 @@ void ResultStore::open_or_create() {
     stats_.entries = map_.size();
   }
 
-  if (valid_end == 0) {
-    file_ = std::fopen(path_.c_str(), "wb");
-    if (file_ == nullptr) throw_format("result store unwritable: " + path_);
-    std::fwrite(kMagic, 1, sizeof kMagic, file_);
-    std::fputc(kResultStoreVersion, file_);
-  } else {
-    // Truncate any torn tail away, then append from the clean boundary.
-    if (valid_end < bytes.size()) fs::resize_file(path_, valid_end);
-    file_ = std::fopen(path_.c_str(), "ab");
-    if (file_ == nullptr) throw_format("result store unwritable: " + path_);
+  // Truncate any torn tail away (or start a fresh file), then append
+  // from the clean boundary.
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
+  if (fd_ < 0) throw_format("result store unwritable: " + path_);
+  std::uint8_t header[kHeaderBytes];
+  std::memcpy(header, kMagic, sizeof kMagic);
+  header[sizeof kMagic] = kResultStoreVersion;
+  if (::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0 ||
+      (valid_end == 0 && !write_all(fd_, header, sizeof header))) {
+    ::close(fd_);
+    fd_ = -1;
+    throw_format("result store unwritable: " + path_);
   }
-  if (std::fflush(file_) != 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw_format("result store flush failed: " + path_);
-  }
+  end_ = valid_end == 0 ? kHeaderBytes : valid_end;
 }
 
 bool ResultStore::find(std::uint64_t key, core::Metrics* out) {
@@ -140,15 +157,23 @@ bool ResultStore::find(std::uint64_t key, core::Metrics* out) {
 
 void ResultStore::put(std::uint64_t key, const core::Metrics& m) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!map_.emplace(key, m).second) return;  // idempotent re-put
-  stats_.entries = map_.size();
+  if (map_.contains(key)) return;  // idempotent re-put
   const std::vector<std::uint8_t> rec = encode_record(key, m);
-  // One buffered write + flush: a crash between the two leaves at worst
-  // a torn tail, which the next open() recovers.
-  if (std::fwrite(rec.data(), 1, rec.size(), file_) != rec.size() ||
-      std::fflush(file_) != 0) {
-    throw_format("result store append failed: " + path_);
+  // One append: a crash mid-write leaves at worst a torn tail, which the
+  // next open() recovers. A write that fails here is cut back to the last
+  // boundary at once, so a later append never lands behind torn bytes.
+  if (!write_all(fd_, rec.data(), rec.size())) {
+    const int err = errno;
+    if (::ftruncate(fd_, static_cast<off_t>(end_)) != 0) {
+      ::close(fd_);
+      fd_ = -1;  // later puts fail instead of appending behind torn bytes
+    }
+    throw_format("result store append failed (" +
+                 std::string(std::strerror(err)) + "): " + path_);
   }
+  end_ += rec.size();
+  map_.emplace(key, m);
+  stats_.entries = map_.size();
   stats_.bytes_written += rec.size();
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -28,8 +27,8 @@ inline constexpr std::uint8_t kResultStoreVersion = 2;
 ///
 /// Each record body is a common/snapshot envelope, so every record
 /// carries its own magic/version/checksum. Writes are crash-safe by
-/// construction: a record is appended with one buffered write and
-/// flushed, so a crash can only ever leave a *torn tail* — a partial
+/// construction: a record is appended with one write, so a crash can
+/// only ever leave a *torn tail* — a partial
 /// final record — which open() detects, drops, counts in
 /// stats().recovered_tail_records, and truncates away so the next append
 /// starts from a clean boundary. Corruption anywhere *before* the tail
@@ -37,9 +36,12 @@ inline constexpr std::uint8_t kResultStoreVersion = 2;
 /// raises Error{kStoreFormat}; the store never returns a metrics vector
 /// that differs from what was put.
 ///
+/// An append that fails (disk full, file-size limit) is cut back to the
+/// last record boundary before put() throws, and the key stays absent,
+/// so the file never holds torn bytes in front of a later record.
+///
 /// Thread-safe within one process. A single writer process is assumed
-/// per file (the batch front end funnels all puts through the
-/// coordinator); concurrent readers of an already-written file are fine.
+/// per file; concurrent readers of an already-written file are fine.
 class ResultStore final : public core::ResultStoreBase {
  public:
   /// Opens (replaying the log) or creates the store at `path`.
@@ -63,7 +65,8 @@ class ResultStore final : public core::ResultStoreBase {
   std::string path_;
   std::unordered_map<std::uint64_t, core::Metrics> map_;
   core::ResultStoreStats stats_;
-  std::FILE* file_ = nullptr;  ///< append handle, positioned at the tail
+  int fd_ = -1;            ///< append-only handle
+  std::uint64_t end_ = 0;  ///< file size at the last record boundary
 };
 
 }  // namespace edsim::service

@@ -2,22 +2,6 @@
 
 namespace edsim::service {
 
-namespace {
-
-/// Decode an enum stored as its underlying integer, rejecting values
-/// outside [0, last].
-template <typename E>
-E decode_enum(SnapshotReader& r, E last, const char* what) {
-  const std::uint64_t v = r.u64();
-  if (v > static_cast<std::uint64_t>(last)) r.fail(std::string(what) +
-                                                   " enum out of range");
-  return static_cast<E>(v);
-}
-
-std::uint64_t enum_u64(auto e) { return static_cast<std::uint64_t>(e); }
-
-}  // namespace
-
 void encode_metrics(SnapshotWriter& w, const core::Metrics& m) {
   w.str(m.name);
   w.f64(m.die_area_mm2);
@@ -72,60 +56,6 @@ core::Metrics decode_metrics(SnapshotReader& r) {
   m.sustained_gbyte_s_ci = r.f64();
   m.avg_read_latency_ns_ci = r.f64();
   return m;
-}
-
-void encode_system_config(SnapshotWriter& w, const core::SystemConfig& cfg) {
-  w.str(cfg.name);
-  w.u64(enum_u64(cfg.integration));
-  w.u64(enum_u64(cfg.process));
-  w.u64(cfg.required_memory.bit_count());
-  w.u64(cfg.interface_bits);
-  w.u64(cfg.banks);
-  w.u64(cfg.page_bytes);
-  w.u64(enum_u64(cfg.page_policy));
-  w.u64(enum_u64(cfg.scheduler));
-  w.u64(enum_u64(cfg.reliability));
-  w.f64(cfg.logic_kgates);
-}
-
-core::SystemConfig decode_system_config(SnapshotReader& r) {
-  core::SystemConfig cfg;
-  cfg.name = r.str();
-  cfg.integration = decode_enum(r, core::Integration::kEmbedded,
-                                "integration");
-  cfg.process = decode_enum(r, core::BaseProcess::kMerged, "process");
-  cfg.required_memory = Capacity::bits(r.u64());
-  cfg.interface_bits = r.u32();
-  cfg.banks = r.u32();
-  cfg.page_bytes = r.u32();
-  cfg.page_policy = decode_enum(r, dram::PagePolicy::kTimeout, "page_policy");
-  cfg.scheduler = decode_enum(r, dram::SchedulerKind::kTdm, "scheduler");
-  cfg.reliability = decode_enum(r, core::ReliabilityPreset::kFull,
-                                "reliability");
-  cfg.logic_kgates = r.f64();
-  return cfg;
-}
-
-void encode_workload(SnapshotWriter& w, const core::EvalWorkload& wl) {
-  w.f64(wl.demand_gbyte_s);
-  w.u64(wl.stream_clients);
-  w.u64(wl.random_clients);
-  w.u64(wl.sim_cycles);
-  w.u64(wl.seed);
-  w.u64(wl.warmup_cycles);
-  w.f64(wl.logic_power_w);
-}
-
-core::EvalWorkload decode_workload(SnapshotReader& r) {
-  core::EvalWorkload wl;
-  wl.demand_gbyte_s = r.f64();
-  wl.stream_clients = r.u32();
-  wl.random_clients = r.u32();
-  wl.sim_cycles = r.u64();
-  wl.seed = r.u64();
-  wl.warmup_cycles = r.u64();
-  wl.logic_power_w = r.f64();
-  return wl;
 }
 
 }  // namespace edsim::service

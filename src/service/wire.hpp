@@ -2,27 +2,17 @@
 
 #include "common/snapshot.hpp"
 #include "core/evaluator.hpp"
-#include "core/system_config.hpp"
 
 namespace edsim::service {
 
-/// Binary codec shared by the persistent result store and the sharded
-/// worker protocol: Metrics, SystemConfig and EvalWorkload encoded onto
-/// the common/snapshot envelope (varint integers, bit-exact doubles).
-/// Decoders are fully bounds-checked through SnapshotReader — malformed
-/// bytes produce a structured error, never undefined behaviour — and
-/// range-check every enum, so a corrupted byte cannot smuggle an invalid
-/// enumerator into the simulator. A round trip is bit-identical, which is
-/// what lets store hits and worker results stand in for local
-/// evaluations.
+/// Binary codec of the persistent result store's records: Metrics
+/// encoded onto the common/snapshot envelope (varint integers, bit-exact
+/// doubles). The decoder is fully bounds-checked through SnapshotReader —
+/// malformed bytes produce a structured error, never undefined behaviour.
+/// A round trip is bit-identical, which is what lets store hits stand in
+/// for local evaluations.
 
 void encode_metrics(SnapshotWriter& w, const core::Metrics& m);
 core::Metrics decode_metrics(SnapshotReader& r);
-
-void encode_system_config(SnapshotWriter& w, const core::SystemConfig& cfg);
-core::SystemConfig decode_system_config(SnapshotReader& r);
-
-void encode_workload(SnapshotWriter& w, const core::EvalWorkload& wl);
-core::EvalWorkload decode_workload(SnapshotReader& r);
 
 }  // namespace edsim::service

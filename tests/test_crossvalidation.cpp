@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -174,6 +175,79 @@ TEST_P(DeviceSweep, SaturatedRowStreakSustainsOneAccessPerColumnSlot) {
   }
 }
 
+TEST_P(DeviceSweep, ActThroughputUnderBankParallelismMatchesFormula) {
+  // Every access opens a row (closed page: the auto-precharge rides the
+  // column command) and the stream rotates over the banks, so the channel
+  // issues ACTs back to back. Their mean interval is the tightest of the
+  // limits an ACT faces: tRRD between any two ACTs, tFAW per four, one
+  // bank's ACT-to-ACT turn shared over the banks, and the data slot of
+  // the access it opens. The turn is tRC, or ACT -> RD -> auto-PRE -> ACT
+  // (tRCD + BL + tRP) when longer. Each device runs with tFAW = 0, once
+  // with its own tRRD and once with a tRRD that binds, and again with a
+  // tFAW that binds.
+  const DeviceCase dc = devices()[GetParam()];
+  const unsigned slot = dc.cfg.data_cycles_per_access();
+  const std::uint64_t warm = 2'000;
+  const std::uint64_t window = 40'000;
+  const auto closed_form = [&](const DramConfig& cfg) {
+    const auto& t = cfg.timing;
+    const unsigned turn = std::max(t.tRC, t.tRCD + t.burst_length + t.tRP);
+    return std::max({static_cast<double>(t.tRRD), t.tFAW / 4.0,
+                     static_cast<double>(turn) / cfg.banks,
+                     static_cast<double>(slot)});
+  };
+  for (const char* variant : {"own tRRD", "tRRD-bound", "tFAW-bound"}) {
+    DramConfig cfg = dc.cfg;
+    cfg.page_policy = PagePolicy::kClosed;
+    const unsigned above =
+        static_cast<unsigned>(std::ceil(closed_form(cfg))) + 2;
+    if (variant == std::string("tRRD-bound")) cfg.timing.tRRD = above;
+    if (variant == std::string("tFAW-bound")) cfg.timing.tFAW = 4 * above;
+    cfg.validate();
+    const double interval = closed_form(cfg);
+    SCOPED_TRACE(std::string(dc.name) + " " + variant +
+                 " interval=" + std::to_string(interval));
+
+    Controller ctl(cfg);
+    std::uint64_t next = 0;
+    const auto run = [&](std::uint64_t cycles) {
+      for (std::uint64_t i = 0; i < cycles; ++i) {
+        while (!ctl.queue_full()) {
+          // One row per bank: no queued request ever conflicts with an
+          // open row, so the only PRE is the auto-precharge.
+          Coordinates c;
+          c.bank = static_cast<unsigned>(next % cfg.banks);
+          Request r;
+          r.addr = ctl.mapper().encode(c);
+          ASSERT_TRUE(ctl.enqueue(r));
+          ++next;
+        }
+        ctl.tick();
+        ctl.drain_completed();
+      }
+    };
+    run(warm);
+    const std::uint64_t acts0 = ctl.stats().activations;
+    run(window);
+    const auto& st = ctl.stats();
+    const double acts = static_cast<double>(st.activations - acts0);
+    // One ACT per access: only rows opened but not yet read may be ahead.
+    EXPECT_LE(st.reads, st.activations);
+    EXPECT_LE(st.activations - st.reads, cfg.banks);
+    // Fill edge: a tFAW group may straddle either end of the window, so
+    // the count may be off by up to four ACTs.
+    const double want = static_cast<double>(window) / interval;
+    if (interval > 2.0) {
+      EXPECT_NEAR(acts, want, 4.0);
+    } else {
+      // Two commands per access (ACT + column) fill the one-command-per-
+      // cycle bus, so an ACT and a column command that fall due in the
+      // same cycle push one of them back: the closed form is only a bound.
+      EXPECT_LE(acts, want + 4.0);
+    }
+  }
+}
+
 TEST_P(DeviceSweep, WriteLatencyMatchesFormula) {
   const DeviceCase dc = devices()[GetParam()];
   Controller ctl(dc.cfg);
@@ -212,6 +286,48 @@ TEST(CrossValidation, RefreshOverheadMatchesDutyCycle) {
   const double expected =
       static_cast<double>(window) / cfg.timing.tREFI;
   EXPECT_NEAR(refreshes, expected, 2.0);
+}
+
+TEST(CrossValidation, RefreshTaxMatchesPerRefreshGap) {
+  // A saturated single-row read streak with refresh on: each REF closes
+  // the row and stalls the column stream. Between the last read before
+  // the refresh and the first one after it the channel spends the read's
+  // precharge wait (BL cycles, one column slot on SDR), tRP, tRFC and
+  // tRCD, where the streak would have spent one column slot. So the
+  // accesses lost per refresh are (BL - slot + tRP + tRFC + tRCD) / slot,
+  // against the same streak with refresh off. Over N refreshes the loss
+  // may miss N times that by one access: the one the window's end cuts.
+  for (const DeviceCase& dc : devices()) {
+    const auto& t = dc.cfg.timing;
+    const unsigned slot = std::max(t.tCCD, dc.cfg.data_cycles_per_access());
+    const std::uint64_t refreshes = 20;
+    // Half an interval past the last refresh, so every stall is whole.
+    const std::uint64_t window = refreshes * t.tREFI + t.tREFI / 2;
+    std::uint64_t reads[2] = {0, 0};
+    std::uint64_t refs = 0;
+    for (const bool refresh : {false, true}) {
+      DramConfig cfg = dc.cfg;
+      cfg.refresh_enabled = refresh;
+      clients::MemorySystem sys(cfg, clients::ArbiterKind::kRoundRobin);
+      clients::StreamClient::Params p;
+      p.length = cfg.page_bytes;  // wraps inside one row
+      p.burst_bytes = cfg.bytes_per_access();
+      p.period_cycles = 0;  // endless 100%-duty demand
+      sys.add_client(std::make_unique<clients::StreamClient>(0, "duty", p));
+      sys.run(window);
+      reads[refresh] = sys.controller().stats().reads;
+      if (refresh) refs = sys.controller().stats().refreshes;
+    }
+    SCOPED_TRACE(dc.name);
+    ASSERT_EQ(refs, refreshes);
+    const double gap =
+        static_cast<double>(t.burst_length - slot + t.tRP + t.tRFC + t.tRCD) /
+        slot;
+    const double lost = static_cast<double>(reads[0] - reads[1]);
+    EXPECT_NEAR(lost, static_cast<double>(refs) * gap, 1.0)
+        << "lost per refresh " << lost / static_cast<double>(refs)
+        << ", closed form " << gap;
+  }
 }
 
 }  // namespace

@@ -35,7 +35,6 @@
 #include "dram/controller.hpp"
 #include "dram/multi_channel.hpp"
 #include "reliability/manager.hpp"
-#include "service/batch.hpp"
 #include "service/result_store.hpp"
 #include "telemetry/interval.hpp"
 #include "telemetry/metrics.hpp"
@@ -820,24 +819,6 @@ TEST(DifferentialFuzz, EvaluatorArenaMemoBitIdenticalAcrossThreadCounts) {
       }
       EXPECT_EQ(fresh.cache_stats().store.hits, cfgs.size());
       std::filesystem::remove(store_path);
-    }
-
-    // Sharded batch evaluation must be bit-identical to the in-process
-    // reference too (2 forked workers; warm-up snapshots shipped whenever
-    // this trial has warmup_cycles > 0).
-    {
-      core::Evaluator ev;
-      ev.set_threads(1);
-      service::BatchOptions bo;
-      bo.workers = 2;
-      service::BatchEvaluator batch(ev, bo);
-      for (const auto& c : cfgs) batch.submit(c, w);
-      const std::vector<core::Metrics> sharded = batch.run();
-      ASSERT_EQ(sharded.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i) + " (sharded)");
-        expect_metrics_eq(want[i], sharded[i]);
-      }
     }
 
     // Yield trials ride the same thread-count contract (chunked per-trial

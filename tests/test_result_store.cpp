@@ -1,32 +1,26 @@
 // Exploration-service tests: the persistent content-addressed result
 // store (EDRS append log — round trips, reopen replay, idempotent puts,
-// torn-tail crash recovery, every-truncation and every-byte-flip
-// corruption fuzz), the wire codec, the fork-based ProcessPool, and the
-// sharded BatchEvaluator (bit-identical to the in-process store-less
-// reference at worker counts {0,1,2,8}, including with warm-up snapshot
-// shipping and a worker SIGKILLed mid-batch). Carries the `service`
-// ctest label; scripts/sanitize.sh replays the corruption fuzz under
-// ASan/UBSan.
+// failed-append rollback, torn-tail crash recovery, every-truncation and
+// every-byte-flip corruption fuzz), the Metrics wire codec, and the store
+// tier inside the Evaluator (a fresh evaluator warm-starts from the file
+// bit-exactly). Carries the `service` ctest label; scripts/sanitize.sh
+// replays the corruption fuzz under ASan/UBSan.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
-#include <cstdio>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "core/evaluator.hpp"
-#include "service/batch.hpp"
 #include "service/result_store.hpp"
 #include "service/wire.hpp"
-#include "telemetry/progress.hpp"
 
 namespace edsim {
 namespace {
@@ -108,7 +102,7 @@ void write_file(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Small deterministic candidate list for evaluator/batch tests.
+/// Small deterministic candidate list for the evaluator tests.
 std::vector<core::SystemConfig> small_design_space() {
   std::vector<core::SystemConfig> cfgs;
   for (const unsigned width : {64u, 128u}) {
@@ -135,14 +129,13 @@ std::vector<core::SystemConfig> small_design_space() {
   return cfgs;
 }
 
-core::EvalWorkload small_workload(std::uint64_t warmup = 0) {
+core::EvalWorkload small_workload() {
   core::EvalWorkload w;
   w.demand_gbyte_s = 1.5;
   w.stream_clients = 1;
   w.random_clients = 1;
   w.sim_cycles = 8'000;
   w.seed = 99;
-  w.warmup_cycles = warmup;
   return w;
 }
 
@@ -160,49 +153,6 @@ TEST(ServiceWire, MetricsRoundTripBitExact) {
     r.expect_end();
     expect_metrics_exact(in, out);
   }
-}
-
-TEST(ServiceWire, ConfigAndWorkloadRoundTripPreservesContentHash) {
-  for (const auto& cfg : small_design_space()) {
-    SnapshotWriter w;
-    service::encode_system_config(w, cfg);
-    const auto blob = w.seal();
-    SnapshotReader r(blob);
-    const core::SystemConfig back = service::decode_system_config(r);
-    r.expect_end();
-    EXPECT_EQ(back.content_hash(), cfg.content_hash()) << cfg.name;
-    EXPECT_EQ(back.name, cfg.name);
-  }
-  const core::EvalWorkload wl = small_workload(3'000);
-  SnapshotWriter w;
-  service::encode_workload(w, wl);
-  const auto blob = w.seal();
-  SnapshotReader r(blob);
-  const core::EvalWorkload back = service::decode_workload(r);
-  r.expect_end();
-  EXPECT_EQ(back.content_hash(), wl.content_hash());
-}
-
-TEST(ServiceWire, CorruptEnumRejectedStructurally) {
-  core::SystemConfig cfg = small_design_space().front();
-  SnapshotWriter w;
-  service::encode_system_config(w, cfg);
-  // Re-encode with an out-of-range scheduler enum spliced in.
-  SnapshotWriter bad;
-  bad.str(cfg.name);
-  bad.u64(static_cast<std::uint64_t>(cfg.integration));
-  bad.u64(static_cast<std::uint64_t>(cfg.process));
-  bad.u64(cfg.required_memory.bit_count());
-  bad.u64(cfg.interface_bits);
-  bad.u64(cfg.banks);
-  bad.u64(cfg.page_bytes);
-  bad.u64(static_cast<std::uint64_t>(cfg.page_policy));
-  bad.u64(250);  // scheduler: out of range
-  bad.u64(static_cast<std::uint64_t>(cfg.reliability));
-  bad.f64(cfg.logic_kgates);
-  const auto blob = bad.seal();
-  SnapshotReader r(blob);
-  EXPECT_THROW(service::decode_system_config(r), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -271,6 +221,59 @@ TEST(ResultStore, RejectsForeignAndVersionSkewedFiles) {
   // Too short to even hold the header.
   write_file(path, {'E', 'D'});
   EXPECT_THROW(service::ResultStore{path}, Error);
+  fs::remove(path);
+}
+
+TEST(ResultStore, FailedAppendLeavesStoreReopenable) {
+  // An append that fails part-way (the file-size limit lets 10 bytes of
+  // the record through) must leave no trace: the key stays absent, the
+  // torn bytes are cut, a retried put persists, and a later put lands on
+  // a record boundary, so the file still reopens with every record.
+  const std::string path = temp_store_path("rs_failed_append");
+  fs::remove(path);
+  {
+    service::ResultStore store(path);
+    store.put(1, sample_metrics(1));
+    const std::uintmax_t good = fs::file_size(path);
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit tight = saved;
+    tight.rlim_cur = static_cast<rlim_t>(good + 10);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
+    // Ignored SIGXFSZ turns the over-limit write into an EFBIG error
+    // instead of killing the process.
+    struct sigaction ignore {};
+    struct sigaction previous {};
+    ignore.sa_handler = SIG_IGN;
+    ::sigaction(SIGXFSZ, &ignore, &previous);
+    bool threw = false;
+    try {
+      store.put(2, sample_metrics(2));
+    } catch (const Error& e) {
+      threw = true;
+      EXPECT_EQ(e.kind(), ErrorKind::kStoreFormat);
+    }
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    ::sigaction(SIGXFSZ, &previous, nullptr);
+    EXPECT_TRUE(threw);
+
+    core::Metrics m;
+    EXPECT_FALSE(store.find(2, &m)) << "a failed put must not be served";
+    EXPECT_EQ(store.entries(), 1u);
+    EXPECT_EQ(fs::file_size(path), good) << "torn bytes left in the file";
+    store.put(2, sample_metrics(2));
+    EXPECT_GT(fs::file_size(path), good) << "retried put was a no-op";
+    store.put(3, sample_metrics(3));
+  }
+  service::ResultStore again(path);
+  EXPECT_EQ(again.entries(), 3u);
+  EXPECT_EQ(again.stats().recovered_tail_records, 0u);
+  for (int k = 1; k <= 3; ++k) {
+    core::Metrics m;
+    ASSERT_TRUE(again.find(static_cast<std::uint64_t>(k), &m)) << k;
+    expect_metrics_exact(sample_metrics(k), m);
+  }
   fs::remove(path);
 }
 
@@ -396,201 +399,6 @@ TEST(ResultStore, EvaluatorWarmStartsAcrossProcessesBitExact) {
   EXPECT_EQ(cs.store.misses, 0u);
   EXPECT_EQ(cs.arena_entries, 0u) << "store hits must not compile workloads";
   fs::remove(path);
-}
-
-// ---------------------------------------------------------------------------
-// ProcessPool.
-
-TEST(ProcessPool, FramedEchoAndCleanShutdown) {
-  ProcessPool pool(2, [](const std::vector<std::uint8_t>& req) {
-    std::vector<std::uint8_t> resp = req;
-    for (auto& b : resp) b ^= 0xff;
-    return resp;
-  });
-  ASSERT_EQ(pool.alive_count(), 2u);
-  const std::vector<std::uint8_t> ping{1, 2, 3, 0x80};
-  ASSERT_TRUE(pool.send(0, ping));
-  ASSERT_TRUE(pool.send(1, {}));
-  for (int i = 0; i < 2; ++i) {
-    ProcessPool::Event ev;
-    ASSERT_TRUE(pool.wait(ev));
-    ASSERT_FALSE(ev.exited);
-    if (ev.worker == 0) {
-      ASSERT_EQ(ev.payload.size(), ping.size());
-      for (std::size_t j = 0; j < ping.size(); ++j) {
-        EXPECT_EQ(ev.payload[j], static_cast<std::uint8_t>(ping[j] ^ 0xff));
-      }
-    } else {
-      EXPECT_TRUE(ev.payload.empty());
-    }
-  }
-}
-
-TEST(ProcessPool, TerminateSurfacesAsExitEvent) {
-  ProcessPool pool(2, [](const std::vector<std::uint8_t>& req) {
-    return req;
-  });
-  ASSERT_EQ(pool.alive_count(), 2u);
-  pool.terminate(0);
-  ProcessPool::Event ev;
-  ASSERT_TRUE(pool.wait(ev));
-  EXPECT_TRUE(ev.exited);
-  EXPECT_EQ(ev.worker, 0u);
-  EXPECT_EQ(pool.alive_count(), 1u);
-  // The survivor still serves.
-  ASSERT_TRUE(pool.send(1, {9}));
-  ASSERT_TRUE(pool.wait(ev));
-  EXPECT_FALSE(ev.exited);
-  EXPECT_EQ(ev.worker, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// BatchEvaluator: sharded results bit-identical to the reference.
-
-TEST(BatchEvaluator, BitIdenticalAcrossWorkerCounts) {
-  const auto cfgs = small_design_space();
-  const core::EvalWorkload w = small_workload();
-
-  core::Evaluator ref;
-  ref.set_threads(1);
-  const auto want = ref.sweep(cfgs, w);
-
-  for (const unsigned workers : {0u, 1u, 2u, 8u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    core::Evaluator ev;
-    ev.set_threads(1);
-    service::BatchOptions bo;
-    bo.workers = workers;
-    service::BatchEvaluator batch(ev, bo);
-    for (const auto& c : cfgs) batch.submit(c, w);
-    const auto got = batch.run();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      SCOPED_TRACE("config " + std::to_string(i));
-      expect_metrics_exact(want[i], got[i]);
-    }
-    EXPECT_EQ(batch.progress().done, cfgs.size());
-    EXPECT_EQ(batch.progress().queued, cfgs.size());
-  }
-}
-
-TEST(BatchEvaluator, WarmupSnapshotShippingBitIdentical) {
-  const auto cfgs = small_design_space();
-  const core::EvalWorkload w = small_workload(/*warmup=*/4'000);
-
-  // Reference warms every point in place, no checkpointing at all.
-  core::Evaluator ref;
-  ref.set_threads(1);
-  ref.set_checkpoint(false);
-  const auto want = ref.sweep(cfgs, w);
-
-  core::Evaluator ev;
-  ev.set_threads(1);
-  service::BatchOptions bo;
-  bo.workers = 2;
-  service::BatchEvaluator batch(ev, bo);
-  for (const auto& c : cfgs) batch.submit(c, w);
-  const auto got = batch.run();
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    SCOPED_TRACE("config " + std::to_string(i));
-    expect_metrics_exact(want[i], got[i]);
-  }
-  // The coordinator computed the warm-ups (one per channel shape) and
-  // shipped them; the checkpoint cache proves it ran here.
-  EXPECT_GT(ev.cache_stats().checkpoint_entries, 0u);
-}
-
-TEST(BatchEvaluator, DeduplicatesAgainstQueueAndStore) {
-  const std::string path = temp_store_path("rs_dedup");
-  fs::remove(path);
-  const auto cfgs = small_design_space();
-  const core::EvalWorkload w = small_workload();
-
-  {
-    // Pre-populate the store with the first two points.
-    core::Evaluator seed_ev;
-    seed_ev.set_threads(1);
-    seed_ev.set_result_store(std::make_shared<service::ResultStore>(path));
-    seed_ev.evaluate(cfgs[0], w);
-    seed_ev.evaluate(cfgs[1], w);
-  }
-
-  core::Evaluator ev;
-  ev.set_threads(1);
-  ev.set_result_store(std::make_shared<service::ResultStore>(path));
-  service::BatchEvaluator batch(ev, service::BatchOptions{});
-  // Submit everything twice: duplicates must merge, stored points must
-  // resolve without evaluation.
-  for (const auto& c : cfgs) batch.submit(c, w);
-  for (const auto& c : cfgs) batch.submit(c, w);
-  const auto got = batch.run();
-  ASSERT_EQ(got.size(), 2 * cfgs.size());
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    expect_metrics_exact(got[i], got[i + cfgs.size()]);
-  }
-  const auto& bp = batch.progress();
-  EXPECT_EQ(bp.queued, 2 * cfgs.size());
-  EXPECT_EQ(bp.deduped, cfgs.size());
-  EXPECT_EQ(bp.store_hits, 2u);
-  EXPECT_EQ(bp.done, cfgs.size());
-  fs::remove(path);
-}
-
-TEST(BatchEvaluator, SurvivesWorkerKilledMidBatch) {
-  const auto cfgs = small_design_space();
-  const core::EvalWorkload w = small_workload();
-
-  core::Evaluator ref;
-  ref.set_threads(1);
-  const auto want = ref.sweep(cfgs, w);
-
-  core::Evaluator ev;
-  ev.set_threads(1);
-  service::BatchOptions bo;
-  bo.workers = 2;
-  service::BatchEvaluator batch(ev, bo);
-  bool killed = false;
-  batch.set_on_result([&](std::size_t, const core::Metrics&) {
-    if (!killed) {
-      killed = true;
-      // SIGKILL both workers' colleague — whatever it held must be
-      // requeued and the batch must still complete, bit-identically.
-      batch.terminate_worker(0);
-    }
-  });
-  for (const auto& c : cfgs) batch.submit(c, w);
-  const auto got = batch.run();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    SCOPED_TRACE("config " + std::to_string(i));
-    expect_metrics_exact(want[i], got[i]);
-  }
-  EXPECT_TRUE(killed);
-  EXPECT_GE(batch.progress().workers_lost, 1u);
-  EXPECT_EQ(batch.progress().done, cfgs.size());
-}
-
-// ---------------------------------------------------------------------------
-// Progress rows.
-
-TEST(ProgressLog, HeaderOnceThenAlignedRows) {
-  std::ostringstream os;
-  telemetry::ProgressLog log(&os, {"queued", "done"});
-  log.row({10, 0});
-  log.row({10, 5});
-  log.finish({10, 10});
-  std::istringstream lines(os.str());
-  std::string line;
-  std::vector<std::string> all;
-  while (std::getline(lines, line)) all.push_back(line);
-  ASSERT_EQ(all.size(), 4u);  // header + three rows
-  EXPECT_NE(all[0].find("queued"), std::string::npos);
-  EXPECT_NE(all[0].find("done"), std::string::npos);
-  EXPECT_NE(all[3].find("10"), std::string::npos);
-  // Disabled log costs nothing and writes nothing.
-  telemetry::ProgressLog off(nullptr, {"a"});
-  off.row({1});
-  off.finish({2});
 }
 
 }  // namespace
