@@ -168,8 +168,8 @@ BENCHMARK(BM_IdleHeavyFastForward)->Unit(benchmark::kMillisecond);
 // The saturated-channel shape: 100%-duty demand keeps the controller
 // queue full with single-bank row-hit streaks — the opposite regime from
 // the idle-heavy pair above. "Baseline" runs the front end's step() on
-// every DRAM clock; "Burst" (set_burst_issue, which switches
-// MemorySystem::dense_stretch) keeps the front end resident, advancing
+// every DRAM clock; "Burst" (set_burst_issue, which switches the dense
+// half of MemorySystem::stretch) keeps the front end resident, advancing
 // the controller event to event through dense_advance and bulk-crediting
 // the stall cycles between (bit-identical stats, command log and
 // telemetry — the differential fuzz enforces it). Both sides run the

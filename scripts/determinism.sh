@@ -12,7 +12,9 @@
 #   4. EDSIM_THREADS=4 while 3 copies of e4_sustained_bw run alongside
 #      (concurrent load perturbs thread interleavings)
 # Passes 2-4 are diffed against pass 1; the script exits non-zero on any
-# difference or on a binary that exits non-zero.
+# difference or on a binary that exits non-zero. Last, design_explorer
+# writes a fresh result store (--store) at EDSIM_THREADS=1 and 4, and the
+# two files must be byte-identical too.
 #
 # Every example runs without arguments (trace_replay falls back to its
 # built-in demo trace). perf_microbench is not an experiment binary: its
@@ -32,6 +34,8 @@ done
 [ "${#bins[@]}" -gt 0 ] || { echo "determinism: no binaries in $build"; exit 1; }
 load_bin="$build/bench/e4_sustained_bw"
 [ -x "$load_bin" ] || { echo "determinism: $load_bin missing"; exit 1; }
+explorer="$build/examples/design_explorer"
+[ -x "$explorer" ] || { echo "determinism: $explorer missing"; exit 1; }
 
 work=$(mktemp -d)
 cleanup() {
@@ -72,7 +76,17 @@ for pass in repeat threads4 loaded; do
     fi
   done
 done
+for t in 1 4; do
+  (cd "$work" && EDSIM_THREADS="$t" "$explorer" --store "store$t.edrs" \
+    > /dev/null) ||
+    { echo "determinism: design_explorer --store failed at $t threads"; exit 1; }
+done
+if ! cmp "$work/store1.edrs" "$work/store4.edrs"; then
+  echo "determinism: design_explorer --store bytes differ at 1 and 4 threads"
+  status=1
+fi
 if [ "$status" -eq 0 ]; then
-  echo "determinism: ${#bins[@]} binaries byte-identical across 4 passes"
+  echo "determinism: ${#bins[@]} binaries byte-identical across 4 passes;" \
+    "result store byte-identical at 1 and 4 threads"
 fi
 exit "$status"

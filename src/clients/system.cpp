@@ -1,5 +1,7 @@
 #include "clients/system.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/snapshot.hpp"
 
@@ -33,6 +35,18 @@ void MemorySystem::deliver_completions(std::uint64_t cycle) {
   }
 }
 
+void MemorySystem::grant(std::size_t win, std::uint64_t cycle) {
+  dram::Request r = clients_[win]->make_request(cycle);
+  r.client_id = static_cast<unsigned>(win);
+  const bool ok = controller_.enqueue(r);
+  require(ok, "memory system: enqueue failed after queue_full check");
+  arbiter_->granted(win, controller_.config().bytes_per_access());
+  stats_[win].issued++;
+  stats_[win].bytes += controller_.config().bytes_per_access();
+  fifos_[win].on_issue();
+  ++outstanding_[win];
+}
+
 void MemorySystem::step() {
   const std::uint64_t cycle = controller_.cycle();
 
@@ -55,17 +69,7 @@ void MemorySystem::step() {
   if (any_ready && !controller_.queue_full() &&
       !controller_.all_banks_retired()) {
     const std::size_t win = arbiter_->pick(ready);
-    if (win != Arbiter::kNone) {
-      dram::Request r = clients_[win]->make_request(cycle);
-      r.client_id = static_cast<unsigned>(win);
-      const bool ok = controller_.enqueue(r);
-      require(ok, "memory system: enqueue failed after queue_full check");
-      arbiter_->granted(win, controller_.config().bytes_per_access());
-      stats_[win].issued++;
-      stats_[win].bytes += controller_.config().bytes_per_access();
-      fifos_[win].on_issue();
-      ++outstanding_[win];
-    }
+    if (win != Arbiter::kNone) grant(win, cycle);
   } else if (any_ready) {
     // Back-pressure: every ready client stalls this cycle.
     for (std::size_t i = 0; i < clients_.size(); ++i) {
@@ -86,89 +90,108 @@ void MemorySystem::step() {
   controller_.tick();
 }
 
-void MemorySystem::skip_quiet_stretch(std::uint64_t end) {
-  const std::uint64_t now = controller_.cycle();
-  if (now >= end) return;
-  // A pending completion means the very next step does real work
-  // (delivery + notify_complete at its exact cycle).
-  if (controller_.has_completions()) return;
-  std::uint64_t stop = std::min(end, controller_.next_event_cycle());
-  if (!clients_paused_) {
-    for (const auto& c : clients_) {
-      const std::uint64_t wake = c->next_request_cycle(now);
-      if (wake <= now) return;  // ready now (or conservative client): no skip
-      stop = std::min(stop, wake);
-    }
+bool MemorySystem::all_done() const {
+  if (!controller_.idle()) return false;
+  for (const auto& c : clients_) {
+    if (!c->finished()) return false;
   }
-  if (stop <= now) return;
-  // Every cycle in [now, stop) is quiet: no client ready, no completion,
-  // no controller event — a per-cycle step would only sample. Credit the
-  // whole stretch in bulk, bit-identically.
-  const std::uint64_t k = stop - now;
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    fifos_[i].sample_repeated(k);
-    stats_[i].outstanding.add_repeated(static_cast<double>(outstanding_[i]),
-                                       k);
-  }
-  controller_.advance_idle(k);
+  return true;
 }
 
-void MemorySystem::dense_stretch(std::uint64_t end) {
-  // Saturated steady state: each iteration executes one boundary cycle's
-  // full step inline (delivery, then at most one arbitration grant that
-  // tops the queue back off) and bulk-credits the stall/sample-only
-  // cycles up to the next controller event. The loop only returns to
-  // per-cycle step() when demand lapses or the shape stops being provably
-  // dense — so a saturated stream never pays step()'s per-cycle overhead.
+void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
+  // Each pass executes one boundary cycle's front-end work inline
+  // (delivery, the client scan, at most one arbitration grant), then lets
+  // the controller run event to event until the next front-end-visible
+  // event, bulk-crediting the sample/stall-only cycles in between. The
+  // loop hands the cycle back to per-cycle step() only when it cannot
+  // prove the shape: a ready client without a claim, a conservative
+  // client, or a grant that leaves the queue short.
   while (true) {
     const std::uint64_t now = controller_.cycle();
-    if (now >= end || clients_paused_) return;
+    if (now >= end) return;
+    // run_to_completion's final step must be the one that first observes
+    // the done state. finished() changes only at a grant or a delivery
+    // (a pointer chase is done once its last load is delivered), and the
+    // system can only become done with the channel idle. So an idle
+    // channel with a delivery pending goes back to step(), which delivers
+    // on this same cycle and lets run_to_completion check for done.
+    if (stop_when_done &&
+        (all_done() ||
+         (controller_.idle() && controller_.has_completions()))) {
+      return;
+    }
     // Completions retired by the last covered tick deliver here — the
     // same cycle the next per-cycle step would deliver them. Safe even
     // when the loop bails below: step() then drains an empty list.
     if (controller_.has_completions()) deliver_completions(now);
-    // Readiness must provably persist across the stretch; a client that
-    // claims nothing falls back to per-cycle stepping. Scan after the
-    // delivery so notify_complete-driven state is visible, as in step().
+    // Scan after the delivery so notify_complete-driven state is visible,
+    // as in step(). `wake` is the demand horizon: the first cycle a
+    // client that is not ready now may become ready. A wake-up past `now`
+    // already proves the client idle, so has_request is asked only of
+    // the others.
     ready_.assign(clients_.size(), false);
-    std::uint64_t wake = dram::kNeverCycle;
+    std::uint64_t wake = end;
     bool any_ready = false;
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (clients_[i]->has_request(now)) {
-        if (clients_[i]->pending_run_length(now) == 0) return;
-        ready_[i] = true;
-        any_ready = true;
-      } else {
+    if (!clients_paused_) {
+      for (std::size_t i = 0; i < clients_.size(); ++i) {
         const std::uint64_t w = clients_[i]->next_request_cycle(now);
-        if (w <= now) return;  // conservative client: no claim either way
-        wake = std::min(wake, w);
+        if (w > now) {
+          wake = std::min(wake, w);
+        } else if (clients_[i]->has_request(now)) {
+          ready_[i] = true;
+          any_ready = true;
+        } else {
+          return;  // conservative client: no claim either way
+        }
       }
     }
-    if (!any_ready) return;  // quiet shape — skip_quiet_stretch's job
-    // Cycle `now` must end with a full queue: either it already is, or
-    // this cycle's single arbitration grant tops it off. Anything deeper
-    // (fill/drain transients, retired banks) is per-cycle territory.
+
+    if (!any_ready) {
+      // Quiet: nobody can issue before `wake`, so every step until then
+      // would only sample — until a retirement hands the front end a
+      // delivery. Freed queue slots matter to nobody here, so the
+      // controller runs event to event across them. The previous
+      // controller call already ticked or skipped to this cycle, so the
+      // stretch opens with a skip to the next event rather than a tick.
+      if (!fast_forward_) return;
+      const std::uint64_t ne = controller_.next_event_cycle();
+      if (ne > now) controller_.advance_idle(std::min(ne, wake) - now);
+      while (controller_.cycle() < wake && !controller_.has_completions()) {
+        controller_.dense_advance(wake);
+      }
+      const std::uint64_t k = controller_.cycle() - now;
+      for (std::size_t i = 0; i < clients_.size(); ++i) {
+        fifos_[i].sample_repeated(k);
+        stats_[i].outstanding.add_repeated(
+            static_cast<double>(outstanding_[i]), k);
+      }
+      continue;
+    }
+
+    // Dense: cycle `now` must end with a full queue: either it already
+    // is, or this cycle's single arbitration grant tops it off. Anything
+    // deeper (fill/drain transients, retired banks) is per-cycle
+    // territory.
+    if (!burst_issue_) return;
     const bool full = controller_.queue_full();
+    if (!full &&
+        (controller_.queue_size() + 1 < controller_.config().queue_depth ||
+         controller_.all_banks_retired())) {
+      return;
+    }
+    // Readiness must provably persist across the stretch; a client that
+    // claims nothing falls back to per-cycle stepping.
+    for (std::size_t i = 0; i < clients_.size(); ++i) {
+      if (ready_[i] && clients_[i]->pending_run_length(now) == 0) return;
+    }
     std::size_t win = Arbiter::kNone;
     if (!full) {
-      if (controller_.queue_size() + 1 < controller_.config().queue_depth ||
-          controller_.all_banks_retired()) {
-        return;
-      }
       // Execute cycle `now`'s arbitration exactly as step() would. With
       // any_ready set every arbiter returns a winner (and a kNone pick
       // mutates nothing, so handing the cycle back to step() is safe).
       win = arbiter_->pick(ready_);
       if (win == Arbiter::kNone) return;
-      dram::Request r = clients_[win]->make_request(now);
-      r.client_id = static_cast<unsigned>(win);
-      const bool ok = controller_.enqueue(r);
-      require(ok, "memory system: enqueue failed after queue_full check");
-      arbiter_->granted(win, controller_.config().bytes_per_access());
-      stats_[win].issued++;
-      stats_[win].bytes += controller_.config().bytes_per_access();
-      fifos_[win].on_issue();
-      ++outstanding_[win];
+      grant(win, now);
       // The grant consumed the winner's claim: re-establish it (the
       // stall credit below counts on it) or learn its wake-up instead.
       if (clients_[win]->has_request(now + 1)) {
@@ -188,7 +211,7 @@ void MemorySystem::dense_stretch(std::uint64_t end) {
     // would only stall-count and sample — and no delivery is pending.
     // Crediting the stretch afterwards is safe: the client-side
     // accumulators are disjoint from the controller's own state.
-    controller_.dense_advance(std::min(end, wake));
+    controller_.dense_advance(wake);
     const std::uint64_t k = controller_.cycle() - now;
     const bool granted_now = win != Arbiter::kNone;
     for (std::size_t i = 0; i < clients_.size(); ++i) {
@@ -208,18 +231,12 @@ void MemorySystem::run(std::uint64_t cycles) {
   const std::uint64_t end = controller_.cycle() + cycles;
   while (controller_.cycle() < end) {
     step();
-    if (fast_forward_) skip_quiet_stretch(end);
-    if (burst_issue_) dense_stretch(end);
+    if (fast_forward_ || burst_issue_) stretch(end, false);
   }
 }
 
 void MemorySystem::run_to_completion(std::uint64_t max_cycles) {
   const std::uint64_t limit = controller_.cycle() + max_cycles;
-  const auto all_done = [&] {
-    bool done = controller_.idle();
-    for (const auto& c : clients_) done = done && c->finished();
-    return done;
-  };
   while (controller_.cycle() < limit) {
     if (all_done()) {
       // One more step to deliver completions retired on the final tick.
@@ -227,13 +244,7 @@ void MemorySystem::run_to_completion(std::uint64_t max_cycles) {
       return;
     }
     step();
-    // The done flag cannot change inside a quiet stretch (no issues, no
-    // retirements), but skipping past the step() that first observes it
-    // would shift the final cycle — so never skip once done.
-    if (fast_forward_ && !all_done()) skip_quiet_stretch(limit);
-    // A dense stretch needs a full queue, which a finished system cannot
-    // have — the guard only mirrors the fast-forward one above.
-    if (burst_issue_ && !all_done()) dense_stretch(limit);
+    if (fast_forward_ || burst_issue_) stretch(limit, true);
   }
   require(false, "memory system: run_to_completion hit the cycle bound");
 }

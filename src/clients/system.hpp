@@ -41,19 +41,22 @@ class MemorySystem {
   /// Achieved / peak.
   double bandwidth_efficiency() const;
 
-  /// Disable/enable the event-driven fast path (on by default). The fast
-  /// path is bit-identical to per-cycle stepping; turning it off exists
+  /// Disable/enable the event-driven fast path for quiet stretches (on by
+  /// default; the quiet half of stretch()). While no client is ready, the
+  /// front end stops only at its own events — a client wake-up or a
+  /// retirement to deliver — and the controller runs event to event in
+  /// between. Bit-identical to per-cycle stepping; turning it off exists
   /// for the equivalence tests and for debugging with per-cycle traces.
   void set_fast_forward(bool on) { fast_forward_ = on; }
 
   /// Disable/enable the resident front end for dense traffic (on by
-  /// default; see dense_stretch). When the controller queue is full and
-  /// every ready client promises persistent demand (pending_run_length),
-  /// front-end steps between controller events are pure stall/sample
-  /// bookkeeping: they are credited in bulk while the controller runs
-  /// event to event through Controller::dense_advance. Bit-identical to
-  /// per-cycle stepping; off is the differential reference for the
-  /// equivalence and fuzz suites.
+  /// default; the dense half of stretch()). When the controller queue is
+  /// full and every ready client promises persistent demand
+  /// (pending_run_length), front-end steps between controller events are
+  /// pure stall/sample bookkeeping: they are credited in bulk while the
+  /// controller runs event to event through Controller::dense_advance.
+  /// Bit-identical to per-cycle stepping; off is the differential
+  /// reference for the equivalence and fuzz suites.
   void set_burst_issue(bool on) { burst_issue_ = on; }
   bool burst_issue() const { return burst_issue_; }
 
@@ -106,19 +109,31 @@ class MemorySystem {
 
  private:
   void step();
-  /// step()'s delivery block, shared with dense_stretch: drain retired
+  /// step()'s grant: client `win` issues its request at `cycle`.
+  void grant(std::size_t win, std::uint64_t cycle);
+  /// step()'s delivery block, shared with stretch(): drain retired
   /// requests and credit each to its client at `cycle`.
   void deliver_completions(std::uint64_t cycle);
-  /// Fast-forward: if no client can issue, no completion is pending and
-  /// the controller sees no event, bulk-credit the quiet stretch up to
-  /// `end` (bit-identical to stepping through it cycle by cycle).
-  void skip_quiet_stretch(std::uint64_t end);
-  /// Dense traffic: the saturated dual of skip_quiet_stretch. While
-  /// demand keeps the queue full, the loop executes each boundary cycle's
-  /// step inline — delivery, then at most one arbitration grant — and
-  /// bulk-credits the stall/sample-only cycles between controller events,
-  /// never returning to per-cycle step() (bit-identical).
-  void dense_stretch(std::uint64_t end);
+  /// Every client finished and the channel idle.
+  bool all_done() const;
+  /// The front end between its own events (bit-identical to per-cycle
+  /// stepping). Each pass executes one boundary cycle inline — delivery,
+  /// the client scan, at most one grant — then runs the controller event
+  /// to event (Controller::dense_advance) and bulk-credits the covered
+  /// sample/stall-only cycles:
+  ///  - quiet (no client ready; gated by set_fast_forward): up to the
+  ///    first client wake or retirement — controller events in between
+  ///    (ACT, PRE, column issue, refresh, maintenance, power-down) do
+  ///    not stop it;
+  ///  - dense (ready clients with a claim and a full or topped-off queue;
+  ///    gated by set_burst_issue): up to the first freed slot or
+  ///    retirement.
+  /// Returns to step() for anything else: a ready client without a
+  /// claim, a conservative client, a grant that leaves the queue short,
+  /// `end`, or — with `stop_when_done` — a finished system, whose last
+  /// step run_to_completion executes itself, or an idle channel with a
+  /// delivery pending, which may finish it (step() delivers it).
+  void stretch(std::uint64_t end, bool stop_when_done);
 
   dram::Controller controller_;
   std::unique_ptr<Arbiter> arbiter_;

@@ -33,6 +33,13 @@ Args::Args(int argc, const char* const* argv,
   }
 }
 
+void Args::require_known(const std::vector<std::string>& known) const {
+  for (const auto& [key, value] : values_) {
+    require(std::find(known.begin(), known.end(), key) != known.end(),
+            "args: unknown option --" + key);
+  }
+}
+
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {
   const auto it = values_.find(key);

@@ -24,6 +24,10 @@ class Args {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throws ConfigError naming the first option not in `known`, so a typo
+  /// or a removed flag is an error rather than a silent no-op.
+  void require_known(const std::vector<std::string>& known) const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

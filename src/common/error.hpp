@@ -72,5 +72,10 @@ namespace detail {
 inline void require(bool ok, const std::string& msg) {
   if (!ok) detail::throw_config(msg);
 }
+/// Literal-message overload: builds no std::string unless the check
+/// fails, so hot paths can call it without allocating.
+inline void require(bool ok, const char* msg) {
+  if (!ok) detail::throw_config(msg);
+}
 
 }  // namespace edsim

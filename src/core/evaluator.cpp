@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <memory>
+#include <optional>
 
 #include "clients/compiled_trace.hpp"
 #include "clients/system.hpp"
@@ -171,7 +173,10 @@ std::uint64_t shape_key(const SimShape& sh, const EvalWorkload& w,
 
 Metrics Evaluator::evaluate(const SystemConfig& cfg,
                             const EvalWorkload& w) const {
-  return evaluate_into(cfg, w, metrics_);
+  std::optional<std::uint64_t> fresh;
+  const Metrics m = evaluate_into(cfg, w, metrics_, &fresh);
+  if (fresh) store_result(*fresh, m);
+  return m;
 }
 
 std::uint64_t Evaluator::memo_hits() const {
@@ -232,13 +237,14 @@ bool Evaluator::lookup_result(std::uint64_t key, Metrics* out) const {
 }
 
 void Evaluator::preload_result(std::uint64_t key, const Metrics& m) const {
-  std::shared_ptr<ResultStoreBase> store;
-  {
-    std::lock_guard<std::mutex> lock(caches_->memo_mu);
-    caches_->memo.emplace(key, m);
-    store = caches_->store;
+  std::lock_guard<std::mutex> lock(caches_->memo_mu);
+  caches_->memo.emplace(key, m);
+}
+
+void Evaluator::store_result(std::uint64_t key, const Metrics& m) const {
+  if (const std::shared_ptr<ResultStoreBase> store = result_store()) {
+    store->put(key, m);
   }
-  if (store != nullptr) store->put(key, m);
 }
 
 std::shared_ptr<const std::vector<std::uint8_t>> Evaluator::warmup_checkpoint(
@@ -333,9 +339,10 @@ std::shared_ptr<const std::vector<std::uint8_t>> Evaluator::checkpoint_blob(
   }
 }
 
-Metrics Evaluator::evaluate_into(const SystemConfig& cfg,
-                                 const EvalWorkload& w,
-                                 telemetry::MetricRegistry* reg) const {
+Metrics Evaluator::evaluate_into(
+    const SystemConfig& cfg, const EvalWorkload& w,
+    telemetry::MetricRegistry* reg,
+    std::optional<std::uint64_t>* fresh) const {
   cfg.validate();
   require(w.sim_cycles > 0, "evaluator: need a simulation window");
   if (sampling_) {
@@ -519,9 +526,9 @@ Metrics Evaluator::evaluate_into(const SystemConfig& cfg,
 
   if (use_memo) {
     // First-insert-wins: concurrent sweep threads scoring the same point
-    // computed identical metrics, so a lost race changes nothing. Also
-    // appends to the persistent store when one is attached.
+    // computed identical metrics, so a lost race changes nothing.
     preload_result(memo_key, m);
+    *fresh = memo_key;
   }
   return m;
 }
@@ -529,20 +536,46 @@ Metrics Evaluator::evaluate_into(const SystemConfig& cfg,
 std::vector<Metrics> Evaluator::sweep(const std::vector<SystemConfig>& cfgs,
                                       const EvalWorkload& w) const {
   std::vector<Metrics> out(cfgs.size());
-  if (metrics_ == nullptr) {
-    parallel_for(
-        cfgs.size(), [&](std::size_t i) { out[i] = evaluate(cfgs[i], w); },
-        threads_);
-    return out;
-  }
+  // Keys of the results this sweep computed. Each reaches the store as
+  // soon as every point before it has finished, so the store's bytes do
+  // not depend on which thread finished first, and a sweep that dies
+  // partway keeps the finished prefix.
+  std::vector<std::optional<std::uint64_t>> fresh(cfgs.size());
+  std::vector<bool> done(cfgs.size(), false);
+  std::size_t next_store = 0;
+  std::mutex store_mu;
+  const auto store_finished_prefix = [&] {
+    for (; next_store < cfgs.size() && done[next_store]; ++next_store) {
+      if (fresh[next_store]) store_result(*fresh[next_store], out[next_store]);
+    }
+  };
   // One scratch registry per config, merged in input order after the
   // barrier: the shared registry never sees concurrent writes and the
   // merged totals are identical at every thread count.
-  std::vector<telemetry::MetricRegistry> regs(cfgs.size());
-  parallel_for(
-      cfgs.size(),
-      [&](std::size_t i) { out[i] = evaluate_into(cfgs[i], w, &regs[i]); },
-      threads_);
+  std::vector<telemetry::MetricRegistry> regs(
+      metrics_ != nullptr ? cfgs.size() : 0);
+  std::exception_ptr error;
+  try {
+    parallel_for(
+        cfgs.size(),
+        [&](std::size_t i) {
+          out[i] = evaluate_into(cfgs[i], w,
+                                 regs.empty() ? nullptr : &regs[i],
+                                 &fresh[i]);
+          std::lock_guard<std::mutex> lock(store_mu);
+          done[i] = true;
+          store_finished_prefix();
+        },
+        threads_);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // After a failure, the points that finished behind the failed one
+  // still reach the store, in input order.
+  for (std::size_t i = next_store; i < cfgs.size(); ++i) {
+    if (done[i] && fresh[i]) store_result(*fresh[i], out[i]);
+  }
+  if (error) std::rethrow_exception(error);
   for (const auto& r : regs) metrics_->merge(r);
   return out;
 }

@@ -5,6 +5,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -189,9 +190,9 @@ class Evaluator {
 
   /// Resident front end for dense traffic inside the simulated systems
   /// (default on; see clients::MemorySystem::set_burst_issue, which
-  /// switches MemorySystem::dense_stretch). Bit-identical to per-cycle
-  /// stepping, so results (and cache keys) do not depend on it; off is
-  /// the differential reference.
+  /// switches the dense branch of MemorySystem::stretch). Bit-identical
+  /// to per-cycle stepping, so results (and cache keys) do not depend on
+  /// it; off is the differential reference.
   void set_burst_issue(bool on) { burst_issue_ = on; }
   bool burst_issue() const { return burst_issue_; }
 
@@ -278,13 +279,19 @@ class Evaluator {
     std::shared_ptr<ResultStoreBase> store;
   };
 
+  /// Score one point against registry `reg`. A freshly computed result
+  /// enters the memo and sets `*fresh` to its key; the caller writes it to
+  /// the store (store_result), which lets sweep() write in input order.
   Metrics evaluate_into(const SystemConfig& cfg, const EvalWorkload& w,
-                        telemetry::MetricRegistry* reg) const;
+                        telemetry::MetricRegistry* reg,
+                        std::optional<std::uint64_t>* fresh) const;
   /// Cache-only lookup (memo, then store): fills `*out` and returns true
   /// without simulating, or returns false leaving `*out` untouched.
   bool lookup_result(std::uint64_t key, Metrics* out) const;
-  /// Record a computed result in the memo and, when attached, the store.
+  /// Record a computed result in the memo.
   void preload_result(std::uint64_t key, const Metrics& m) const;
+  /// Append a computed result to the store, when one is attached.
+  void store_result(std::uint64_t key, const Metrics& m) const;
   /// The warm snapshot for one simulation shape, computing it (once) via
   /// `warm` on a miss.
   std::shared_ptr<const std::vector<std::uint8_t>> checkpoint_blob(

@@ -171,11 +171,18 @@ void MaintenanceEngine::update_due(unsigned bank) {
   for (unsigned i = 0; i < cfg_.bins; ++i) {
     due = std::min(due, bin_state_[bin_index(bank, i)].next_due);
   }
+  set_due(bank, due);
+}
+
+void MaintenanceEngine::set_due(unsigned bank, std::uint64_t due) {
   due_[bank] = due;
+  min_due_ = *std::min_element(due_.begin(), due_.end());
 }
 
 dram::MaintenanceBanks MaintenanceEngine::banks(std::uint64_t cycle) const {
   dram::MaintenanceBanks m;
+  // Nothing queued and nothing due: no bank is pending, so none is urgent.
+  if (neighbor_banks_ == 0 && min_due_ > cycle) return m;
   for (unsigned b = 0; b < banks_; ++b) {
     if (pending(b, cycle)) m.pending |= std::uint64_t{1} << b;
     if (urgent(b, cycle)) m.urgent |= std::uint64_t{1} << b;
@@ -185,6 +192,8 @@ dram::MaintenanceBanks MaintenanceEngine::banks(std::uint64_t cycle) const {
 
 std::uint64_t MaintenanceEngine::next_cycle(std::uint64_t now) const {
   if (neighbor_banks_ != 0) return now;
+  // Nothing due yet: the schedule next changes at the earliest due cycle.
+  if (min_due_ > now) return min_due_;
   std::uint64_t ne = dram::kNeverCycle;
   for (unsigned b = 0; b < banks_; ++b) {
     // Nothing due yet (or nothing scheduled): the bank's schedule changes
@@ -365,7 +374,7 @@ void MaintenanceEngine::drop_bank(unsigned bank) {
   for (unsigned i = 0; i < cfg_.bins; ++i) {
     bin_state_[bin_index(bank, i)].next_due = dram::kNeverCycle;
   }
-  due_[bank] = dram::kNeverCycle;
+  set_due(bank, dram::kNeverCycle);
 }
 
 }  // namespace edsim::reliability

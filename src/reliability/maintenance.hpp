@@ -184,6 +184,8 @@ class MaintenanceEngine {
   }
   /// Recompute `bank`'s earliest due cycle from its bins.
   void update_due(unsigned bank);
+  /// Store `bank`'s earliest due cycle and refresh min_due_.
+  void set_due(unsigned bank, std::uint64_t due);
 
   MaintenanceConfig cfg_;
   unsigned banks_;
@@ -203,6 +205,9 @@ class MaintenanceEngine {
   /// kept current at every schedule mutation so pending/urgent read one
   /// value instead of walking the bins.
   std::vector<std::uint64_t> due_;
+  /// min(due_): lets banks() and next_cycle() answer "nothing due" in
+  /// O(1), the common case between claims.
+  std::uint64_t min_due_ = dram::kNeverCycle;
   std::uint64_t neighbor_banks_ = 0;  ///< bit b: neighbor_q_[b] non-empty
 };
 

@@ -53,5 +53,18 @@ TEST(Args, Errors) {
   EXPECT_THROW(a.get_double("n", 0.0), ConfigError);
 }
 
+TEST(Args, RequireKnownRejectsUnknownOptions) {
+  const Args a = make({"--store", "x.edrs", "--wcet"}, {"wcet"});
+  EXPECT_NO_THROW(a.require_known({"store", "wcet", "cache-stats"}));
+  try {
+    make({"--workers", "4"}).require_known({"store", "wcet"});
+    FAIL() << "an unknown option must throw";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--workers"), std::string::npos);
+  }
+  // The `--key=value` spelling is checked the same way.
+  EXPECT_THROW(make({"--stor=x.edrs"}).require_known({"store"}), ConfigError);
+}
+
 }  // namespace
 }  // namespace edsim

@@ -136,7 +136,7 @@ TEST_P(DeviceSweep, SaturatedRowStreakSustainsOneAccessPerColumnSlot) {
   // row hits, so after the opening ACT no command gap is left but the
   // column slot itself — one bytes_per_access() every
   // max(tCCD, data_cycles_per_access()) cycles. Holds with the resident
-  // front end (dense_stretch) on and off; the only slack is the fill edge
+  // front end (set_burst_issue) on and off; the only slack is the fill edge
   // before the first column command.
   const DeviceCase dc = devices()[GetParam()];
   if (dc.cfg.page_policy != PagePolicy::kOpen) GTEST_SKIP();

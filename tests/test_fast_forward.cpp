@@ -1,5 +1,5 @@
 // Event-driven fast-forward equivalence: tick_until / advance_idle /
-// skip_quiet_stretch must be bit-identical to per-cycle ticking — same
+// MemorySystem's front-end stretch must be bit-identical to per-cycle ticking — same
 // ControllerStats, same completion times, byte-identical reliability
 // event log — and the parallel experiment harness must produce the same
 // bits at every thread count.
@@ -11,6 +11,7 @@
 
 #include "bist/yield.hpp"
 #include "clients/client.hpp"
+#include "clients/extra_clients.hpp"
 #include "clients/multi_system.hpp"
 #include "clients/system.hpp"
 #include "common/parallel.hpp"
@@ -19,6 +20,8 @@
 #include "core/pareto.hpp"
 #include "dram/controller.hpp"
 #include "dram/presets.hpp"
+#include "mpeg/decoder_model.hpp"
+#include "mpeg/trace_gen.hpp"
 #include "reliability/manager.hpp"
 
 namespace edsim {
@@ -556,12 +559,12 @@ TEST(FastForward, MultiChannelSystemMatchesPerCycle) {
 
 // ---------------------------------------------------------------------------
 // Saturated-channel equivalence: the resident front end for dense traffic
-// (MemorySystem::dense_stretch driving Controller::dense_advance) against
-// per-cycle stepping. The suite above is idle-shape-heavy; these run at
-// 100% duty, where every cycle carries a command and set_burst_issue
-// (which switches dense_stretch) is the knob under test. The controller
-// has one scheduling path either way. Reference is dense_stretch off +
-// fast-forward off (pure per-cycle).
+// (the dense half of MemorySystem::stretch, driving
+// Controller::dense_advance) against per-cycle stepping. The suite above
+// is idle-shape-heavy; these run at 100% duty, where every cycle carries
+// a command and set_burst_issue (which switches the dense half) is the
+// knob under test. The controller has one scheduling path either way.
+// Reference is burst issue off + fast-forward off (pure per-cycle).
 
 void expect_systems_eq(const clients::MemorySystem& a,
                        const clients::MemorySystem& b) {
@@ -774,6 +777,219 @@ TEST(BurstIssue, RunToCompletionFiniteSaturatedStreams) {
   burst.run_to_completion();
   expect_systems_eq(ref, burst);
   EXPECT_EQ(ref.client_stats(0).completed, 4'000u);
+}
+
+// ---------------------------------------------------------------------------
+// The front end stops only at its own events. While no client is ready,
+// the quiet half of MemorySystem::stretch runs the controller event to
+// event across ACT/PRE, column issue, power-down and maintenance claims,
+// returning only for a client wake-up or a retirement to deliver. The
+// shape is the idle-decode regime: an MPEG2 decoder plus a paced player
+// stream on a power-managed channel with weak cells and self-managed
+// maintenance.
+
+DramConfig idle_decode_config() {
+  DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
+  cfg.powerdown_enabled = true;
+  cfg.powerdown_idle_cycles = 32;
+  return cfg;
+}
+
+reliability::ReliabilityConfig idle_decode_reliability() {
+  reliability::ReliabilityConfig rc;
+  rc.inject.seed = 21;
+  rc.inject.weak_cells = 12;
+  rc.inject.weak_retention_min_frac = 0.002;
+  rc.inject.weak_retention_max_frac = 0.002;
+  rc.scrub_enabled = false;
+  rc.maintenance.enabled = true;
+  return rc;
+}
+
+/// A player stream paced at 8 MB/s on `cfg`'s clock.
+std::unique_ptr<clients::Client> player_stream(unsigned id,
+                                               const DramConfig& cfg,
+                                               std::uint64_t window) {
+  clients::StreamClient::Params p;
+  p.base = 3u << 20;
+  p.length = 256u << 10;
+  p.burst_bytes = cfg.bytes_per_access();
+  p.period_cycles = static_cast<unsigned>(
+      static_cast<double>(p.burst_bytes) / (8e6 / cfg.clock.hz()));
+  p.total_requests = window / p.period_cycles + 1;
+  return std::make_unique<clients::StreamClient>(id, "player", p);
+}
+
+/// The idle-decode system: compiled decoder clients (finished once their
+/// `window`-cycle arenas run out) plus the player stream, with the
+/// reliability layer attached in self-managed maintenance mode.
+struct IdleDecodeRig {
+  DramConfig cfg = idle_decode_config();
+  reliability::ReliabilityManager rel{cfg, idle_decode_reliability()};
+  clients::MemorySystem sys{cfg, clients::ArbiterKind::kRoundRobin};
+
+  IdleDecodeRig(bool fast_forward, bool burst_issue, std::uint64_t window) {
+    sys.set_fast_forward(fast_forward);
+    sys.set_burst_issue(burst_issue);
+    sys.controller().attach_reliability(&rel);
+    const mpeg::DecoderModel model{mpeg::DecoderConfig{}};
+    mpeg::add_compiled_decoder_clients(sys, model, model.build_memory_map(),
+                                       window);
+    sys.add_client(player_stream(4, cfg, window));
+  }
+};
+
+/// Warm-up, a paused stretch (completions still deliver, nobody issues),
+/// then the rest; `finish` ends with run_to_completion instead of a
+/// fixed window.
+void drive_idle_decode(IdleDecodeRig& rig, bool finish) {
+  rig.sys.run(120'000);
+  rig.sys.set_clients_paused(true);
+  rig.sys.run(40'000);
+  rig.sys.set_clients_paused(false);
+  if (finish) {
+    rig.sys.run_to_completion();
+  } else {
+    rig.sys.run(120'000);
+  }
+  rig.rel.finalize(rig.sys.controller().cycle());
+}
+
+void expect_idle_decode_equivalent(bool finish) {
+  const std::uint64_t window = 240'000;
+  IdleDecodeRig ref(/*fast_forward=*/false, /*burst_issue=*/false, window);
+  drive_idle_decode(ref, finish);
+  // Sanity: the window exercises every event source the stretch crosses.
+  const dram::ControllerStats& rs = ref.sys.controller().stats();
+  ASSERT_GT(rs.powerdown_cycles, rs.cycles / 4);
+  ASSERT_GT(rs.maintenance_ops, 0u);
+  ASSERT_GT(rs.reads + rs.writes, 1'000u);
+  ASSERT_GT(ref.rel.event_log().size(), 0u);
+  if (finish) {
+    for (std::size_t i = 0; i < ref.sys.client_count(); ++i) {
+      ASSERT_TRUE(ref.sys.client(i).finished()) << "client " << i;
+    }
+  }
+
+  for (const bool burst : {true, false}) {
+    IdleDecodeRig fast(/*fast_forward=*/true, burst, window);
+    drive_idle_decode(fast, finish);
+    SCOPED_TRACE(burst ? "quiet + dense" : "quiet only");
+    expect_systems_eq(ref.sys, fast.sys);
+    EXPECT_EQ(rs.maintenance_ops,
+              fast.sys.controller().stats().maintenance_ops);
+    EXPECT_EQ(ref.rel.counters().maint_ops, fast.rel.counters().maint_ops);
+    EXPECT_EQ(ref.rel.counters().maint_rows, fast.rel.counters().maint_rows);
+    EXPECT_EQ(ref.rel.event_log(), fast.rel.event_log());
+  }
+}
+
+TEST(FrontEndStretch, IdleDecodeRunMatchesPerCycle) {
+  expect_idle_decode_equivalent(/*finish=*/false);
+}
+
+TEST(FrontEndStretch, IdleDecodeRunToCompletionMatchesPerCycle) {
+  expect_idle_decode_equivalent(/*finish=*/true);
+}
+
+/// Forwards to another client, counting every readiness poll the front
+/// end makes (has_request, next_request_cycle, pending_run_length).
+class PollCountingClient final : public clients::Client {
+ public:
+  PollCountingClient(std::unique_ptr<clients::Client> inner,
+                     std::uint64_t* polls)
+      : Client(inner->id(), inner->name()),
+        inner_(std::move(inner)),
+        polls_(polls) {}
+
+  bool has_request(std::uint64_t cycle) const override {
+    ++*polls_;
+    return inner_->has_request(cycle);
+  }
+  std::uint64_t next_request_cycle(std::uint64_t now) const override {
+    ++*polls_;
+    return inner_->next_request_cycle(now);
+  }
+  std::uint64_t pending_run_length(std::uint64_t now) const override {
+    ++*polls_;
+    return inner_->pending_run_length(now);
+  }
+  Request make_request(std::uint64_t cycle) override {
+    return inner_->make_request(cycle);
+  }
+  void notify_rejected(std::uint64_t cycle) override {
+    inner_->notify_rejected(cycle);
+  }
+  void notify_complete(const Request& req, std::uint64_t cycle) override {
+    inner_->notify_complete(req, cycle);
+  }
+  bool finished() const override { return inner_->finished(); }
+
+ private:
+  std::unique_ptr<clients::Client> inner_;
+  std::uint64_t* polls_;
+};
+
+TEST(FrontEndStretch, QuietRunPollsClientsOnlyAtItsOwnEvents) {
+  // Two paced clients on a power-managed channel with self-managed
+  // maintenance: between grants the controller has several events per
+  // request (ACT, column issue, PRE, power-down entry and exit,
+  // maintenance claims), none of which a quiet front end needs to see.
+  // Stopping at each one would poll every client there.
+  const DramConfig cfg = idle_decode_config();
+  reliability::ReliabilityManager rel(cfg, idle_decode_reliability());
+  clients::MemorySystem sys(cfg, clients::ArbiterKind::kRoundRobin);
+  sys.controller().attach_reliability(&rel);
+  std::uint64_t polls = 0;
+  sys.add_client(std::make_unique<PollCountingClient>(
+      paced_stream(0, cfg, 400, 0), &polls));
+  sys.add_client(std::make_unique<PollCountingClient>(
+      paced_random(1, cfg, 650, 0), &polls));
+
+  sys.run(400'000);
+  const std::uint64_t grants =
+      sys.client_stats(0).issued + sys.client_stats(1).issued;
+  ASSERT_GT(grants, 1'000u);
+  ASSERT_GT(sys.controller().stats().maintenance_ops, 0u);
+  ASSERT_GT(sys.controller().stats().powerdown_cycles, 100'000u);
+  // Per grant: the grant's own step, the wake-up that led to it and the
+  // retirement that follows it, each polling both clients a bounded
+  // number of times.
+  EXPECT_LE(static_cast<double>(polls) / static_cast<double>(grants), 12.0)
+      << polls << " polls for " << grants << " grants";
+}
+
+TEST(FrontEndStretch, RunToCompletionStopsWhenTheLastDeliveryFinishes) {
+  // A finite pointer chase is finished only once its last load has been
+  // delivered, so the delivery itself makes the system done. The stretch
+  // must hand that cycle back to run_to_completion instead of running
+  // quiet (no client will ever wake) up to the cycle bound.
+  const DramConfig cfg = idle_decode_config();
+  const auto fill = [&](clients::MemorySystem& sys) {
+    clients::PointerChaseClient::Params p;
+    p.burst_bytes = cfg.bytes_per_access();
+    p.total_requests = 300;
+    p.think_cycles = 90;  // long enough to power down between loads
+    sys.add_client(
+        std::make_unique<clients::PointerChaseClient>(0, "chase", p));
+    sys.add_client(paced_stream(1, cfg, 400, 40));  // done well before
+  };
+  clients::MemorySystem ref(cfg, clients::ArbiterKind::kRoundRobin);
+  ref.set_fast_forward(false);
+  ref.set_burst_issue(false);
+  fill(ref);
+  ref.run_to_completion(1'000'000);
+  ASSERT_TRUE(ref.client(0).finished());
+  ASSERT_GT(ref.controller().stats().powerdown_cycles, 0u);
+
+  for (const bool burst : {true, false}) {
+    SCOPED_TRACE(burst ? "quiet + dense" : "quiet only");
+    clients::MemorySystem fast(cfg, clients::ArbiterKind::kRoundRobin);
+    fast.set_burst_issue(burst);
+    fill(fast);
+    fast.run_to_completion(1'000'000);
+    expect_systems_eq(ref, fast);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -278,23 +278,33 @@ std::uint64_t next_cycle_by_bins(const MaintenanceEngine& e, unsigned banks,
 }
 
 TEST(MaintenanceEngine, QueriesMatchTheirPerBinDefinitions) {
+  // banks() and next_cycle() also answer "nothing due" from a cached
+  // minimum of the per-bank due cycles, so the probes include the cycles
+  // just before and at the earliest due bin, where a stale minimum would
+  // first show, and the op mix re-bins the weak cells (rebuild_bins).
   const DramConfig cfg = small_cfg();
-  FaultInjectorConfig icfg;
-  icfg.seed = 11;
-  icfg.weak_cells = 12;
-  const FaultInjector injector(cfg, icfg);
+  std::vector<std::unique_ptr<FaultInjector>> injectors;
+  for (const unsigned weak : {12u, 0u, 24u}) {
+    FaultInjectorConfig icfg;
+    icfg.seed = weak == 12 ? 11 : 40 + weak;
+    icfg.weak_cells = weak;
+    injectors.push_back(std::make_unique<FaultInjector>(cfg, icfg));
+  }
 
   MaintenanceConfig mc;
   mc.enabled = true;
   mc.bins = 3;
   mc.base_window_cycles = 3'000;
   mc.rows_per_op = 4;
-  mc.hammer_threshold = 3;
   mc.hammer_table_rows = 2;
   mc.hammer_reset_window = 50'000;
 
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    auto engine = std::make_unique<MaintenanceEngine>(cfg, mc, injector);
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    // Seeds 5 and 6 leave the RowHammer defense off, so the neighbor
+    // queues stay empty and every query takes the due-cycle path.
+    mc.hammer_threshold = seed <= 4 ? 3 : 0;
+    const FaultInjector* injector = injectors[seed % injectors.size()].get();
+    auto engine = std::make_unique<MaintenanceEngine>(cfg, mc, *injector);
     Rng rng(seed);
     std::uint64_t cycle = 0;
     for (int step = 0; step < 4'000; ++step) {
@@ -302,18 +312,21 @@ TEST(MaintenanceEngine, QueriesMatchTheirPerBinDefinitions) {
       const std::uint64_t op = rng.next_below(1'000);
       if (op < 450) {
         engine->claim(bank, cycle);
-      } else if (op < 900) {
+      } else if (op < 880) {
         // A few hot rows, so the tracker crosses the defense threshold.
         engine->record_activation(
             bank, static_cast<unsigned>(rng.next_below(6)), cycle);
-      } else if (op < 901) {  // rare: a dropped bank stays dropped
+      } else if (op < 881) {  // rare: a dropped bank stays dropped
         engine->drop_bank(bank);
+      } else if (op < 900) {
+        injector = injectors[rng.next_below(injectors.size())].get();
+        engine->rebuild_bins(*injector);
       } else {
         SnapshotWriter w;
         engine->save(w);
         const std::vector<std::uint8_t> blob = w.seal();
         SnapshotReader r(blob);
-        auto restored = std::make_unique<MaintenanceEngine>(cfg, mc, injector);
+        auto restored = std::make_unique<MaintenanceEngine>(cfg, mc, *injector);
         restored->load(r);
         r.expect_end();
         engine = std::move(restored);
@@ -321,8 +334,20 @@ TEST(MaintenanceEngine, QueriesMatchTheirPerBinDefinitions) {
       // Short steps walk through due cycles; long ones cross the slack.
       cycle += rng.next_bool(0.9) ? rng.next_below(64) : rng.next_below(2'000);
 
-      for (const std::uint64_t at :
-           {cycle, cycle + rng.next_below(200), cycle + engine->slack()}) {
+      // The earliest due cycle over every bin, by brute force.
+      std::uint64_t earliest = dram::kNeverCycle;
+      for (unsigned b = 0; b < cfg.banks; ++b) {
+        for (unsigned i = 0; i < engine->bins(); ++i) {
+          earliest = std::min(earliest, engine->bin_due(b, i));
+        }
+      }
+      std::vector<std::uint64_t> probes = {
+          cycle, cycle + rng.next_below(200), cycle + engine->slack()};
+      if (earliest != dram::kNeverCycle) {
+        probes.push_back(earliest);
+        if (earliest > 0) probes.push_back(earliest - 1);
+      }
+      for (const std::uint64_t at : probes) {
         dram::MaintenanceBanks want;
         for (unsigned b = 0; b < cfg.banks; ++b) {
           const bool p = pending_by_bins(*engine, b, at);
@@ -335,13 +360,13 @@ TEST(MaintenanceEngine, QueriesMatchTheirPerBinDefinitions) {
           want.urgent |= std::uint64_t{u} << b;
         }
         const dram::MaintenanceBanks got = engine->banks(at);
-        ASSERT_EQ(got.pending, want.pending) << "seed " << seed << " step "
-                                             << step;
-        ASSERT_EQ(got.urgent, want.urgent) << "seed " << seed << " step "
-                                           << step;
+        ASSERT_EQ(got.pending, want.pending)
+            << "seed " << seed << " step " << step << " at " << at;
+        ASSERT_EQ(got.urgent, want.urgent)
+            << "seed " << seed << " step " << step << " at " << at;
         ASSERT_EQ(engine->next_cycle(at),
                   next_cycle_by_bins(*engine, cfg.banks, at))
-            << "seed " << seed << " step " << step;
+            << "seed " << seed << " step " << step << " at " << at;
       }
     }
   }

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -399,6 +402,124 @@ TEST(ResultStore, EvaluatorWarmStartsAcrossProcessesBitExact) {
   EXPECT_EQ(cs.store.misses, 0u);
   EXPECT_EQ(cs.arena_entries, 0u) << "store hits must not compile workloads";
   fs::remove(path);
+}
+
+TEST(ResultStore, SweepWritesTheSameBytesAtEveryThreadCount) {
+  // Sweep threads finish in timing-dependent order, but new records reach
+  // the store in input order, so a fresh store's bytes do not depend on
+  // the thread count. The repeated point exercises two threads computing
+  // one key: the later put is an idempotent no-op either way.
+  std::vector<core::SystemConfig> cfgs = small_design_space();
+  cfgs.push_back(cfgs.front());
+  const core::EvalWorkload w = small_workload();
+  const auto fresh_store_bytes = [&](unsigned threads, int run) {
+    const std::string path = temp_store_path(
+        "rs_threads_" + std::to_string(threads) + "_" + std::to_string(run));
+    fs::remove(path);
+    {
+      core::Evaluator ev;
+      ev.set_threads(threads);
+      ev.set_result_store(std::make_shared<service::ResultStore>(path));
+      ev.sweep(cfgs, w);
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    fs::remove(path);
+    return bytes;
+  };
+  const std::vector<char> want = fresh_store_bytes(1, 0);
+  ASSERT_FALSE(want.empty());
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_EQ(fresh_store_bytes(4, run), want) << "run " << run;
+  }
+}
+
+/// In-memory store that logs every find and put, in call order.
+class LoggingStore final : public core::ResultStoreBase {
+ public:
+  struct Call {
+    bool put = false;
+    std::uint64_t key = 0;
+  };
+
+  bool find(std::uint64_t key, core::Metrics* /*out*/) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.push_back({false, key});
+    return false;
+  }
+  void put(std::uint64_t key, const core::Metrics& /*m*/) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.push_back({true, key});
+  }
+  core::ResultStoreStats stats() const override { return {}; }
+
+  std::vector<Call> calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Call> calls_;
+};
+
+TEST(ResultStore, SweepStoresEachPointOnceItsPrefixHasFinished) {
+  // A point's record is written as soon as every point before it has
+  // finished, not at the end of the sweep, so a sweep that dies partway
+  // keeps its finished prefix. A failing point (an invalid config) stops
+  // the sweep; the points before it are in the store, and every record
+  // lands in input order.
+  std::vector<core::SystemConfig> cfgs = small_design_space();
+  const core::EvalWorkload w = small_workload();
+  // Learn each valid point's key from a one-thread sweep's lookups.
+  std::vector<std::uint64_t> keys;
+  {
+    auto log = std::make_shared<LoggingStore>();
+    core::Evaluator ev;
+    ev.set_threads(1);
+    ev.set_result_store(log);
+    ev.sweep(cfgs, w);
+    for (const LoggingStore::Call& c : log->calls()) {
+      if (!c.put) keys.push_back(c.key);
+    }
+    ASSERT_EQ(keys.size(), cfgs.size());
+    // One thread: each point is stored before the next one is looked up.
+    const std::vector<LoggingStore::Call> calls = log->calls();
+    ASSERT_EQ(calls.size(), 2 * cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      EXPECT_FALSE(calls[2 * i].put) << i;
+      EXPECT_TRUE(calls[2 * i + 1].put) << i;
+      EXPECT_EQ(calls[2 * i + 1].key, keys[i]) << i;
+    }
+  }
+
+  constexpr std::size_t kBad = 2;
+  core::SystemConfig bad = cfgs.front();
+  bad.name = "svc-invalid";
+  bad.logic_kgates = -1.0;
+  cfgs.insert(cfgs.begin() + kBad, bad);
+  keys.insert(keys.begin() + kBad, 0);  // never looked up: validate throws
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto log = std::make_shared<LoggingStore>();
+    core::Evaluator ev;
+    ev.set_threads(threads);
+    ev.set_result_store(log);
+    EXPECT_THROW(ev.sweep(cfgs, w), ConfigError);
+    std::vector<std::size_t> stored;
+    for (const LoggingStore::Call& c : log->calls()) {
+      if (!c.put) continue;
+      const auto it = std::find(keys.begin(), keys.end(), c.key);
+      ASSERT_NE(it, keys.end());
+      stored.push_back(static_cast<std::size_t>(it - keys.begin()));
+    }
+    ASSERT_GE(stored.size(), kBad);
+    for (std::size_t i = 0; i < kBad; ++i) EXPECT_EQ(stored[i], i);
+    for (std::size_t i = 1; i < stored.size(); ++i) {
+      EXPECT_LT(stored[i - 1], stored[i]) << "records out of input order";
+    }
+  }
 }
 
 }  // namespace

@@ -359,8 +359,8 @@ TEST(WcetOracle, FcfsBoundIsTighterThanFrFcfs) {
 
 // ---------------------------------------------------------------------------
 // Dense-traffic front end under the WCET oracles: runs with the resident
-// front end on (set_burst_issue, which switches MemorySystem::
-// dense_stretch) must respect the analytical bounds exactly as per-cycle
+// front end on (set_burst_issue, which switches the dense half of
+// MemorySystem::stretch) must respect the analytical bounds exactly as per-cycle
 // runs do — bulk-crediting the stall cycles between controller events
 // cannot move a byte or a cycle past what the datasheet admits.
 
