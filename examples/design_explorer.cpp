@@ -15,7 +15,6 @@
 #include <optional>
 
 #include "common/args.hpp"
-#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/advisor.hpp"
 #include "core/evaluator.hpp"
@@ -27,30 +26,15 @@ namespace {
 constexpr const char* kUsage =
     "usage: design_explorer [--store <path>] [--cache-stats] [--wcet]\n";
 
-/// The command line, or nullopt (after printing why and the usage) when
-/// it names an unknown option or a stray argument.
-std::optional<edsim::Args> parse_args(int argc, char** argv) {
-  try {
-    edsim::Args args(argc, argv, {"cache-stats", "wcet"});
-    args.require_known({"store", "cache-stats", "wcet"});
-    if (!args.positional().empty()) {
-      throw edsim::ConfigError("unexpected argument '" +
-                               args.positional().front() + "'");
-    }
-    return args;
-  } catch (const edsim::ConfigError& e) {
-    std::cerr << "design_explorer: " << e.what() << "\n" << kUsage;
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace edsim;
   using namespace edsim::core;
 
-  const std::optional<Args> parsed = parse_args(argc, argv);
+  const std::optional<Args> parsed = parse_command_line(
+      argc, argv, "design_explorer", kUsage, {"store", "cache-stats", "wcet"},
+      {"cache-stats", "wcet"});
   if (!parsed) return 2;
   const Args& args = *parsed;
   const std::string store_path = args.get("store");

@@ -37,10 +37,25 @@
 #include "telemetry/request_tracer.hpp"
 #include "telemetry/trace.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: mpeg2_decoder [--trace <path>] [--trace-csv] [--intervals <path>]\n"
+    "                     [--interval-cycles <n>] [--arena]\n"
+    "                     [--snapshot <path>] [--restore <path>]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace edsim;
 
-  const Args args(argc, argv, {"trace-csv", "arena"});
+  const std::optional<Args> parsed = parse_command_line(
+      argc, argv, "mpeg2_decoder", kUsage,
+      {"trace", "trace-csv", "intervals", "interval-cycles", "arena",
+       "snapshot", "restore"},
+      {"trace-csv", "arena"});
+  if (!parsed) return 2;
+  const Args& args = *parsed;
 
   for (const mpeg::FrameFormat& fmt : {mpeg::pal(), mpeg::ntsc()}) {
     mpeg::DecoderConfig dc;

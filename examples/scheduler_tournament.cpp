@@ -22,12 +22,22 @@
 #include "core/wcet.hpp"
 #include "dram/config.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: scheduler_tournament [--cycles <n>] [--out <path>]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace edsim;
   using clients::SimdStridedClient;
   using clients::StridePattern;
 
-  const Args args(argc, argv);
+  const std::optional<Args> parsed = parse_command_line(
+      argc, argv, "scheduler_tournament", kUsage, {"cycles", "out"});
+  if (!parsed) return 2;
+  const Args& args = *parsed;
   const std::uint64_t cycles = args.get_u64("cycles", 200'000);
   const std::string out_path = args.get("out");
 

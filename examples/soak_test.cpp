@@ -42,6 +42,10 @@ namespace {
 
 using namespace edsim;
 
+constexpr const char* kUsage =
+    "usage: soak_test [--intervals <path>] [--interval-cycles <n>]\n"
+    "                 [--rowhammer] [--retention-bins]\n";
+
 struct SoakResult {
   dram::ReliabilityCounters counters;
   std::uint64_t client_data_errors = 0;
@@ -221,7 +225,12 @@ int main(int argc, char** argv) {
   using namespace edsim;
   using core::ReliabilityPreset;
 
-  const Args args(argc, argv, {"rowhammer", "retention-bins"});
+  const std::optional<Args> parsed = parse_command_line(
+      argc, argv, "soak_test", kUsage,
+      {"rowhammer", "retention-bins", "intervals", "interval-cycles"},
+      {"rowhammer", "retention-bins"});
+  if (!parsed) return 2;
+  const Args& args = *parsed;
 
   if (args.has("rowhammer")) rowhammer_demo();
   if (args.has("retention-bins")) retention_demo();

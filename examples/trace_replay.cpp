@@ -32,6 +32,13 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: trace_replay [--preset edram|sdram] [--mbit <n>] [--width <bits>]\n"
+    "                    [--banks <n>] [--page <bytes>]\n"
+    "                    [--scheduler fcfs|frfcfs|readfirst|tdm]\n"
+    "                    [--policy open|closed] [--binary <path>]\n"
+    "                    [trace-file]\n";
+
 constexpr const char* kDemoTrace = R"(# demo: a scanout burst, a copy loop, then scattered lookups
 0    R 0x0000
 1    R 0x0080
@@ -53,7 +60,13 @@ constexpr const char* kDemoTrace = R"(# demo: a scanout burst, a copy loop, then
 
 int main(int argc, char** argv) try {
   using namespace edsim;
-  const Args args(argc, argv);
+  const std::optional<Args> parsed = parse_command_line(
+      argc, argv, "trace_replay", kUsage,
+      {"preset", "mbit", "width", "banks", "page", "scheduler", "policy",
+       "binary"},
+      {}, /*max_positional=*/1);
+  if (!parsed) return 2;
+  const Args& args = *parsed;
 
   dram::DramConfig cfg;
   if (args.get("preset", "edram") == "sdram") {

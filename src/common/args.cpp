@@ -1,6 +1,7 @@
 #include "common/args.hpp"
 
 #include <algorithm>
+#include <iostream>
 
 #include "common/error.hpp"
 
@@ -37,6 +38,25 @@ void Args::require_known(const std::vector<std::string>& known) const {
   for (const auto& [key, value] : values_) {
     require(std::find(known.begin(), known.end(), key) != known.end(),
             "args: unknown option --" + key);
+  }
+}
+
+std::optional<Args> parse_command_line(
+    int argc, const char* const* argv, const char* program,
+    const char* usage, const std::vector<std::string>& known,
+    const std::vector<std::string>& boolean_flags,
+    std::size_t max_positional) {
+  try {
+    Args args(argc, argv, boolean_flags);
+    args.require_known(known);
+    if (args.positional().size() > max_positional) {
+      throw ConfigError("unexpected argument '" +
+                        args.positional()[max_positional] + "'");
+    }
+    return args;
+  } catch (const ConfigError& e) {
+    std::cerr << program << ": " << e.what() << "\n" << usage;
+    return std::nullopt;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,5 +33,14 @@ class Args {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// The command line of a tool that reads only the options in `known` and
+/// at most `max_positional` bare arguments, or nullopt after printing
+/// "<program>: <why>" and `usage` to stderr; the caller then exits 2.
+std::optional<Args> parse_command_line(
+    int argc, const char* const* argv, const char* program,
+    const char* usage, const std::vector<std::string>& known,
+    const std::vector<std::string>& boolean_flags = {},
+    std::size_t max_positional = 0);
 
 }  // namespace edsim

@@ -688,7 +688,15 @@ std::uint64_t Controller::next_event_cycle() const {
     if (!has_work) {
       // Power-down entry fires once the idle streak reaches the threshold;
       // if the streak has not started, the next tick starts it at cycle_.
-      upd((was_idle_ ? idle_since_ : cycle_) + cfg_.powerdown_idle_cycles);
+      // A matured streak held off by a maintenance lock or unclaimed urgent
+      // maintenance adds nothing: the lock's expiry and the urgent claim
+      // are events of maintenance_event_bound, and refresh urgency pins the
+      // bound below, so entry is re-tried exactly when its blocker clears.
+      const std::uint64_t entry =
+          (was_idle_ ? idle_since_ : cycle_) + cfg_.powerdown_idle_cycles;
+      if (entry > cycle_ || (maint_locked_ == 0 && !maintenance_any_urgent())) {
+        upd(entry);
+      }
     }
   }
 

@@ -66,5 +66,26 @@ TEST(Args, RequireKnownRejectsUnknownOptions) {
   EXPECT_THROW(make({"--stor=x.edrs"}).require_known({"store"}), ConfigError);
 }
 
+TEST(Args, ParseCommandLineReportsUsageErrors) {
+  const auto parse = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    return parse_command_line(static_cast<int>(argv.size()), argv.data(),
+                              "prog", "usage: prog\n", {"out", "fast"},
+                              {"fast"}, /*max_positional=*/1);
+  };
+  const std::optional<Args> ok = parse({"--fast", "--out", "x", "in.txt"});
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->get("out"), "x");
+  EXPECT_EQ(ok->positional().size(), 1u);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse({"--bogus", "1"}).has_value());
+  EXPECT_FALSE(parse({"a", "b"}).has_value());  // one positional at most
+  EXPECT_FALSE(parse({"--out"}).has_value());   // missing value
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("prog: args: unknown option --bogus"), std::string::npos);
+  EXPECT_NE(err.find("unexpected argument 'b'"), std::string::npos);
+  EXPECT_NE(err.find("usage: prog"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace edsim

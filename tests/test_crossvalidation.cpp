@@ -13,6 +13,7 @@
 #include "clients/system.hpp"
 #include "dram/controller.hpp"
 #include "dram/presets.hpp"
+#include "scheduled_locks.hpp"
 
 namespace edsim::dram {
 namespace {
@@ -269,6 +270,69 @@ TEST_P(DeviceSweep, PeakBandwidthAlgebra) {
   const double by_hand = static_cast<double>(dc.cfg.interface_bits) *
                          dc.cfg.clock.hz() * dc.cfg.transfers_per_clock;
   EXPECT_NEAR(dc.cfg.peak_bandwidth().bits_per_s, by_hand, 1.0) << dc.name;
+}
+
+TEST_P(DeviceSweep, PowerDownResidencyMatchesIdleGaps) {
+  // One read every `period` cycles to a powered-down channel. The read
+  // waits tXP for the wake, then pays the row-miss ladder, so its latency
+  // is tXP + tRCD + CL + data. The idle streak starts the cycle after it
+  // retires; after powerdown_idle_cycles more, the entry tick closes the
+  // open row (open page), and the channel is powered down from the next
+  // cycle until the following arrival wakes it. With closed page the
+  // auto-precharge has already closed the row and entry is that tick. A
+  // maintenance lock that lands inside the streak defers entry to the
+  // cycle the lock ends. The mean residency per gap must match to within
+  // half a cycle, so an entry one cycle late fails.
+  const DeviceCase dc = devices()[GetParam()];
+  const auto& t = dc.cfg.timing;
+  const std::uint64_t period = 400;
+  const std::uint64_t gaps = 40;
+  const std::uint64_t first = 200;  // powered down since cycle 32
+  const std::uint64_t latency =
+      dc.cfg.tXP + t.tRCD + t.tCL + dc.cfg.data_cycles_per_access();
+  const unsigned lock = 100;
+  for (const char* variant : {"open page", "closed page", "lock in gap"}) {
+    DramConfig cfg = dc.cfg;
+    cfg.powerdown_enabled = true;
+    cfg.powerdown_idle_cycles = 32;
+    cfg.page_policy = variant == std::string("open page") ? PagePolicy::kOpen
+                                                          : PagePolicy::kClosed;
+    const std::uint64_t streak = latency + 1 + cfg.powerdown_idle_cycles;
+    // The op falls due halfway through the streak, on an idle bank.
+    const std::uint64_t due = latency + 1 + cfg.powerdown_idle_cycles / 2;
+    std::uint64_t expected = period - streak;
+    if (variant == std::string("open page")) expected -= 1;  // closing PRE
+    if (variant == std::string("lock in gap")) expected = period - due - lock;
+    SCOPED_TRACE(std::string(dc.name) + " " + variant +
+                 " expected=" + std::to_string(expected));
+
+    std::vector<std::uint64_t> dues;
+    for (std::uint64_t k = 0; k < gaps; ++k) {
+      dues.push_back(first + k * period + due);
+    }
+    test::ScheduledLocks hooks(dues, lock);
+    Controller ctl(cfg);
+    if (variant == std::string("lock in gap")) ctl.attach_reliability(&hooks);
+    ctl.tick_until(first);
+    EXPECT_EQ(ctl.stats().powerdown_cycles, first - cfg.powerdown_idle_cycles);
+    std::uint64_t residency = 0;
+    for (std::uint64_t k = 0; k < gaps; ++k) {
+      const std::uint64_t pd0 = ctl.stats().powerdown_cycles;
+      Request r;
+      r.addr = 0;
+      ASSERT_TRUE(ctl.enqueue(r));
+      ctl.tick_until(first + (k + 1) * period);
+      const auto done = ctl.drain_completed();
+      ASSERT_EQ(done.size(), 1u);
+      EXPECT_EQ(done[0].latency(), latency) << "gap " << k;
+      residency += ctl.stats().powerdown_cycles - pd0;
+    }
+    if (variant == std::string("lock in gap")) {
+      ASSERT_EQ(ctl.stats().maintenance_ops, gaps);
+    }
+    EXPECT_NEAR(static_cast<double>(residency) / static_cast<double>(gaps),
+                static_cast<double>(expected), 0.5);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Presets, DeviceSweep,

@@ -23,6 +23,7 @@
 #include "mpeg/decoder_model.hpp"
 #include "mpeg/trace_gen.hpp"
 #include "reliability/manager.hpp"
+#include "scheduled_locks.hpp"
 
 namespace edsim {
 namespace {
@@ -990,6 +991,151 @@ TEST(FrontEndStretch, RunToCompletionStopsWhenTheLastDeliveryFinishes) {
     fast.run_to_completion(1'000'000);
     expect_systems_eq(ref, fast);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Power-down entry waits on its blockers. Once the idle streak has
+// matured, a held maintenance lock (or unclaimed urgent maintenance) keeps
+// tick() from entering power-down; the entry term of next_event_cycle must
+// then stay out of the bound, or every cycle of the lock becomes a tick
+// that changes nothing. The lock's expiry is the event that retries entry.
+
+/// Reads paced `period` cycles apart at scattered addresses: each gap is
+/// long enough for the idle streak to mature and the device to power down.
+std::vector<Arrival> paced_reads(const DramConfig& cfg, std::uint64_t period,
+                                 std::uint64_t end) {
+  std::vector<Arrival> out;
+  Rng rng(7);
+  const std::uint64_t span = cfg.capacity().byte_count();
+  for (std::uint64_t c = 11; c < end; c += period) {
+    out.push_back({c, rng.next_below(span) & ~31ull, dram::AccessType::kRead});
+  }
+  return out;
+}
+
+/// Counts the controller's per-tick advances and bulk skips, the per-tick
+/// advances that fall inside a maintenance lock, and records the
+/// powered-down stretches as [first, end) cycle intervals.
+class AdvanceRecorder final : public dram::TelemetryHooks {
+ public:
+  std::uint64_t ticks = 0;
+  std::uint64_t skips = 0;
+  std::uint64_t claims = 0;
+  std::uint64_t locked_ticks = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> down;
+
+  void on_command(const dram::CommandRecord& rec) override {
+    if (rec.cmd != dram::Command::kMaintStart) return;
+    ++claims;
+    lock_end_ = std::max(lock_end_, rec.cycle + rec.row);
+  }
+  void on_cycle_advance(const dram::TickSample& s,
+                        const ControllerStats& st) override {
+    ++ticks;
+    if (s.cycle - 1 < lock_end_) ++locked_ticks;
+    credit(s.cycle - 1, s.cycle, st.powerdown_cycles);
+  }
+  void on_bulk_advance(std::uint64_t from, const dram::TickSample& s,
+                       const ControllerStats& st) override {
+    ++skips;
+    credit(from, s.cycle, st.powerdown_cycles);
+  }
+
+ private:
+  /// [from, to) advanced; powered down throughout iff the power-down
+  /// count grew by its length (a stretch never straddles a transition).
+  void credit(std::uint64_t from, std::uint64_t to, std::uint64_t pd) {
+    if (pd - pd_ == to - from) {
+      if (!down.empty() && down.back().second == from) {
+        down.back().second = to;
+      } else {
+        down.emplace_back(from, to);
+      }
+    }
+    pd_ = pd;
+  }
+  std::uint64_t lock_end_ = 0;
+  std::uint64_t pd_ = 0;
+};
+
+/// One controller of the power-down + maintenance rig with every observer
+/// attached.
+struct PowerDownLockRig {
+  DramConfig cfg = idle_decode_config();
+  reliability::ReliabilityManager rel{cfg, idle_decode_reliability()};
+  Controller ctl{cfg};
+  dram::CommandLog log;
+  AdvanceRecorder rec;
+
+  PowerDownLockRig() {
+    ctl.attach_reliability(&rel);
+    ctl.attach_command_log(&log);
+    ctl.attach_telemetry(&rec);
+  }
+};
+
+TEST(PowerDownEntry, LockedIdleGapsSkipToTheLockExpiry) {
+  const std::uint64_t end = 300'000;
+  PowerDownLockRig ref;
+  PowerDownLockRig fast;
+  const std::vector<Arrival> trace = paced_reads(ref.cfg, 700, end);
+  const auto ref_done = run_per_cycle(ref.ctl, trace, end);
+  const auto fast_done = run_fast(fast.ctl, trace, end);
+  ref.rel.finalize(end);
+  fast.rel.finalize(end);
+
+  // The rig crosses the case under test: many claims, most of the window
+  // powered down.
+  const ControllerStats& rs = ref.ctl.stats();
+  ASSERT_GT(rs.maintenance_ops, 200u);
+  ASSERT_GT(rs.powerdown_cycles, end / 2);
+  ASSERT_GT(ref.rel.event_log().size(), 0u);
+
+  // Bit-identical to the per-cycle walk, power-down entries included.
+  EXPECT_EQ(ref_done, fast_done);
+  expect_stats_eq(rs, fast.ctl.stats());
+  EXPECT_EQ(rs.maintenance_ops, fast.ctl.stats().maintenance_ops);
+  EXPECT_EQ(ref.rel.counters().maint_ops, fast.rel.counters().maint_ops);
+  EXPECT_EQ(ref.rel.counters().maint_rows, fast.rel.counters().maint_rows);
+  EXPECT_EQ(ref.rel.event_log(), fast.rel.event_log());
+  EXPECT_EQ(ref.log.records(), fast.log.records());
+  EXPECT_EQ(ref.rec.down, fast.rec.down);
+  ASSERT_GT(fast.rec.down.size(), trace.size() / 2);
+
+  // A lock costs its claim tick and the odd read landing inside it, not a
+  // tick per locked cycle (about the lock duration each before the gate).
+  ASSERT_EQ(fast.rec.claims, fast.ctl.stats().maintenance_ops);
+  EXPECT_LE(fast.rec.locked_ticks, 3 * fast.rec.claims)
+      << fast.rec.locked_ticks << " ticks inside " << fast.rec.claims
+      << " locks (" << fast.rec.ticks << " ticks, " << fast.rec.skips
+      << " skips in all)";
+}
+
+TEST(PowerDownEntry, HeldLockBoundsTheNextEventAtItsExpiry) {
+  // Nothing is ever queued, so the idle streak starts at cycle 0 and
+  // matures at 32; bank 0 is claimed at 10 and locked until 110.
+  const DramConfig cfg = idle_decode_config();
+  dram::test::ScheduledLocks hooks({10}, 100);
+  Controller ctl(cfg);
+  ctl.attach_reliability(&hooks);
+  dram::CommandLog log;
+  ctl.attach_command_log(&log);
+  while (ctl.cycle() < 50) ctl.tick();
+  ASSERT_EQ(ctl.stats().maintenance_ops, 1u);
+  EXPECT_EQ(ctl.stats().powerdown_cycles, 0u);
+  EXPECT_EQ(ctl.next_event_cycle(), 110u);
+
+  // Entry fires on the expiry tick, as in the per-cycle walk.
+  dram::test::ScheduledLocks ref_hooks({10}, 100);
+  Controller ref(cfg);
+  ref.attach_reliability(&ref_hooks);
+  while (ref.cycle() < 200) ref.tick();
+  ctl.tick_until(200);
+  expect_stats_eq(ref.stats(), ctl.stats());
+  EXPECT_EQ(ctl.stats().powerdown_cycles, 90u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.records()[1].cmd, dram::Command::kMaintEnd);
+  EXPECT_EQ(log.records()[1].cycle, 110u);
 }
 
 // ---------------------------------------------------------------------------
