@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -558,62 +557,6 @@ void BM_SweepCheckpointFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepCheckpointFanout)->Unit(benchmark::kMillisecond);
 
-// --- SMARTS-style sampled simulation: before/after pair --------------------
-// "FullRun" measures the whole window; "SampledRun" alternates 20 short
-// measured windows with client-paused fast-forwarded stretches. The pair
-// reports the sampled bandwidth's relative error against the full run
-// and the 95% confidence half-width the sampler itself claims — the
-// error should sit inside the CI.
-
-constexpr std::uint64_t kSampleWindow = 1'000'000;
-
-core::Metrics run_sampled_shape(bool sampled) {
-  core::SystemConfig cfg;
-  cfg.name = "sampling-bench";
-  core::EvalWorkload w;
-  w.demand_gbyte_s = 2.0;
-  w.sim_cycles = kSampleWindow;
-  core::Evaluator ev;
-  ev.set_threads(1);
-  ev.set_memoize(false);
-  ev.set_sampling(sampled);
-  return ev.evaluate(cfg, w);
-}
-
-void BM_FullRun(benchmark::State& state) {
-  core::Metrics m;
-  for (auto _ : state) {
-    m = run_sampled_shape(false);
-    benchmark::DoNotOptimize(m.sustained_gbyte_s);
-  }
-  state.counters["sust_gbs"] = m.sustained_gbyte_s;
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kSampleWindow));
-}
-BENCHMARK(BM_FullRun)->Unit(benchmark::kMillisecond);
-
-void BM_SampledRun(benchmark::State& state) {
-  core::Metrics m;
-  for (auto _ : state) {
-    m = run_sampled_shape(true);
-    benchmark::DoNotOptimize(m.sustained_gbyte_s);
-  }
-  const core::Metrics full = run_sampled_shape(false);
-  state.counters["sust_gbs"] = m.sustained_gbyte_s;
-  state.counters["rel_error"] =
-      full.sustained_gbyte_s > 0.0
-          ? std::abs(m.sustained_gbyte_s - full.sustained_gbyte_s) /
-                full.sustained_gbyte_s
-          : 0.0;
-  state.counters["ci95_rel"] = m.sustained_gbyte_s > 0.0
-                                   ? m.sustained_gbyte_s_ci /
-                                         m.sustained_gbyte_s
-                                   : 0.0;
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kSampleWindow));
-}
-BENCHMARK(BM_SampledRun)->Unit(benchmark::kMillisecond);
-
 // --- deep-queue scheduling --------------------------------------------------
 // Deep queue, bursty arrivals, event-driven drive: every round rebuilds the
 // candidate list and every bulk step asks next_event_cycle, so this is the
@@ -655,44 +598,7 @@ void BM_DeepQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_DeepQueue)->Unit(benchmark::kMillisecond);
 
-// --- multi-channel tick_until: serial vs fanned-out ------------------------
-// Args: (channels, tick threads); threads=1 forces the serial walk, 0 uses
-// the pool default. Channels stay busy for most of each window so the
-// measurement is honest about compute scaling, not skip-length.
-
-void BM_MultiChannelTickUntil(benchmark::State& state) {
-  const auto channels = static_cast<unsigned>(state.range(0));
-  const auto threads = static_cast<unsigned>(state.range(1));
-  dram::MultiChannel mc(dram::presets::edram_module(16, 128, 4, 2048),
-                        channels, dram::ChannelInterleave::kBurst);
-  mc.set_tick_threads(threads);
-  Rng rng(13);
-  const std::uint64_t cap = mc.capacity().byte_count();
-  std::uint64_t target = 0;
-  std::vector<dram::Request> sink;
-  for (auto _ : state) {
-    for (int rep = 0; rep < 8; ++rep) {
-      for (unsigned i = 0; i < 32 * channels; ++i) {
-        dram::Request r;
-        r.addr = rng.next_below(cap) & ~127ull;
-        if (!mc.queue_full_for(r.addr)) mc.enqueue(r);
-      }
-      target += 400;
-      mc.tick_until(target);
-      mc.drain_completed_into(sink);
-      benchmark::DoNotOptimize(sink.size());
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * 8 * 400);
-}
-BENCHMARK(BM_MultiChannelTickUntil)
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({4, 0})
-    ->Args({8, 1})
-    ->Args({8, 0})
-    ->Unit(benchmark::kMillisecond);
+// --- multi-channel per-cycle tick ---------------------------------------------
 
 void BM_MultiChannelTick(benchmark::State& state) {
   dram::MultiChannel mc(dram::presets::edram_module(16, 128, 4, 2048),

@@ -29,15 +29,12 @@ cd "$(dirname "$0")/.."
 read_pairs() {
   cat <<'PAIRS'
 idle-heavy run (fast-forward)|BM_IdleHeavyPerCycle|BM_IdleHeavyFastForward
-4-channel tick_until (thread fan-out)|BM_MultiChannelTickUntil/4/1|BM_MultiChannelTickUntil/4/0
-8-channel tick_until (thread fan-out)|BM_MultiChannelTickUntil/8/1|BM_MultiChannelTickUntil/8/0
 design-space sweep (thread pool)|BM_DesignSpaceSweep/1|BM_DesignSpaceSweep/0
 Monte-Carlo yield (thread pool)|BM_MonteCarloYield/1|BM_MonteCarloYield/0
 trace workload (shared arena replay)|BM_WorkloadRegenerate|BM_WorkloadArena
 repeated sweep (evaluation memoization)|BM_SweepCold|BM_SweepMemoized
 refresh path (uniform tREFI vs self-managed)|BM_RefreshBaseline|BM_SelfManagedMaintenance
 warm-up fan-out (checkpoint restore)|BM_SweepColdWarmup|BM_SweepCheckpointFanout
-sampled simulation (SMARTS windows)|BM_FullRun|BM_SampledRun
 cross-process sweep (persistent result store)|BM_SweepColdStore|BM_SweepWarmStore
 saturated stream (burst issue)|BM_SaturatedStreamBaseline|BM_SaturatedStreamBurst
 strided sweep (burst issue)|BM_StridedSweepBaseline|BM_StridedSweepBurst
@@ -160,10 +157,6 @@ for line in sys.argv[2].splitlines():
     tb, ta = time_of(before), time_of(after)
     if tb is not None and ta is not None and ta > 0:
         print(f"  {label}: {tb / ta:.2f}x")
-for b in data["benchmarks"]:
-    if b["name"] == "BM_SampledRun" and "rel_error" in b:
-        print(f"  sampled bandwidth error: {b['rel_error'] * 100:.2f}% "
-              f"(claimed 95% CI half-width: {b['ci95_rel'] * 100:.2f}%)")
 policies = ["fcfs", "fcfs-per-bank", "fr-fcfs", "read-first", "tdm"]
 rows = [b for b in data["benchmarks"]
         if re.fullmatch(r"BM_SchedulerPolicyWcet/\d+(_median)?", b["name"])

@@ -10,9 +10,9 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# Differential fuzz gate: the fast paths (fast-forward, dense stretch,
-# channel fan-out) vs the per-cycle reference, quick tier. The slow soak
-# runs under `ctest -L slow`.
+# Differential fuzz gate: the fast paths (fast-forward, dense stretch) vs
+# the per-cycle reference, quick tier. The slow soak runs under
+# `ctest -L slow`.
 echo
 echo "differential fuzz (quick tier):"
 build/tests/edsim_fuzz_tests
@@ -67,6 +67,25 @@ build/examples/scheduler_tournament
 echo
 echo "exploration service (result store + warm starts):"
 ctest --test-dir build -L service --output-on-failure
+
+# Benchmark-driver gate: perfbench compiles the edsim sources on its own
+# (its own CMake tree under .bench_build/), so a src/ change that breaks
+# its build or moves its golden digests shows up here, not first in a
+# benchmark run. One zero-second run per workload: the driver must exit 0
+# and report every unit correct against perfbench/golden.json.
+echo
+echo "perfbench (build + golden digests):"
+for w in idle_decode design_sweep; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 --trace 0 \
+    | tail -1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+attempted, failed = r["attempted"], r["failed"]
+ok = r["correct"] and failed == 0
+verdict = "correct" if ok else "incorrect"
+print(f"  {sys.argv[1]}: {verdict} ({failed} of {attempted} units failed)")
+sys.exit(0 if ok else 1)' "$w"
+done
 
 {
   for b in build/bench/*; do

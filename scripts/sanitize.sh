@@ -9,9 +9,9 @@ cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
 # The differential fuzz quick tier is the highest-value sanitizer target:
-# randomized configs drive fast-forward, the dense stretch and multi-channel
-# fan-out against the per-cycle reference, so memory and UB bugs in the
-# fast paths surface here first. (It is part of the
+# randomized configs drive fast-forward and the dense stretch against the
+# per-cycle reference, so memory and UB bugs in the fast paths surface
+# here first. (It is part of the
 # ctest run above too; the explicit invocation keeps the gate obvious and
 # fails loudly if the binary ever drops out of the suite.)
 build-asan/tests/edsim_fuzz_tests

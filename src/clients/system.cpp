@@ -58,11 +58,9 @@ void MemorySystem::step() {
   std::vector<bool>& ready = ready_;
   ready.assign(clients_.size(), false);
   bool any_ready = false;
-  if (!clients_paused_) {
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      ready[i] = clients_[i]->has_request(cycle);
-      any_ready = any_ready || ready[i];
-    }
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    ready[i] = clients_[i]->has_request(cycle);
+    any_ready = any_ready || ready[i];
   }
   // A channel whose banks have all been retired by the reliability layer
   // accepts nothing; treat it as permanent back-pressure, not a crash.
@@ -132,17 +130,15 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
     ready_.assign(clients_.size(), false);
     std::uint64_t wake = end;
     bool any_ready = false;
-    if (!clients_paused_) {
-      for (std::size_t i = 0; i < clients_.size(); ++i) {
-        const std::uint64_t w = clients_[i]->next_request_cycle(now);
-        if (w > now) {
-          wake = std::min(wake, w);
-        } else if (clients_[i]->has_request(now)) {
-          ready_[i] = true;
-          any_ready = true;
-        } else {
-          return;  // conservative client: no claim either way
-        }
+    for (std::size_t i = 0; i < clients_.size(); ++i) {
+      const std::uint64_t w = clients_[i]->next_request_cycle(now);
+      if (w > now) {
+        wake = std::min(wake, w);
+      } else if (clients_[i]->has_request(now)) {
+        ready_[i] = true;
+        any_ready = true;
+      } else {
+        return;  // conservative client: no claim either way
       }
     }
 

@@ -99,14 +99,6 @@ class MemorySystem {
   /// The checkpoint-and-fan-out evaluator calls this after warm-up.
   void reset_measurement();
 
-  /// Pause / resume every client (SMARTS-style sampling): while paused no
-  /// client issues, so once in-flight traffic drains the event-driven fast
-  /// path leaps over the stretch in one bulk credit. Completions still
-  /// deliver and sampling still runs — pausing changes which requests
-  /// exist, so it is a sampling approximation, not a bit-identical mode.
-  void set_clients_paused(bool on) { clients_paused_ = on; }
-  bool clients_paused() const { return clients_paused_; }
-
  private:
   void step();
   /// step()'s grant: client `win` issues its request at `cycle`.
@@ -145,7 +137,6 @@ class MemorySystem {
   std::vector<bool> ready_;                       // reused arbitration mask
   bool fast_forward_ = true;
   bool burst_issue_ = true;
-  bool clients_paused_ = false;
 };
 
 }  // namespace edsim::clients

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -41,34 +40,6 @@ double logic_area(const SystemConfig& cfg) {
   const double base_density_kgates_mm2 = 40.0;
   return cfg.logic_kgates / base_density_kgates_mm2 *
          process_factors(cfg.process).logic_area_factor;
-}
-
-/// Fold one measured window's integer counters into the aggregate the
-/// power model is fed (accumulators and reliability mirrors stay at their
-/// defaults — the evaluator attaches no reliability layer).
-void add_counters(dram::ControllerStats& dst, const dram::ControllerStats& s) {
-  dst.cycles += s.cycles;
-  dst.reads += s.reads;
-  dst.writes += s.writes;
-  dst.row_hits += s.row_hits;
-  dst.row_misses += s.row_misses;
-  dst.row_conflicts += s.row_conflicts;
-  dst.activations += s.activations;
-  dst.precharges += s.precharges;
-  dst.refreshes += s.refreshes;
-  dst.data_bus_busy_cycles += s.data_bus_busy_cycles;
-  dst.bytes_transferred += s.bytes_transferred;
-  dst.powerdown_cycles += s.powerdown_cycles;
-  dst.redirected_requests += s.redirected_requests;
-  dst.watchdog_retries += s.watchdog_retries;
-  dst.maintenance_ops += s.maintenance_ops;
-}
-
-/// 95% confidence half-width of the mean over the window samples.
-double confidence95(const Accumulator& a) {
-  if (a.count() < 2) return 0.0;
-  return 1.96 * a.stddev() /
-         std::sqrt(static_cast<double>(a.count()));
 }
 
 /// Everything the simulated part of an evaluation is shaped by: the
@@ -201,18 +172,7 @@ std::shared_ptr<ResultStoreBase> Evaluator::result_store() const {
 
 std::uint64_t Evaluator::result_key(const SystemConfig& cfg,
                                     const EvalWorkload& w) const {
-  std::uint64_t key = derive_seed(cfg.content_hash(), w.content_hash());
-  if (sampling_) {
-    // Sampled runs estimate rather than measure, so they address under a
-    // key salted with the sampling shape — a full-run score is never
-    // answered from a sampled one or vice versa.
-    ContentHasher salt;
-    salt.mix(std::uint64_t{0x5a4d9})  // sampled-run namespace
-        .mix(sample_windows_)
-        .mix(sample_measure_cycles_);
-    key = derive_seed(key, salt.digest());
-  }
-  return key;
+  return derive_seed(cfg.content_hash(), w.content_hash());
 }
 
 bool Evaluator::lookup_result(std::uint64_t key, Metrics* out) const {
@@ -345,11 +305,6 @@ Metrics Evaluator::evaluate_into(
     std::optional<std::uint64_t>* fresh) const {
   cfg.validate();
   require(w.sim_cycles > 0, "evaluator: need a simulation window");
-  if (sampling_) {
-    require(sample_windows_ >= 2, "evaluator: sampling needs >= 2 windows");
-    require(w.sim_cycles / sample_windows_ >= 2,
-            "evaluator: sampling windows exceed the simulation window");
-  }
 
   // Memoization: a (config, workload) pair fully determines the metric
   // vector, so an identical re-score is a table lookup — first in the
@@ -393,65 +348,13 @@ Metrics Evaluator::evaluate_into(
     sys.reset_measurement();
   }
 
-  dram::ControllerStats sampled_agg;
-  if (!sampling_) {
-    sys.run(w.sim_cycles);
-    const auto& stats = sys.controller().stats();
-    m.sustained_gbyte_s =
-        stats.sustained_bandwidth(dcfg.clock).as_gbyte_per_s();
-    m.peak_gbyte_s = dcfg.peak_bandwidth().as_gbyte_per_s();
-    m.bandwidth_efficiency = sys.bandwidth_efficiency();
-    m.avg_read_latency_ns =
-        stats.read_latency.mean() * dcfg.clock.period_ns();
-    m.worst_read_latency_ns =
-        stats.read_latency.max() * dcfg.clock.period_ns();
-  } else {
-    // SMARTS-style sampling: measure k short windows spread evenly over
-    // sim_cycles; between windows the clients pause so the event-driven
-    // fast path leaps the drained stretch. Per-metric mean and 95% CI
-    // come from the per-window deltas; the power model is fed the summed
-    // counters (average power over the measured cycles).
-    const unsigned k = sample_windows_;
-    const std::uint64_t stride = w.sim_cycles / k;
-    std::uint64_t measure =
-        sample_measure_cycles_ != 0
-            ? sample_measure_cycles_
-            : std::max<std::uint64_t>(1, stride / 10);
-    measure = std::min(measure, stride);
-    Accumulator bw_gbs;
-    Accumulator read_lat_cycles;
-    double worst_lat_cycles = 0.0;
-    for (unsigned i = 0; i < k; ++i) {
-      sys.reset_measurement();
-      sys.run(measure);
-      const auto& ws = sys.controller().stats();
-      add_counters(sampled_agg, ws);
-      bw_gbs.add(ws.sustained_bandwidth(dcfg.clock).as_gbyte_per_s());
-      if (ws.read_latency.count() > 0) {
-        read_lat_cycles.add(ws.read_latency.mean());
-        worst_lat_cycles = std::max(worst_lat_cycles, ws.read_latency.max());
-      }
-      if (i + 1 < k) {
-        sys.set_clients_paused(true);
-        sys.run(stride - measure);
-        sys.set_clients_paused(false);
-      }
-    }
-    m.sampled = true;
-    m.sample_windows = k;
-    m.sustained_gbyte_s = bw_gbs.mean();
-    m.sustained_gbyte_s_ci = confidence95(bw_gbs);
-    m.peak_gbyte_s = dcfg.peak_bandwidth().as_gbyte_per_s();
-    m.bandwidth_efficiency =
-        m.peak_gbyte_s > 0.0 ? m.sustained_gbyte_s / m.peak_gbyte_s : 0.0;
-    m.avg_read_latency_ns =
-        read_lat_cycles.mean() * dcfg.clock.period_ns();
-    m.avg_read_latency_ns_ci =
-        confidence95(read_lat_cycles) * dcfg.clock.period_ns();
-    m.worst_read_latency_ns = worst_lat_cycles * dcfg.clock.period_ns();
-  }
-  const dram::ControllerStats& stats =
-      sampling_ ? sampled_agg : sys.controller().stats();
+  sys.run(w.sim_cycles);
+  const auto& stats = sys.controller().stats();
+  m.sustained_gbyte_s = stats.sustained_bandwidth(dcfg.clock).as_gbyte_per_s();
+  m.peak_gbyte_s = dcfg.peak_bandwidth().as_gbyte_per_s();
+  m.bandwidth_efficiency = sys.bandwidth_efficiency();
+  m.avg_read_latency_ns = stats.read_latency.mean() * dcfg.clock.period_ns();
+  m.worst_read_latency_ns = stats.read_latency.max() * dcfg.clock.period_ns();
 
   // --- analytical worst-case bounds (core/wcet.hpp) ---------------------------
   // The eval client set as the analysis sees it: every client paced

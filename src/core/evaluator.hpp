@@ -80,10 +80,10 @@ struct Metrics {
   double junction_c = 0.0;
   double retention_ms = 0.0;
   double refresh_overhead = 0.0;  ///< fraction of cycles refreshing
-  // SMARTS-style sampled simulation (set_sampling): the bandwidth /
-  // latency figures are means over the measured windows and carry a 95%
-  // confidence half-width each; full runs leave sampled == false and the
-  // half-widths at 0.
+  // Always at their defaults: every evaluation measures its full window.
+  // They are kept so the .edrs record codec and the perfbench metric
+  // digest (which hashes them) stay unchanged; they go together with
+  // the next result-store version.
   bool sampled = false;
   unsigned sample_windows = 0;         ///< measured windows averaged
   double sustained_gbyte_s_ci = 0.0;   ///< 95% CI half-width
@@ -103,8 +103,8 @@ struct ResultStoreStats {
 
 /// Interface of a persistent, content-addressed evaluation cache keyed by
 /// Evaluator::result_key (the (SystemConfig, EvalWorkload) content-hash
-/// pair, salted for sampled runs). The Evaluator consults it behind the
-/// in-memory memo, so sweeps warm-start across processes and machines.
+/// pair). The Evaluator consults it behind the in-memory memo, so sweeps
+/// warm-start across processes and machines.
 /// Implementations must be thread-safe (sweep threads share one store)
 /// and must only ever return metrics that were stored bit-exactly — a
 /// corrupt backing file is a structured error, never a wrong answer.
@@ -172,9 +172,9 @@ class Evaluator {
   std::shared_ptr<ResultStoreBase> result_store() const;
 
   /// The content-address of one evaluation: derive_seed over the config
-  /// and workload content hashes, salted with the sampling shape when
-  /// sampling is on. Keys both the in-memory memo and the persistent
-  /// store, so the address is stable across processes and machines.
+  /// and workload content hashes. Keys both the in-memory memo and the
+  /// persistent store, so the address is stable across processes and
+  /// machines.
   std::uint64_t result_key(const SystemConfig& cfg,
                            const EvalWorkload& w) const;
 
@@ -195,25 +195,6 @@ class Evaluator {
   /// it; off is the differential reference.
   void set_burst_issue(bool on) { burst_issue_ = on; }
   bool burst_issue() const { return burst_issue_; }
-
-  /// SMARTS-style sampled simulation (default off): instead of measuring
-  /// the whole sim_cycles window, alternate short measured windows with
-  /// fast-forwarded skip stretches (clients paused, so the event-driven
-  /// path leaps them). Bandwidth / latency become means over the windows
-  /// with a 95% confidence half-width in the Metrics CI fields. A
-  /// sampling approximation — skipped stretches issue no traffic — so
-  /// `set_sampling(false)` keeps the full run as the differential
-  /// reference, and sampled results memoize under a distinct key.
-  void set_sampling(bool on) { sampling_ = on; }
-  bool sampling() const { return sampling_; }
-  /// Sampling shape: `windows` measured windows of `measure_cycles` each,
-  /// spread evenly over sim_cycles (0 measure_cycles derives a tenth of
-  /// the inter-window period).
-  void set_sampling_windows(unsigned windows,
-                            std::uint64_t measure_cycles = 0) {
-    sample_windows_ = windows;
-    sample_measure_cycles_ = measure_cycles;
-  }
 
   /// The sealed warm-up snapshot a (config, workload) pair restores from,
   /// computed once per channel shape through the checkpoint cache;
@@ -306,9 +287,6 @@ class Evaluator {
   bool memoize_ = true;
   bool checkpoint_ = true;
   bool burst_issue_ = true;
-  bool sampling_ = false;
-  unsigned sample_windows_ = 20;
-  std::uint64_t sample_measure_cycles_ = 0;
   std::shared_ptr<Caches> caches_;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
-#include "common/snapshot.hpp"
 
 namespace edsim::dram {
 
@@ -56,9 +54,7 @@ unsigned MultiChannel::effective_channel(std::uint64_t addr) const {
 }
 
 bool MultiChannel::enqueue(Request req) {
-  const unsigned ch = effective_channel(req.addr);
-  if (ch != route(req.addr)) ++failed_over_;
-  Controller& ctl = *ctls_[ch];
+  Controller& ctl = *ctls_[effective_channel(req.addr)];
   // Strip the channel bits so each controller sees a dense local space:
   // global stripe index / channels -> local stripe index.
   const std::uint64_t total = channel_bytes_ * channels();
@@ -77,61 +73,6 @@ void MultiChannel::tick() {
   for (auto& c : ctls_) c->tick();
 }
 
-bool MultiChannel::parallel_tick_safe() const {
-  // Distinct observer objects have distinct addresses, so a duplicate
-  // pointer within a category means two channels share a sink.
-  std::vector<const void*> tel, rel, log;
-  const auto shared = [](std::vector<const void*>& seen, const void* p) {
-    if (p == nullptr) return false;
-    if (std::find(seen.begin(), seen.end(), p) != seen.end()) return true;
-    seen.push_back(p);
-    return false;
-  };
-  for (const auto& c : ctls_) {
-    if (shared(tel, c->telemetry_hooks()) ||
-        shared(rel, c->reliability_hooks()) || shared(log, c->command_log())) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void MultiChannel::tick_until(std::uint64_t target_cycle) {
-  // Channels never interact below the enqueue boundary, so ticking them
-  // in lockstep and fast-forwarding them one after another reach the same
-  // state; each channel leaps over its own dead time independently. The
-  // fan-out keeps that guarantee: worker i touches only channel i (the
-  // pool's placement-determinism contract), and per-channel observers fire
-  // in their channel's own cycle order exactly as in the serial walk.
-  const unsigned threads =
-      tick_threads_ == 0 ? default_threads() : tick_threads_;
-  if (threads > 1 && channels() >= kParallelChannelThreshold &&
-      parallel_tick_safe()) {
-    parallel_for(
-        channels(),
-        [&](std::size_t i) { ctls_[i]->tick_until(target_cycle); }, threads);
-    return;
-  }
-  for (auto& c : ctls_) c->tick_until(target_cycle);
-}
-
-std::uint64_t MultiChannel::next_event_cycle() const {
-  std::uint64_t ne = kNeverCycle;
-  for (const auto& c : ctls_) ne = std::min(ne, c->next_event_cycle());
-  return ne;
-}
-
-void MultiChannel::advance_idle(std::uint64_t count) {
-  for (auto& c : ctls_) c->advance_idle(count);
-}
-
-bool MultiChannel::has_completions() const {
-  for (const auto& c : ctls_) {
-    if (c->has_completions()) return true;
-  }
-  return false;
-}
-
 bool MultiChannel::idle() const {
   for (const auto& c : ctls_) {
     if (!c->idle()) return false;
@@ -141,20 +82,16 @@ bool MultiChannel::idle() const {
 
 std::vector<Request> MultiChannel::drain_completed() {
   std::vector<Request> out;
-  drain_completed_into(out);
-  return out;
-}
-
-void MultiChannel::drain_completed_into(std::vector<Request>& out) {
-  out.clear();
   for (auto& c : ctls_) {
     c->drain_completed_into(scratch_);
     out.insert(out.end(), scratch_.begin(), scratch_.end());
   }
+  return out;
 }
 
 ControllerStats MultiChannel::combined_stats() const {
   ControllerStats sum;
+  ReliabilityCounters& rsum = sum.reliability;
   for (const auto& c : ctls_) {
     const ControllerStats& s = c->stats();
     sum.cycles = std::max(sum.cycles, s.cycles);
@@ -168,25 +105,31 @@ ControllerStats MultiChannel::combined_stats() const {
     sum.refreshes += s.refreshes;
     sum.data_bus_busy_cycles += s.data_bus_busy_cycles;
     sum.bytes_transferred += s.bytes_transferred;
+    sum.powerdown_cycles += s.powerdown_cycles;
+    sum.redirected_requests += s.redirected_requests;
+    sum.watchdog_retries += s.watchdog_retries;
+    sum.maintenance_ops += s.maintenance_ops;
+    const ReliabilityCounters& r = s.reliability;
+    rsum.injected += r.injected;
+    rsum.corrected += r.corrected;
+    rsum.uncorrected += r.uncorrected;
+    rsum.remapped += r.remapped;
+    rsum.demand_corrections += r.demand_corrections;
+    rsum.scrub_corrections += r.scrub_corrections;
+    rsum.write_repairs += r.write_repairs;
+    rsum.uncorrectable_events += r.uncorrectable_events;
+    rsum.rows_remapped += r.rows_remapped;
+    rsum.banks_retired += r.banks_retired;
+    rsum.scrubbed_rows += r.scrubbed_rows;
+    rsum.maint_ops += r.maint_ops;
+    rsum.maint_rows += r.maint_rows;
+    rsum.neighbor_rows += r.neighbor_rows;
+    rsum.disturb_flips += r.disturb_flips;
     sum.read_latency.merge(s.read_latency);
     sum.write_latency.merge(s.write_latency);
     sum.queue_occupancy.merge(s.queue_occupancy);
   }
   return sum;
-}
-
-void MultiChannel::save(SnapshotWriter& w) const {
-  w.u32(channels());
-  w.u64(failed_over_);
-  for (const auto& c : ctls_) c->save(w);
-}
-
-void MultiChannel::load(SnapshotReader& r) {
-  if (r.u32() != channels()) {
-    r.fail("multi-channel snapshot channel count mismatch");
-  }
-  failed_over_ = r.u64();
-  for (auto& c : ctls_) c->load(r);
 }
 
 Bandwidth MultiChannel::sustained_bandwidth() const {

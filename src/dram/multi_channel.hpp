@@ -41,71 +41,17 @@ class MultiChannel {
   bool enqueue(Request req);
   bool queue_full_for(std::uint64_t addr) const;
 
-  /// Requests steered away from a fully-retired home channel.
-  std::uint64_t failed_over_requests() const { return failed_over_; }
-
-  /// Attach observability probes to one channel (nullptr detaches).
-  /// Channels are independent clock domains with their own command/data
-  /// buses, so each gets its own hooks — e.g. a telemetry::RequestTracer
-  /// constructed with `process = i` to land on its own Perfetto track set.
-  void attach_telemetry(unsigned i, TelemetryHooks* hooks) {
-    ctls_[i]->attach_telemetry(hooks);
-  }
-
   void tick();
   bool idle() const;
-
-  /// Fast-forward all channels to `target_cycle`, bit-identical to
-  /// per-cycle tick()s. Channels are fully independent (own command and
-  /// data buses), so each advances on its own event list; with
-  /// `channels() >= kParallelChannelThreshold`, more than one tick thread,
-  /// and no observer shared between channels, the walk fans out over the
-  /// shared ThreadPool — each worker touches only its own channel, so the
-  /// end state is identical at every thread count.
-  void tick_until(std::uint64_t target_cycle);
-
-  /// Channel count below which tick_until never fans out (the per-job
-  /// synchronization costs more than a short serial walk saves).
-  static constexpr unsigned kParallelChannelThreshold = 2;
-
-  /// Worker threads for tick_until's channel fan-out: 0 picks
-  /// default_threads() (EDSIM_THREADS / hardware), 1 forces the serial
-  /// walk. Results are bit-identical either way.
-  void set_tick_threads(unsigned threads) { tick_threads_ = threads; }
-  unsigned tick_threads() const { return tick_threads_; }
-
-  /// True when no telemetry hooks, reliability hooks, or command log is
-  /// attached to more than one channel. Observers fire from worker
-  /// threads during a parallel tick_until, so a shared sink would race;
-  /// tick_until falls back to the serial walk when this is false.
-  bool parallel_tick_safe() const;
-
-  /// Min over the channels' next_event_cycle().
-  std::uint64_t next_event_cycle() const;
-
-  /// Bulk-credit `count` quiet cycles on every channel (see
-  /// Controller::advance_idle for the legality contract).
-  void advance_idle(std::uint64_t count);
-
-  /// True when any channel holds undrained completions.
-  bool has_completions() const;
 
   /// Completions from all channels since the last drain (per-channel
   /// completion order; channels concatenated in index order).
   std::vector<Request> drain_completed();
 
-  /// Allocation-free variant of drain_completed.
-  void drain_completed_into(std::vector<Request>& out);
-
-  /// Summed statistics snapshot.
+  /// Every counter summed over the channels (`cycles` is the longest
+  /// channel's, since they run in lockstep).
   ControllerStats combined_stats() const;
   Bandwidth sustained_bandwidth() const;
-
-  /// Serialize / restore every channel plus the fail-over counter. Same
-  /// contract as Controller::save/load: same-shape reconstruction,
-  /// observers re-attached by the caller before load.
-  void save(SnapshotWriter& w) const;
-  void load(SnapshotReader& r);
 
  private:
   DramConfig cfg_;
@@ -113,8 +59,6 @@ class MultiChannel {
   std::vector<std::unique_ptr<Controller>> ctls_;
   std::uint64_t stripe_bytes_;   // interleave granule
   std::uint64_t channel_bytes_;  // capacity per channel
-  std::uint64_t failed_over_ = 0;
-  unsigned tick_threads_ = 0;    // 0 = default_threads()
   std::vector<Request> scratch_;  // reused per-channel drain buffer
 };
 

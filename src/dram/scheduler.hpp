@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "dram/config.hpp"
 #include "dram/request.hpp"
@@ -28,23 +27,25 @@ struct Candidate {
 
 /// Scheduling policy: picks which candidate to issue. Pure function of the
 /// candidates (plus the current cycle, for time-sliced policies) so
-/// policies are trivially testable. Each policy's pick body is a template
-/// `pick_in` over any indexable candidate source (`size()` and
-/// `operator[]` yielding a Candidate): the virtual `pick` runs it on a
-/// written list, the controller on a view derived from its queue.
+/// policies are trivially testable. Each policy is a final class whose
+/// pick body is a template
+///
+///   std::size_t pick_in(const Cands& cands, std::uint64_t cycle,
+///                       std::uint64_t oldest_wait) const;
+///
+/// over any indexable candidate source (`size()` and `operator[]`
+/// yielding a Candidate): the controller runs it on a view derived from
+/// its queue (Controller::dispatch_pick switches on the SchedulerKind),
+/// tests on a written std::vector<Candidate>. It returns an index into
+/// `cands` (not the queue), or kNone. `cycle` is the current controller
+/// cycle (TDM slot selection); `oldest_wait` is the age in cycles of the
+/// oldest queued request, used for starvation control. The base class
+/// carries only the policy-internal state hooks and the factories.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  /// Returns an index into `candidates` (not the queue), or kNone.
-  /// `cycle` is the current controller cycle (TDM slot selection);
-  /// `oldest_wait` is the age in cycles of the oldest queued request, used
-  /// for starvation control.
-  virtual std::size_t pick(const std::vector<Candidate>& candidates,
-                           std::uint64_t cycle,
-                           std::uint64_t oldest_wait) const = 0;
 
   /// Persist / restore policy-internal state. Most policies are pure
   /// functions of the candidate list (nothing to save); ReadFirst carries
@@ -62,12 +63,6 @@ class Scheduler {
 /// under interleaved clients (paper §4).
 class FcfsScheduler final : public Scheduler {
  public:
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override {
-    return pick_in(candidates, cycle, oldest_wait);
-  }
-
   template <class Cands>
   std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
                       std::uint64_t /*oldest_wait*/) const {
@@ -81,12 +76,6 @@ class FcfsScheduler final : public Scheduler {
 /// In-order within each bank, banks progress independently.
 class FcfsPerBankScheduler final : public Scheduler {
  public:
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override {
-    return pick_in(candidates, cycle, oldest_wait);
-  }
-
   template <class Cands>
   std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
                       std::uint64_t /*oldest_wait*/) const {
@@ -110,12 +99,6 @@ class FrFcfsScheduler final : public Scheduler {
  public:
   explicit FrFcfsScheduler(std::uint64_t starvation_cap = 256)
       : starvation_cap_(starvation_cap) {}
-
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override {
-    return pick_in(candidates, cycle, oldest_wait);
-  }
 
   /// One pass: the first issuable row hit, else the first issuable one;
   /// past the starvation cap the first issuable one (strict age order).
@@ -148,12 +131,6 @@ class ReadFirstScheduler final : public Scheduler {
  public:
   ReadFirstScheduler(unsigned high_watermark = 20, unsigned low_watermark = 6,
                      std::uint64_t starvation_cap = 512);
-
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override {
-    return pick_in(candidates, cycle, oldest_wait);
-  }
 
   template <class Cands>
   std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
@@ -218,12 +195,6 @@ class ReadFirstScheduler final : public Scheduler {
 class TdmScheduler final : public Scheduler {
  public:
   TdmScheduler(unsigned slot_cycles, unsigned num_slots);
-
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
-                   std::uint64_t oldest_wait) const override {
-    return pick_in(candidates, cycle, oldest_wait);
-  }
 
   /// Hard slot isolation: only the slot owner's requests may issue, no
   /// matter how long anyone else has waited — the rotation itself is the

@@ -23,7 +23,6 @@
 #include "dram/request.hpp"          // IWYU pragma: export
 #include "dram/scheduler.hpp"        // IWYU pragma: export
 #include "dram/timing.hpp"           // IWYU pragma: export
-#include "dram/trace_dump.hpp"       // IWYU pragma: export
 
 // interface electricals and discrete-system composition
 #include "phy/discrete_system.hpp"  // IWYU pragma: export
@@ -41,7 +40,6 @@
 #include "clients/client.hpp"        // IWYU pragma: export
 #include "clients/extra_clients.hpp" // IWYU pragma: export
 #include "clients/fifo_tracker.hpp"  // IWYU pragma: export
-#include "clients/multi_system.hpp"  // IWYU pragma: export
 #include "clients/system.hpp"        // IWYU pragma: export
 #include "clients/trace_io.hpp"      // IWYU pragma: export
 

@@ -8,7 +8,6 @@ namespace edsim::telemetry {
 
 namespace {
 constexpr unsigned kCommandTrack = 0;
-constexpr unsigned kReliabilityTrack = 100;
 }  // namespace
 
 void export_command_log(const dram::CommandLog& log, TraceSink& sink,
@@ -27,24 +26,6 @@ void export_command_log(const dram::CommandLog& log, TraceSink& sink,
       ev.args.push_back(arg_u64("row", rec.row));
     }
     if (rec.auto_precharge) ev.args.push_back(arg_str("ap", "1"));
-    sink.emit(ev);
-  }
-}
-
-void export_reliability_events(
-    const std::vector<reliability::ReliabilityEvent>& events, TraceSink& sink,
-    unsigned process) {
-  sink.set_track_name(process, kReliabilityTrack, "reliability");
-  for (const reliability::ReliabilityEvent& e : events) {
-    TraceEvent ev;
-    ev.phase = TraceEvent::Phase::kInstant;
-    ev.category = "reliability";
-    ev.process = process;
-    ev.track = kReliabilityTrack;
-    ev.name = reliability::to_string(e.kind);
-    ev.cycle = e.cycle;
-    ev.args = {arg_u64("bank", e.bank), arg_u64("row", e.row),
-               arg_u64("bit", e.bit)};
     sink.emit(ev);
   }
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "reliability/manager.hpp"
 
@@ -19,11 +18,6 @@ class IntervalReporter;
 /// live; a ring-capped log replays only its retained window.
 void export_command_log(const dram::CommandLog& log, TraceSink& sink,
                         unsigned process = 0);
-
-/// Replay reliability events as instants on a dedicated "reliability"
-/// track (track 100) of `process`.
-void export_reliability_events(const std::vector<reliability::ReliabilityEvent>& events,
-                               TraceSink& sink, unsigned process = 0);
 
 /// Adapter for ReliabilityManager::set_event_observer: bins each event
 /// into `reporter` by its exact cycle. Classification: inject -> injected;

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "dram/controller.hpp"
-#include "dram/multi_channel.hpp"
 
 namespace edsim::telemetry {
 
@@ -143,18 +142,6 @@ void export_controller_stats(const dram::ControllerStats& stats,
   scope.gauge("read_latency_mean_cycles").set(stats.read_latency.mean());
   scope.gauge("write_latency_mean_cycles").set(stats.write_latency.mean());
   scope.gauge("queue_occupancy_mean").set(stats.queue_occupancy.mean());
-}
-
-void export_multi_channel_stats(const dram::MultiChannel& mc,
-                                const MetricScope& scope) {
-  for (unsigned i = 0; i < mc.channels(); ++i) {
-    MetricRegistry per_channel;
-    const MetricScope mirror(per_channel, scope.prefix());
-    export_controller_stats(mc.channel(i).stats(),
-                            mirror.scope("channel" + std::to_string(i)));
-    scope.registry().merge(per_channel);
-  }
-  export_controller_stats(mc.combined_stats(), scope.scope("combined"));
 }
 
 }  // namespace edsim::telemetry

@@ -9,7 +9,6 @@
 
 namespace edsim::dram {
 struct ControllerStats;
-class MultiChannel;
 }
 
 namespace edsim::telemetry {
@@ -108,9 +107,6 @@ class MetricScope {
     return reg_->histogram(qualify(name), bin_width, bins);
   }
 
-  const std::string& prefix() const { return prefix_; }
-  MetricRegistry& registry() const { return *reg_; }
-
  private:
   std::string qualify(const std::string& name) const {
     return prefix_.empty() ? name : prefix_ + "." + name;
@@ -125,13 +121,5 @@ class MetricScope {
 /// once per run per scope — counters accumulate.
 void export_controller_stats(const dram::ControllerStats& stats,
                              const MetricScope& scope);
-
-/// Snapshot every channel of a MultiChannel under `scope` ("channel0",
-/// "channel1", ...) plus the combined view under "combined". Each channel
-/// is exported into its own scratch registry and folded in with
-/// MetricRegistry::merge in channel-index order, so the result is
-/// identical whether tick_until ran serial or fanned over the pool.
-void export_multi_channel_stats(const dram::MultiChannel& mc,
-                                const MetricScope& scope);
 
 }  // namespace edsim::telemetry

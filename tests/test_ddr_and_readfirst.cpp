@@ -85,7 +85,7 @@ TEST(ReadFirst, ReadsBeatOlderWrites) {
       cand(0, true, true, true),   // old write, row hit
       cand(1, false, false, true), // younger read, row miss
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 1u);
 }
 
 TEST(ReadFirst, RowHitReadsFirstAmongReads) {
@@ -94,7 +94,7 @@ TEST(ReadFirst, RowHitReadsFirstAmongReads) {
       cand(0, false, false, true),
       cand(1, false, true, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 1u);
 }
 
 TEST(ReadFirst, DrainModeKicksInAtHighWatermark) {
@@ -106,21 +106,21 @@ TEST(ReadFirst, DrainModeKicksInAtHighWatermark) {
       cand(3, false, true, true),
   };
   // 3 writes >= high watermark: drain mode, writes first.
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);
   EXPECT_TRUE(s.draining());
   // Once writes fall to the low watermark, reads lead again.
   std::vector<Candidate> few = {
       cand(0, true, true, true),
       cand(1, false, true, true),
   };
-  EXPECT_EQ(s.pick(few, 0, 0), 1u);
+  EXPECT_EQ(s.pick_in(few, 0, 0), 1u);
   EXPECT_FALSE(s.draining());
 }
 
 TEST(ReadFirst, ServesWritesWhenNoReadPresent) {
   ReadFirstScheduler s(8, 2);
   std::vector<Candidate> cs = {cand(0, true, false, true)};
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);
 }
 
 TEST(ReadFirst, StarvationGuard) {
@@ -129,7 +129,7 @@ TEST(ReadFirst, StarvationGuard) {
       cand(0, true, false, true),  // ancient write
       cand(1, false, true, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 101), 0u);
+  EXPECT_EQ(s.pick_in(cs, 0, 101), 0u);
 }
 
 TEST(ReadFirst, RejectsBadWatermarks) {

@@ -2,12 +2,11 @@
 // fast paths: every generated configuration must produce bit-identical
 // final stats, command logs, and interval telemetry between the per-cycle
 // reference (all fast paths off) and every other combination of
-// {per-cycle, fast-forward} x {dense stretch off, on} — and, for
-// multi-channel, at 2 and 8 tick threads against the serial walk. A slice
-// of the client mixes is high-demand (near-zero pacing, thousands of
-// requests) so the resident front end's dense stretch actually engages. Any failure prints the
-// reproducer seed and the full config so the trial can be replayed in
-// isolation.
+// {per-cycle, fast-forward} x {dense stretch off, on}. A slice of the
+// client mixes is high-demand (near-zero pacing, thousands of requests) so
+// the resident front end's dense stretch actually engages. Any failure
+// prints the reproducer seed and the full config so the trial can be
+// replayed in isolation.
 //
 // The same source builds two binaries: the quick tier (part of the default
 // ctest run) and a `slow`-labelled soak with EDSIM_FUZZ_SOAK defined.
@@ -33,11 +32,9 @@
 #include "core/wcet.hpp"
 #include "dram/command_log.hpp"
 #include "dram/controller.hpp"
-#include "dram/multi_channel.hpp"
 #include "reliability/manager.hpp"
 #include "service/result_store.hpp"
 #include "telemetry/interval.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace edsim {
 namespace {
@@ -49,11 +46,9 @@ using dram::Request;
 
 #ifdef EDSIM_FUZZ_SOAK
 constexpr int kSystemTrials = 400;
-constexpr int kChannelTrials = 100;
 constexpr int kEvaluatorTrials = 20;
 #else
 constexpr int kSystemTrials = 18;
-constexpr int kChannelTrials = 7;
 constexpr int kEvaluatorTrials = 3;
 #endif
 
@@ -518,137 +513,6 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     if (HasFailure()) {
       FAIL() << "reproduce with " << describe_trial(trial, seed, cfg)
              << " cut=" << cut;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-channel thread sweep: a direct MultiChannel drive (enqueue +
-// tick_until) must be bit-identical at 1, 2 and 8 tick threads, per
-// channel and in the merged metric registry.
-
-struct ChannelArrival {
-  std::uint64_t cycle = 0;
-  std::uint64_t addr = 0;
-  dram::AccessType type = dram::AccessType::kRead;
-};
-
-std::vector<ChannelArrival> random_channel_trace(Rng& rng,
-                                                 std::uint64_t span,
-                                                 std::uint64_t window) {
-  std::vector<ChannelArrival> out;
-  std::uint64_t cycle = 1;
-  while (cycle < window) {
-    const unsigned burst = 2 + static_cast<unsigned>(rng.next_below(8));
-    for (unsigned i = 0; i < burst && cycle < window; ++i) {
-      ChannelArrival a;
-      a.cycle = cycle;
-      a.addr = rng.next_below(span) & ~31ull;
-      a.type = rng.next_bool(0.3) ? dram::AccessType::kWrite
-                                  : dram::AccessType::kRead;
-      out.push_back(a);
-      cycle += 1 + rng.next_below(3);
-    }
-    cycle += 200 + rng.next_below(1'500);
-  }
-  return out;
-}
-
-struct ChannelRun {
-  dram::MultiChannel mc;
-  std::vector<std::unique_ptr<dram::CommandLog>> logs;
-  std::vector<std::unique_ptr<telemetry::IntervalReporter>> intervals;
-  std::vector<Request> completions;
-
-  ChannelRun(const DramConfig& cfg, unsigned channels,
-             dram::ChannelInterleave il, unsigned threads,
-             const std::vector<ChannelArrival>& trace,
-             std::uint64_t window)
-      : mc(cfg, channels, il) {
-    mc.set_tick_threads(threads);
-    for (unsigned c = 0; c < channels; ++c) {
-      logs.push_back(std::make_unique<dram::CommandLog>());
-      intervals.push_back(std::make_unique<telemetry::IntervalReporter>(512));
-      mc.channel(c).attach_command_log(logs.back().get());
-      mc.attach_telemetry(c, intervals.back().get());
-    }
-    std::vector<Request> scratch;
-    std::size_t idx = 0;
-    std::uint64_t now = 0;
-    while (now < window) {
-      const std::uint64_t next =
-          idx < trace.size() ? std::min(trace[idx].cycle, window) : window;
-      mc.tick_until(next);
-      now = next;
-      while (idx < trace.size() && trace[idx].cycle == now) {
-        Request r;
-        r.addr = trace[idx].addr;
-        r.type = trace[idx].type;
-        if (!mc.queue_full_for(r.addr)) mc.enqueue(r);
-        ++idx;
-      }
-      mc.drain_completed_into(scratch);
-      completions.insert(completions.end(), scratch.begin(), scratch.end());
-    }
-    for (auto& ir : intervals) ir->finish();
-  }
-
-  /// The merged registry snapshot (CSV form) — one string to compare.
-  std::string metrics_csv() const {
-    telemetry::MetricRegistry reg;
-    telemetry::export_multi_channel_stats(
-        mc, telemetry::MetricScope(reg, "mc"));
-    std::ostringstream os;
-    reg.write_csv(os);
-    return os.str();
-  }
-};
-
-void expect_channel_runs_eq(const ChannelRun& a, const ChannelRun& b) {
-  ASSERT_EQ(a.mc.channels(), b.mc.channels());
-  for (unsigned c = 0; c < a.mc.channels(); ++c) {
-    EXPECT_EQ(a.mc.channel(c).cycle(), b.mc.channel(c).cycle());
-    expect_stats_eq(a.mc.channel(c).stats(), b.mc.channel(c).stats());
-    expect_command_logs_eq(*a.logs[c], *b.logs[c]);
-    expect_intervals_eq(*a.intervals[c], *b.intervals[c]);
-  }
-  ASSERT_EQ(a.completions.size(), b.completions.size());
-  for (std::size_t i = 0; i < a.completions.size(); ++i) {
-    EXPECT_EQ(a.completions[i].addr, b.completions[i].addr) << "completion " << i;
-    EXPECT_EQ(a.completions[i].done_cycle, b.completions[i].done_cycle)
-        << "completion " << i;
-  }
-  EXPECT_EQ(a.metrics_csv(), b.metrics_csv());
-}
-
-TEST(DifferentialFuzz, MultiChannelBitIdenticalAcrossThreadCounts) {
-  for (int trial = 0; trial < kChannelTrials; ++trial) {
-    const std::uint64_t seed =
-        derive_seed(kRootSeed, 10'000 + static_cast<std::uint64_t>(trial));
-    Rng rng(seed);
-    const DramConfig cfg = random_config(rng);
-    SCOPED_TRACE(describe_trial(trial, seed, cfg));
-    const unsigned channels = pick(rng, {2u, 4u, 8u});
-    const auto il = pick(rng, {dram::ChannelInterleave::kBurst,
-                               dram::ChannelInterleave::kPage,
-                               dram::ChannelInterleave::kRegion});
-    const std::uint64_t span = cfg.capacity().byte_count() * channels;
-    const std::uint64_t window = 15'000 + rng.next_below(20'000);
-    const std::vector<ChannelArrival> trace =
-        random_channel_trace(rng, span, window);
-
-    // Reference: the serial walk. The direct tick_until drive (no
-    // MemorySystem front end) runs each channel's one scheduling path;
-    // the threaded walks must reproduce it bit for bit.
-    const ChannelRun reference(cfg, channels, il, /*threads=*/1, trace,
-                               window);
-    for (const unsigned threads : {2u, 8u}) {
-      const ChannelRun run(cfg, channels, il, threads, trace, window);
-      SCOPED_TRACE("tick_threads=" + std::to_string(threads));
-      expect_channel_runs_eq(reference, run);
-    }
-    if (HasFailure()) {
-      FAIL() << "reproduce with " << describe_trial(trial, seed, cfg);
     }
   }
 }

@@ -12,7 +12,6 @@
 #include "bist/yield.hpp"
 #include "clients/client.hpp"
 #include "clients/extra_clients.hpp"
-#include "clients/multi_system.hpp"
 #include "clients/system.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -452,8 +451,7 @@ TEST(FastForwardRegression, BankRetireMidBurst) {
 }
 
 // ---------------------------------------------------------------------------
-// System-level equivalence: MemorySystem / MultiChannelSystem with the
-// fast path on vs off (per-cycle stepping), identical clients.
+// System-level equivalence: MemorySystem with the fast path on vs off (per-cycle stepping), identical clients.
 
 std::unique_ptr<clients::Client> paced_stream(unsigned id,
                                               const DramConfig& cfg,
@@ -528,32 +526,6 @@ TEST(FastForward, MemorySystemRunToCompletionMatchesPerCycle) {
 
   EXPECT_EQ(slow.controller().cycle(), fast.controller().cycle());
   expect_stats_eq(slow.controller().stats(), fast.controller().stats());
-  for (std::size_t i = 0; i < slow.client_count(); ++i)
-    expect_client_stats_eq(slow.client_stats(i), fast.client_stats(i), i);
-}
-
-TEST(FastForward, MultiChannelSystemMatchesPerCycle) {
-  const DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
-  const auto build = [&](clients::MultiChannelSystem& sys) {
-    sys.add_client(paced_stream(0, cfg, 300, 80));
-    sys.add_client(paced_random(1, cfg, 500, 50));
-    sys.add_client(paced_stream(2, cfg, 900, 25));
-  };
-  clients::MultiChannelSystem slow(cfg, 2, dram::ChannelInterleave::kBurst,
-                                   clients::ArbiterKind::kRoundRobin);
-  slow.set_fast_forward(false);
-  build(slow);
-  clients::MultiChannelSystem fast(cfg, 2, dram::ChannelInterleave::kBurst,
-                                   clients::ArbiterKind::kRoundRobin);
-  build(fast);
-
-  slow.run(80'000);
-  fast.run(80'000);
-
-  for (unsigned ch = 0; ch < 2; ++ch) {
-    expect_stats_eq(slow.memory().channel(ch).stats(),
-                    fast.memory().channel(ch).stats());
-  }
   for (std::size_t i = 0; i < slow.client_count(); ++i)
     expect_client_stats_eq(slow.client_stats(i), fast.client_stats(i), i);
 }
@@ -840,14 +812,10 @@ struct IdleDecodeRig {
   }
 };
 
-/// Warm-up, a paused stretch (completions still deliver, nobody issues),
-/// then the rest; `finish` ends with run_to_completion instead of a
-/// fixed window.
+/// Warm-up, then the rest; `finish` ends with run_to_completion instead
+/// of a fixed window.
 void drive_idle_decode(IdleDecodeRig& rig, bool finish) {
   rig.sys.run(120'000);
-  rig.sys.set_clients_paused(true);
-  rig.sys.run(40'000);
-  rig.sys.set_clients_paused(false);
   if (finish) {
     rig.sys.run_to_completion();
   } else {

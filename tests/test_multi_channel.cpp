@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dram/presets.hpp"
+#include "reliability/manager.hpp"
 
 namespace edsim::dram {
 namespace {
@@ -130,6 +134,90 @@ TEST(MultiChannel, CombinedStatsAggregate) {
   EXPECT_EQ(s.reads, 10u);
   EXPECT_EQ(s.bytes_transferred, 10ull * burst);
   EXPECT_EQ(s.read_latency.count(), 10u);
+}
+
+TEST(MultiChannel, CombinedStatsSumEveryCounter) {
+  // Sparse reads on two power-managed channels, each with its own
+  // reliability layer in self-managed maintenance mode: every channel
+  // powers down between reads and claims maintenance slots, so the
+  // power-down, maintenance and reliability counters are all live.
+  DramConfig cfg = presets::edram_module(16, 64, 4, 2048);
+  cfg.powerdown_enabled = true;
+  cfg.powerdown_idle_cycles = 32;
+  reliability::ReliabilityConfig rc;
+  rc.inject.weak_cells = 12;
+  rc.inject.weak_retention_min_frac = 0.002;
+  rc.inject.weak_retention_max_frac = 0.002;
+  rc.scrub_enabled = false;
+  rc.maintenance.enabled = true;
+
+  MultiChannel mc(cfg, 2, ChannelInterleave::kBurst);
+  std::vector<std::unique_ptr<reliability::ReliabilityManager>> rel;
+  for (unsigned c = 0; c < mc.channels(); ++c) {
+    rc.inject.seed = 21 + c;
+    rel.push_back(std::make_unique<reliability::ReliabilityManager>(cfg, rc));
+    mc.channel(c).attach_reliability(rel.back().get());
+  }
+  Rng rng(9);
+  const std::uint64_t total = mc.capacity().byte_count();
+  for (int k = 0; k < 100'000; ++k) {
+    if (k % 500 == 0) {
+      Request r;
+      r.addr = rng.next_below(total) & ~63ull;
+      r.type = k % 1'500 == 0 ? AccessType::kWrite : AccessType::kRead;
+      ASSERT_TRUE(mc.enqueue(r));
+    }
+    mc.tick();
+    mc.drain_completed();
+  }
+
+  const ControllerStats s = mc.combined_stats();
+  const ControllerStats& s0 = mc.channel(0).stats();
+  const ControllerStats& s1 = mc.channel(1).stats();
+  using StatsField = std::uint64_t ControllerStats::*;
+  for (const StatsField f :
+       {&ControllerStats::reads, &ControllerStats::writes,
+        &ControllerStats::row_hits, &ControllerStats::row_misses,
+        &ControllerStats::row_conflicts, &ControllerStats::activations,
+        &ControllerStats::precharges, &ControllerStats::refreshes,
+        &ControllerStats::data_bus_busy_cycles,
+        &ControllerStats::bytes_transferred,
+        &ControllerStats::powerdown_cycles,
+        &ControllerStats::redirected_requests,
+        &ControllerStats::watchdog_retries,
+        &ControllerStats::maintenance_ops}) {
+    EXPECT_EQ(s.*f, s0.*f + s1.*f);
+  }
+  using RelField = std::uint64_t ReliabilityCounters::*;
+  for (const RelField f :
+       {&ReliabilityCounters::injected, &ReliabilityCounters::corrected,
+        &ReliabilityCounters::uncorrected, &ReliabilityCounters::remapped,
+        &ReliabilityCounters::demand_corrections,
+        &ReliabilityCounters::scrub_corrections,
+        &ReliabilityCounters::write_repairs,
+        &ReliabilityCounters::uncorrectable_events,
+        &ReliabilityCounters::rows_remapped,
+        &ReliabilityCounters::banks_retired,
+        &ReliabilityCounters::scrubbed_rows, &ReliabilityCounters::maint_ops,
+        &ReliabilityCounters::maint_rows, &ReliabilityCounters::neighbor_rows,
+        &ReliabilityCounters::disturb_flips}) {
+    EXPECT_EQ(s.reliability.*f, s0.reliability.*f + s1.reliability.*f);
+  }
+  EXPECT_EQ(s.cycles, 100'000u);
+  EXPECT_EQ(s.read_latency.count(),
+            s0.read_latency.count() + s1.read_latency.count());
+  EXPECT_EQ(s.write_latency.count(),
+            s0.write_latency.count() + s1.write_latency.count());
+  EXPECT_EQ(s.queue_occupancy.count(),
+            s0.queue_occupancy.count() + s1.queue_occupancy.count());
+
+  // Both channels really crossed the counters under test.
+  for (const ControllerStats* c : {&s0, &s1}) {
+    EXPECT_GT(c->powerdown_cycles, 0u);
+    EXPECT_GT(c->maintenance_ops, 0u);
+    EXPECT_GT(c->reliability.maint_ops, 0u);
+  }
+  EXPECT_GT(s.powerdown_fraction(), 0.5);
 }
 
 }  // namespace

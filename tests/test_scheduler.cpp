@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace edsim::dram {
@@ -25,14 +27,14 @@ TEST(Fcfs, OnlyHeadMayIssue) {
       cand(1, 1, Command::kRead, true, true),
   };
   // Head not issuable: nothing issues even though a younger one could.
-  EXPECT_EQ(s.pick(cs, 0, 0), Scheduler::kNone);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), Scheduler::kNone);
   cs[0].issuable = true;
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);
 }
 
 TEST(Fcfs, EmptyQueue) {
   FcfsScheduler s;
-  EXPECT_EQ(s.pick({}, 0, 0), Scheduler::kNone);
+  EXPECT_EQ(s.pick_in(std::vector<Candidate>{}, 0, 0), Scheduler::kNone);
 }
 
 TEST(FcfsPerBank, HeadOfEachBankMayIssue) {
@@ -42,7 +44,7 @@ TEST(FcfsPerBank, HeadOfEachBankMayIssue) {
       cand(1, 0, Command::kRead, true, true),        // bank 0, behind head
       cand(2, 1, Command::kRead, true, true),        // bank 1 head, ready
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 2u);  // bank 1's head proceeds independently
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 2u);  // bank 1's head proceeds independently
 }
 
 TEST(FcfsPerBank, InOrderWithinBank) {
@@ -51,7 +53,7 @@ TEST(FcfsPerBank, InOrderWithinBank) {
       cand(0, 0, Command::kActivate, false, true),
       cand(1, 0, Command::kRead, true, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);  // never the younger one in the same bank
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);  // never the younger one in the same bank
 }
 
 TEST(FrFcfs, PrefersRowHitsOverOlderMisses) {
@@ -60,7 +62,7 @@ TEST(FrFcfs, PrefersRowHitsOverOlderMisses) {
       cand(0, 0, Command::kActivate, false, true),  // oldest, row miss
       cand(1, 1, Command::kRead, true, true),       // younger, row hit
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 1u);
 }
 
 TEST(FrFcfs, OldestAmongEqualPriority) {
@@ -69,7 +71,7 @@ TEST(FrFcfs, OldestAmongEqualPriority) {
       cand(0, 0, Command::kRead, true, true),
       cand(1, 1, Command::kRead, true, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);
 }
 
 TEST(FrFcfs, FallsBackToOldestIssuable) {
@@ -78,7 +80,7 @@ TEST(FrFcfs, FallsBackToOldestIssuable) {
       cand(0, 0, Command::kPrecharge, false, false),
       cand(1, 1, Command::kActivate, false, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 1u);
 }
 
 TEST(FrFcfs, StarvationGuardRevertsToAgeOrder) {
@@ -87,8 +89,8 @@ TEST(FrFcfs, StarvationGuardRevertsToAgeOrder) {
       cand(0, 0, Command::kPrecharge, false, true),  // old conflict victim
       cand(1, 1, Command::kRead, true, true),        // young row hit
   };
-  EXPECT_EQ(s.pick(cs, 0, 50), 1u);   // normal: hit first
-  EXPECT_EQ(s.pick(cs, 0, 101), 0u);  // starved: oldest first
+  EXPECT_EQ(s.pick_in(cs, 0, 50), 1u);   // normal: hit first
+  EXPECT_EQ(s.pick_in(cs, 0, 101), 0u);  // starved: oldest first
 }
 
 TEST(SchedulerFactory, MakesRequestedKind) {
@@ -132,9 +134,9 @@ TEST(Tdm, OnlySlotOwnerMayIssue) {
       tdm_cand(0, 0, true, true),   // client 0, ready row hit
       tdm_cand(1, 1, true, true),   // client 1, ready row hit
   };
-  EXPECT_EQ(s.pick(cs, 5, 0), 0u);    // cycles 0..9: slot 0
-  EXPECT_EQ(s.pick(cs, 15, 0), 1u);   // cycles 10..19: slot 1
-  EXPECT_EQ(s.pick(cs, 25, 0), 0u);   // rotation wraps
+  EXPECT_EQ(s.pick_in(cs, 5, 0), 0u);    // cycles 0..9: slot 0
+  EXPECT_EQ(s.pick_in(cs, 15, 0), 1u);   // cycles 10..19: slot 1
+  EXPECT_EQ(s.pick_in(cs, 25, 0), 0u);   // rotation wraps
 }
 
 TEST(Tdm, IdleSlotStaysIdleEvenUnderStarvation) {
@@ -144,8 +146,8 @@ TEST(Tdm, IdleSlotStaysIdleEvenUnderStarvation) {
   };
   // Slot 0 stays idle no matter how long client 1 has waited: the
   // rotation, not an age cap, is the starvation guard.
-  EXPECT_EQ(s.pick(cs, 3, 1'000'000), Scheduler::kNone);
-  EXPECT_EQ(s.pick(cs, 13, 0), 0u);
+  EXPECT_EQ(s.pick_in(cs, 3, 1'000'000), Scheduler::kNone);
+  EXPECT_EQ(s.pick_in(cs, 13, 0), 0u);
 }
 
 TEST(Tdm, FrFcfsOrderWithinSlot) {
@@ -155,9 +157,9 @@ TEST(Tdm, FrFcfsOrderWithinSlot) {
       tdm_cand(1, 0, true, true),   // owner, younger, row hit
       tdm_cand(2, 1, true, true),   // not the owner: invisible this slot
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);  // hit first within the owner's work
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 1u);  // hit first within the owner's work
   cs[1].issuable = false;
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);  // then oldest issuable
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);  // then oldest issuable
 }
 
 TEST(Tdm, ClientIdsFoldOntoSlots) {
@@ -165,8 +167,8 @@ TEST(Tdm, ClientIdsFoldOntoSlots) {
   std::vector<Candidate> cs = {
       tdm_cand(0, 2, true, true),  // 2 % 2 == 0: shares slot 0
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
-  EXPECT_EQ(s.pick(cs, 10, 0), Scheduler::kNone);
+  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);
+  EXPECT_EQ(s.pick_in(cs, 10, 0), Scheduler::kNone);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,7 +203,8 @@ std::size_t two_pass_tdm(const std::vector<Candidate>& cs, std::uint64_t cycle,
 }
 
 /// An indexable source that yields candidates by value, like the
-/// controller's queue view: pick_in over it must agree with pick().
+/// controller's queue view: pick_in over it must agree with pick_in over
+/// the list itself.
 struct ByValue {
   const std::vector<Candidate>& list;
   std::size_t size() const { return list.size(); }
@@ -239,10 +242,10 @@ TEST(OnePassPick, MatchesTwoPassDefinitionOnRandomLists) {
     const std::uint64_t cycle = rng.next_below(1'000);
 
     const std::size_t want_fr = two_pass_fr_fcfs(cs, wait, kCap);
-    ASSERT_EQ(fr.pick(cs, cycle, wait), want_fr) << "list " << list;
+    ASSERT_EQ(fr.pick_in(cs, cycle, wait), want_fr) << "list " << list;
     ASSERT_EQ(fr.pick_in(ByValue{cs}, cycle, wait), want_fr) << "list " << list;
     const std::size_t want_tdm = two_pass_tdm(cs, cycle, kSlotCycles, kSlots);
-    ASSERT_EQ(tdm.pick(cs, cycle, wait), want_tdm) << "list " << list;
+    ASSERT_EQ(tdm.pick_in(cs, cycle, wait), want_tdm) << "list " << list;
     ASSERT_EQ(tdm.pick_in(ByValue{cs}, cycle, wait), want_tdm)
         << "list " << list;
 

@@ -20,7 +20,6 @@
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "dram/bank.hpp"
-#include "dram/multi_channel.hpp"
 #include "dram/refresh.hpp"
 #include "dram/scheduler.hpp"
 #include "reliability/fault_injector.hpp"
@@ -181,54 +180,6 @@ TEST(Snapshot, RestoreIsIdempotentOnTheSameBytes) {
   EXPECT_EQ(other->save_snapshot(), blob);
   other->restore_snapshot(blob);  // restoring twice is harmless
   EXPECT_EQ(other->save_snapshot(), blob);
-}
-
-TEST(Snapshot, MultiChannelRoundTrip) {
-  const dram::DramConfig cfg = small_config();
-  const auto drive = [&](dram::MultiChannel& mc, std::uint64_t from,
-                         std::uint64_t to) {
-    Rng rng(11);
-    std::vector<dram::Request> scratch;
-    for (std::uint64_t c = 0; c < to; c += 50) {
-      dram::Request r;
-      r.addr = rng.next_below(cfg.capacity().byte_count() * 2) & ~31ull;
-      r.type = rng.next_bool(0.3) ? dram::AccessType::kWrite
-                                  : dram::AccessType::kRead;
-      if (c >= from) {
-        mc.tick_until(c);
-        if (!mc.queue_full_for(r.addr)) mc.enqueue(r);
-        mc.drain_completed_into(scratch);
-      }
-    }
-    mc.tick_until(to);
-    mc.drain_completed_into(scratch);
-  };
-
-  dram::MultiChannel straight(cfg, 2, dram::ChannelInterleave::kPage);
-  drive(straight, 0, 4'000);
-  SnapshotWriter w;
-  straight.save(w);
-  const std::vector<std::uint8_t> blob = w.seal();
-  drive(straight, 4'000, 8'000);
-
-  dram::MultiChannel resumed(cfg, 2, dram::ChannelInterleave::kPage);
-  SnapshotReader r(blob);
-  resumed.load(r);
-  r.expect_end();
-  drive(resumed, 4'000, 8'000);
-
-  for (unsigned c = 0; c < straight.channels(); ++c) {
-    EXPECT_EQ(straight.channel(c).cycle(), resumed.channel(c).cycle());
-    EXPECT_EQ(straight.channel(c).stats().reads,
-              resumed.channel(c).stats().reads);
-    EXPECT_EQ(straight.channel(c).stats().bytes_transferred,
-              resumed.channel(c).stats().bytes_transferred);
-  }
-  SnapshotWriter wa;
-  SnapshotWriter wb;
-  straight.save(wa);
-  resumed.save(wb);
-  EXPECT_EQ(wa.payload(), wb.payload());
 }
 
 TEST(Snapshot, ReliabilityManagerRoundTripWithMaintenance) {

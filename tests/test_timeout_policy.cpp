@@ -1,4 +1,4 @@
-// Timeout page policy and the waterfall trace renderer.
+// Timeout page policy and the watchdog.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include "dram/controller.hpp"
 #include "dram/presets.hpp"
 #include "dram/protocol_checker.hpp"
-#include "dram/trace_dump.hpp"
 
 namespace edsim::dram {
 namespace {
@@ -166,50 +165,6 @@ TEST(Watchdog, Validation) {
   cfg.watchdog_enabled = true;
   cfg.watchdog_cycles = 0;
   EXPECT_THROW(cfg.validate(), ConfigError);
-}
-
-TEST(Waterfall, RendersCommandsInLanes) {
-  CommandLog log;
-  log.record({2, Command::kActivate, 0, 5, false});
-  log.record({5, Command::kRead, 0, 5, false});
-  log.record({7, Command::kActivate, 1, 3, false});
-  log.record({12, Command::kRefresh, 0, 0, false});
-  const std::string w = render_waterfall(log, 2, 0, 16, 100);
-  // bank0: cycle 2 A, 5 R, 12 F
-  EXPECT_NE(w.find("bank0 ..A..R......F..."), std::string::npos) << w;
-  EXPECT_NE(w.find("bank1 .......A....F..."), std::string::npos) << w;
-}
-
-TEST(Waterfall, WrapsAndClips) {
-  CommandLog log;
-  log.record({0, Command::kActivate, 0, 0, false});
-  log.record({150, Command::kPrecharge, 0, 0, false});
-  const std::string w = render_waterfall(log, 1, 0, 200, 100);
-  EXPECT_NE(w.find("cycle 0"), std::string::npos);
-  EXPECT_NE(w.find("cycle 100"), std::string::npos);
-  // Clipping: a window that excludes cycle 150 shows no P.
-  const std::string clipped = render_waterfall(log, 1, 0, 100, 100);
-  EXPECT_EQ(clipped.find('P'), std::string::npos);
-}
-
-TEST(Waterfall, Validation) {
-  CommandLog log;
-  EXPECT_THROW(render_waterfall(log, 0, 0, 10), ConfigError);
-  EXPECT_THROW(render_waterfall(log, 1, 10, 10), ConfigError);
-  EXPECT_THROW(render_waterfall(log, 1, 0, 1'000'000), ConfigError);
-}
-
-TEST(Waterfall, EndToEndFromController) {
-  DramConfig cfg = presets::sdram_pc100_4mbit();
-  cfg.refresh_enabled = false;
-  Controller ctl(cfg);
-  CommandLog log;
-  ctl.attach_command_log(&log);
-  ctl.enqueue(read_at(0));
-  ctl.drain();
-  const std::string w = render_waterfall(log, cfg.banks, 0, 20);
-  EXPECT_NE(w.find('A'), std::string::npos);
-  EXPECT_NE(w.find('R'), std::string::npos);
 }
 
 }  // namespace
