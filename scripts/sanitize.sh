@@ -41,6 +41,12 @@ build-asan/tests/edsim_maintenance_tests
 # fixed-point iteration all run under ASan/UBSan here.
 build-asan/tests/edsim_wcet_tests
 
+# Queue-position mask upkeep: the erase squeeze shifts and carries bits
+# across 64-bit words, and a shift by the full word width is UB that a
+# release build may hide. The suite runs depths 63, 64, 65 and 128 against
+# masks rebuilt from the queue, so such a shift surfaces here.
+build-asan/tests/edsim_queue_mask_tests
+
 # Result-store hardening: the service suite decodes every truncation and
 # every byte flip of an EDRS append log (varint length prefixes, sealed
 # record envelopes, torn-tail truncation on open, failed-append rollback)

@@ -1,7 +1,6 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdio>
 
@@ -16,10 +15,35 @@ std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : 0;
 }
 
-/// A queue entry's packed (bank, row, direction) key-mirror slot.
-std::uint64_t queue_key(const Coordinates& c, AccessType type) {
-  return (std::uint64_t{c.bank} << 33) | (std::uint64_t{c.row} << 1) |
-         (type == AccessType::kWrite ? 1u : 0u);
+// --- queue-position bitmasks (bit p of word p / 64 = queue position p) ---
+
+void set_bit(std::uint64_t* m, std::size_t pos) {
+  m[pos / 64] |= std::uint64_t{1} << (pos % 64);
+}
+
+bool test_bit(const std::uint64_t* m, std::size_t pos) {
+  return (m[pos / 64] >> (pos % 64) & 1) != 0;
+}
+
+/// Any position set in (a & b)?
+bool any_and(const std::uint64_t* a, const std::uint64_t* b,
+             std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
+/// Remove position `pos`: the bits above it move down one place, carried
+/// across word boundaries.
+void squeeze(std::uint64_t* m, std::size_t words, std::size_t pos) {
+  const std::size_t k = pos / 64;
+  const std::uint64_t low = (std::uint64_t{1} << (pos % 64)) - 1;
+  m[k] = (m[k] & low) | ((m[k] >> 1) & ~low);
+  for (std::size_t w = k + 1; w < words; ++w) {
+    m[w - 1] |= m[w] << 63;
+    m[w] >>= 1;
+  }
 }
 }  // namespace
 
@@ -34,6 +58,15 @@ Controller::Controller(const DramConfig& cfg)
   autopre_pending_.assign(cfg_.banks, false);
   last_col_cycle_.assign(cfg_.banks, 0);
   maint_until_.assign(cfg_.banks, 0);
+  mask_words_ = (cfg_.queue_depth + 63) / 64;
+  bank_queued_.assign(cfg_.banks * mask_words_, 0);
+  hit_mask_.assign(mask_words_, 0);
+  write_mask_.assign(mask_words_, 0);
+  if (cfg_.scheduler == SchedulerKind::kTdm) {
+    owner_mask_.assign(cfg_.tdm_clients * mask_words_, 0);
+  }
+  issuable_.assign(mask_words_, 0);
+  heads_.assign(mask_words_, 0);
 }
 
 void Controller::log_command(const CommandRecord& rec) {
@@ -97,9 +130,7 @@ bool Controller::enqueue(Request req) {
     e.wd_deadline = cycle_ + cfg_.watchdog_cycles;
   }
   queue_.push_back(e);
-  // Pre-decoded SoA mirror read by the scheduling scans.
-  queue_key_.push_back(queue_key(e.coord, e.req.type));
-  queue_client_.push_back(e.req.client_id);
+  mark_queued(queue_.size() - 1);
   EDSIM_TELEMETRY(telemetry_, on_request_enqueued(queue_.back().req,
                                                   queue_.back().coord, cycle_));
   return true;
@@ -155,19 +186,72 @@ bool Controller::column_legal(AccessType type, std::uint64_t cycle) const {
   return cycle >= channel_column_release(type);
 }
 
+void Controller::mark_queued(std::size_t pos) {
+  const QueueEntry& e = queue_[pos];
+  const unsigned b = e.coord.bank;
+  set_bit(bank_queued(b), pos);
+  busy_banks_ |= std::uint64_t{1} << b;
+  const Bank& bank = banks_[b];
+  if (bank.has_open_row() && bank.open_row() == e.coord.row) {
+    set_bit(hit_mask_.data(), pos);
+  }
+  if (e.req.type == AccessType::kWrite) set_bit(write_mask_.data(), pos);
+  if (!owner_mask_.empty()) {
+    set_bit(owner_mask_.data() + (e.req.client_id % cfg_.tdm_clients) *
+                                     mask_words_,
+            pos);
+  }
+}
+
 void Controller::erase_queue_entry(std::size_t pos) {
-  queue_key_.erase(queue_key_.begin() + static_cast<std::ptrdiff_t>(pos));
-  queue_client_.erase(queue_client_.begin() +
-                      static_cast<std::ptrdiff_t>(pos));
+  const std::size_t words = mask_words_;
+  for (std::uint64_t bits = busy_banks_; bits != 0; bits &= bits - 1) {
+    squeeze(bank_queued(static_cast<unsigned>(std::countr_zero(bits))), words,
+            pos);
+  }
+  const unsigned b = queue_[pos].coord.bank;
+  const std::uint64_t* queued = bank_queued(b);
+  if (std::all_of(queued, queued + words,
+                  [](std::uint64_t x) { return x == 0; })) {
+    busy_banks_ &= ~(std::uint64_t{1} << b);
+  }
+  squeeze(hit_mask_.data(), words, pos);
+  squeeze(write_mask_.data(), words, pos);
+  for (std::size_t s = 0; s < owner_mask_.size(); s += words) {
+    squeeze(owner_mask_.data() + s, words, pos);
+  }
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
-bool Controller::open_row_wanted(unsigned b) const {
-  const std::uint64_t open = (std::uint64_t{b} << 32) | banks_[b].open_row();
-  for (const std::uint64_t key : queue_key_) {
-    if (key >> 1 == open) return true;
+void Controller::mark_open_row_hits(unsigned b) {
+  // The only walk over queue entries, and only over this bank's.
+  const std::uint64_t* queued = bank_queued(b);
+  const unsigned row = banks_[b].open_row();
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    std::uint64_t hits = hit_mask_[w] & ~queued[w];
+    for (std::uint64_t bits = queued[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t pos = w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(bits));
+      if (queue_[pos].coord.row == row) hits |= bits & -bits;
+    }
+    hit_mask_[w] = hits;
   }
-  return false;
+}
+
+void Controller::close_row(unsigned b, unsigned client, bool logged) {
+  banks_[b].issue(Command::kPrecharge, 0, cycle_);
+  const std::uint64_t* queued = bank_queued(b);
+  for (std::size_t w = 0; w < mask_words_; ++w) hit_mask_[w] &= ~queued[w];
+  clear_autopre(b);
+  ++stats_.precharges;
+  if (logged) {
+    log_command(
+        CommandRecord{cycle_, Command::kPrecharge, b, 0, client, false});
+  }
+}
+
+bool Controller::open_row_wanted(unsigned b) const {
+  return any_and(hit_mask_.data(), bank_queued(b), mask_words_);
 }
 
 void Controller::set_autopre(unsigned b) {
@@ -186,35 +270,56 @@ void Controller::clear_autopre(unsigned b) {
 
 // --- candidate construction -------------------------------------------------
 
-Controller::CandidateView Controller::build_candidates() const {
-  CandidateView view;
-  view.keys = queue_key_.data();
-  view.clients = queue_client_.data();
-  view.n = queue_key_.size();
-  // One verdict per bank with queued work; every request then reads its
-  // bank's by (row hit?, direction) from its packed key.
-  std::uint64_t seen = 0;
-  for (const auto key : queue_key_) seen |= std::uint64_t{1} << (key >> 33);
-  for (; seen != 0; seen &= seen - 1) {
-    const auto b = static_cast<unsigned>(std::countr_zero(seen));
-    BankVerdict& v = view.verdicts[b];
-    const Bank& bank = banks_[b];
-    const bool free = !autopre_pending_[b];
-    if (bank.has_open_row()) {
-      v.open = (std::uint64_t{b} << 32) | bank.open_row();
-      v.miss_cmd = Command::kPrecharge;
-      v.miss_ok = free && bank.can_issue(Command::kPrecharge, cycle_);
-      const bool col = free && bank.can_issue(Command::kRead, cycle_);
-      v.col_ok[0] = col && column_legal(AccessType::kRead, cycle_);
-      v.col_ok[1] = col && column_legal(AccessType::kWrite, cycle_);
-    } else {
-      v.open = ~std::uint64_t{0};
-      v.miss_cmd = Command::kActivate;
-      v.miss_ok = free && bank.can_issue(Command::kActivate, cycle_) &&
-                  channel_act_legal(cycle_);
+QueueMasks Controller::build_candidates() {
+  const std::size_t words = mask_words_;
+  const std::uint64_t* hit = hit_mask_.data();
+  const std::uint64_t* writes = write_mask_.data();
+  std::fill(issuable_.begin(), issuable_.end(), 0);
+  // One verdict per bank with queued work, applied to its positions as
+  // words: row hits by direction, the rest by the bank's PRE or ACT.
+  if (busy_banks_ != 0) {
+    const bool rd_legal = column_legal(AccessType::kRead, cycle_);
+    const bool wr_legal = column_legal(AccessType::kWrite, cycle_);
+    const bool act_legal = channel_act_legal(cycle_);
+    for (std::uint64_t bits = busy_banks_; bits != 0; bits &= bits - 1) {
+      const auto b = static_cast<unsigned>(std::countr_zero(bits));
+      if (autopre_pending_[b]) continue;  // the bank is not free
+      const Bank& bank = banks_[b];
+      const std::uint64_t* queued = bank_queued(b);
+      if (bank.has_open_row()) {
+        const bool col = bank.can_issue(Command::kRead, cycle_);
+        const std::uint64_t rd = col && rd_legal ? ~std::uint64_t{0} : 0;
+        const std::uint64_t wr = col && wr_legal ? ~std::uint64_t{0} : 0;
+        const std::uint64_t pre =
+            bank.can_issue(Command::kPrecharge, cycle_) ? ~std::uint64_t{0}
+                                                        : 0;
+        for (std::size_t w = 0; w < words; ++w) {
+          issuable_[w] |= queued[w] & ((hit[w] & ((writes[w] & wr) |
+                                                  (~writes[w] & rd))) |
+                                       (~hit[w] & pre));
+        }
+      } else if (act_legal && bank.can_issue(Command::kActivate, cycle_)) {
+        for (std::size_t w = 0; w < words; ++w) issuable_[w] |= queued[w];
+      }
     }
   }
-  return view;
+  QueueMasks m;
+  m.words = words;
+  m.issuable = issuable_.data();
+  m.hit = hit;
+  m.writes = writes;
+  if (cfg_.scheduler == SchedulerKind::kFcfsPerBank) {
+    std::fill(heads_.begin(), heads_.end(), 0);
+    for (std::uint64_t bits = busy_banks_; bits != 0; bits &= bits - 1) {
+      const std::uint64_t* q =
+          bank_queued(static_cast<unsigned>(std::countr_zero(bits)));
+      set_bit(heads_.data(),
+              oldest_in(words, [q](std::size_t w) { return q[w]; }));
+    }
+    m.heads = heads_.data();
+  }
+  m.owners = owner_mask_.data();
+  return m;
 }
 
 void Controller::issue_column(QueueEntry& e, std::uint64_t cycle) {
@@ -273,9 +378,7 @@ bool Controller::tick_autoprecharge() {
   bool any = false;
   for (unsigned b = 0; b < cfg_.banks; ++b) {
     if (autopre_pending_[b] && banks_[b].can_issue(Command::kPrecharge, cycle_)) {
-      banks_[b].issue(Command::kPrecharge, 0, cycle_);
-      ++stats_.precharges;
-      clear_autopre(b);
+      close_row(b, CommandRecord::kNoClient, /*logged=*/false);
       any = true;
     }
   }
@@ -292,16 +395,13 @@ bool Controller::tick_refresh() {
   for (unsigned b = 0; b < cfg_.banks; ++b) {
     if (banks_[b].has_open_row()) {
       if (banks_[b].can_issue(Command::kPrecharge, cycle_)) {
-        banks_[b].issue(Command::kPrecharge, 0, cycle_);
-        clear_autopre(b);
-        ++stats_.precharges;
-        log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
-                                  CommandRecord::kNoClient, false});
+        close_row(b, CommandRecord::kNoClient, /*logged=*/true);
       }
       return true;  // command slot consumed (or bank not yet ready)
     }
   }
-  // All banks idle: issue REF when every bank is past its tRP window.
+  // All banks idle: issue REF when every bank is past its tRP window. No
+  // row is open, so there are no row hits to drop.
   for (const Bank& b : banks_) {
     if (!b.can_issue(Command::kRefresh, cycle_)) return true;  // wait
   }
@@ -316,10 +416,7 @@ bool Controller::tick_refresh() {
 }
 
 bool Controller::bank_has_queued(unsigned b) const {
-  for (const std::uint64_t key : queue_key_) {
-    if (key >> 33 == b) return true;
-  }
-  return false;
+  return (busy_banks_ >> b & 1) != 0;
 }
 
 bool Controller::maintenance_any_urgent() const {
@@ -363,11 +460,7 @@ bool Controller::tick_maintenance() {
       // on the command bus, mirroring the refresh drain).
       if (urg && !slot_used &&
           bank.can_issue(Command::kPrecharge, cycle_)) {
-        bank.issue(Command::kPrecharge, 0, cycle_);
-        clear_autopre(b);
-        ++stats_.precharges;
-        log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
-                                  CommandRecord::kNoClient, false});
+        close_row(b, CommandRecord::kNoClient, /*logged=*/true);
         slot_used = true;
       }
       continue;
@@ -463,28 +556,28 @@ void Controller::retire_due_inflight() {
   }
 }
 
-std::size_t Controller::dispatch_pick(const CandidateView& view,
+std::size_t Controller::dispatch_pick(const QueueMasks& m,
                                       std::uint64_t oldest_wait) const {
   // Every policy class is final: the static type makes each call below a
   // direct (inlinable) call instead of a per-round virtual dispatch.
   switch (cfg_.scheduler) {
     case SchedulerKind::kFcfs:
       return static_cast<const FcfsScheduler&>(*scheduler_)
-          .pick_in(view, cycle_, oldest_wait);
+          .pick(m, cycle_, oldest_wait);
     case SchedulerKind::kFcfsPerBank:
       return static_cast<const FcfsPerBankScheduler&>(*scheduler_)
-          .pick_in(view, cycle_, oldest_wait);
+          .pick(m, cycle_, oldest_wait);
     case SchedulerKind::kFrFcfs:
       return static_cast<const FrFcfsScheduler&>(*scheduler_)
-          .pick_in(view, cycle_, oldest_wait);
+          .pick(m, cycle_, oldest_wait);
     case SchedulerKind::kReadFirst:
       return static_cast<const ReadFirstScheduler&>(*scheduler_)
-          .pick_in(view, cycle_, oldest_wait);
+          .pick(m, cycle_, oldest_wait);
     case SchedulerKind::kTdm:
       break;
   }
   return static_cast<const TdmScheduler&>(*scheduler_)
-      .pick_in(view, cycle_, oldest_wait);
+      .pick(m, cycle_, oldest_wait);
 }
 
 void Controller::tick() {
@@ -528,11 +621,7 @@ void Controller::tick() {
           if (banks_[b].has_open_row()) {
             all_idle = false;
             if (banks_[b].can_issue(Command::kPrecharge, cycle_)) {
-              banks_[b].issue(Command::kPrecharge, 0, cycle_);
-              clear_autopre(b);
-              ++stats_.precharges;
-              log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
-                                        CommandRecord::kNoClient, false});
+              close_row(b, CommandRecord::kNoClient, /*logged=*/true);
             }
             break;  // one command per cycle
           }
@@ -572,7 +661,7 @@ void Controller::tick() {
   // REF sweep is replaced by maintenance arbitration over idle bank slots.
   if (!(self_managed_ ? tick_maintenance() : tick_refresh())) {
     // 4. Normal scheduling: one command this cycle.
-    const CandidateView view = build_candidates();
+    const QueueMasks masks = build_candidates();
     const std::uint64_t oldest_wait =
         queue_.empty() ? 0 : cycle_ - queue_.front().req.arrival_cycle;
     std::size_t pick;
@@ -580,13 +669,13 @@ void Controller::tick() {
         queue_.front().wd_retries > 0 &&
         cfg_.scheduler != SchedulerKind::kTdm) {
       // An escalated request owns the command slot until it completes:
-      // candidates are age-ordered, so its candidate is index 0. Under TDM
+      // positions are age-ordered, so it is position 0. Under TDM
       // the escalation still routes through the scheduler — slot ownership
       // is inviolate (that isolation is the policy's entire guarantee), and
       // the rotation itself bounds how long the front entry can wait.
-      pick = view[0].issuable ? 0 : Scheduler::kNone;
+      pick = (masks.issuable[0] & 1) != 0 ? 0 : Scheduler::kNone;
     } else {
-      pick = dispatch_pick(view, oldest_wait);
+      pick = dispatch_pick(masks, oldest_wait);
     }
     if (pick == Scheduler::kNone &&
         cfg_.page_policy == PagePolicy::kTimeout) {
@@ -598,50 +687,32 @@ void Controller::tick() {
             banks_[b].can_issue(Command::kPrecharge, cycle_)) {
           // Only close rows no queued request still wants.
           if (open_row_wanted(b)) continue;
-          banks_[b].issue(Command::kPrecharge, 0, cycle_);
-          ++stats_.precharges;
-          log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
-                                    CommandRecord::kNoClient, false});
+          close_row(b, CommandRecord::kNoClient, /*logged=*/true);
           break;  // one command per cycle
         }
       }
     }
     if (pick != Scheduler::kNone) {
-      const Candidate c = view[pick];
-      QueueEntry& e = queue_[c.queue_index];
-      Bank& bank = banks_[e.coord.bank];
+      QueueEntry& e = queue_[pick];
+      const unsigned b = e.coord.bank;
+      Bank& bank = banks_[b];
       classify(e, bank);
-      switch (c.cmd) {
-        case Command::kActivate:
-          bank.issue(Command::kActivate, e.coord.row, cycle_);
-          ++stats_.activations;
-          last_act_cycle_ = cycle_;
-          any_act_yet_ = true;
-          recent_acts_.push_back(cycle_);
-          if (recent_acts_.size() > 8) recent_acts_.pop_front();
-          log_command(CommandRecord{cycle_, Command::kActivate, e.coord.bank,
-                                    e.coord.row, e.req.client_id, false});
-          if (hooks_ != nullptr) {
-            hooks_->on_activate(e.coord.bank, e.coord.row, cycle_);
-          }
-          break;
-        case Command::kPrecharge:
-          bank.issue(Command::kPrecharge, 0, cycle_);
-          ++stats_.precharges;
-          log_command(
-              CommandRecord{cycle_, Command::kPrecharge, e.coord.bank, 0,
-                            e.req.client_id, false});
-          break;
-        case Command::kRead:
-        case Command::kWrite: {
-          issue_column(e, cycle_);
-          erase_queue_entry(c.queue_index);
-          break;
-        }
-        case Command::kRefresh:
-        case Command::kMaintStart:
-        case Command::kMaintEnd:
-          break;  // unreachable: never scheduler candidates
+      if (test_bit(masks.hit, pick)) {
+        issue_column(e, cycle_);
+        erase_queue_entry(pick);
+      } else if (bank.has_open_row()) {
+        close_row(b, e.req.client_id, /*logged=*/true);
+      } else {
+        bank.issue(Command::kActivate, e.coord.row, cycle_);
+        mark_open_row_hits(b);
+        ++stats_.activations;
+        last_act_cycle_ = cycle_;
+        any_act_yet_ = true;
+        recent_acts_.push_back(cycle_);
+        if (recent_acts_.size() > 8) recent_acts_.pop_front();
+        log_command(CommandRecord{cycle_, Command::kActivate, b, e.coord.row,
+                                  e.req.client_id, false});
+        if (hooks_ != nullptr) hooks_->on_activate(b, e.coord.row, cycle_);
       }
     }
   }
@@ -741,38 +812,32 @@ std::uint64_t Controller::next_event_cycle() const {
   const std::uint64_t act_rel = channel_act_release();
   const std::uint64_t rd_rel = channel_column_release(AccessType::kRead);
   const std::uint64_t wr_rel = channel_column_release(AccessType::kWrite);
-  // One verdict per bank, as in build_candidates: the read, write and
-  // ACT-or-PRE release cycles. Banks awaiting auto-precharge are gated by
-  // its release above and contribute nothing.
-  struct Release {
-    std::uint64_t open;    ///< key >> 1 of a row hit; ~0 when no row is open
-    std::uint64_t col[2];  ///< RD, WR on the open row
-    std::uint64_t miss;    ///< ACT on an idle bank, PRE over another row
-  };
-  std::array<Release, 64> release;  // written before read, as above
-  std::uint64_t seen = 0;
-  std::uint64_t first = kNeverCycle;
-  for (const std::uint64_t key : queue_key_) {
-    const auto b = static_cast<unsigned>(key >> 33);
-    Release& v = release[b];
-    if ((seen >> b & 1) == 0) {
-      seen |= std::uint64_t{1} << b;
-      const Bank& bank = banks_[b];
-      v.open = ~std::uint64_t{0};
-      if (autopre_pending_[b]) {
-        v.miss = kNeverCycle;
-      } else if (bank.has_open_row()) {
-        v.open = (std::uint64_t{b} << 32) | bank.open_row();
-        v.col[0] = std::max(bank.earliest(Command::kRead), rd_rel);
-        v.col[1] = std::max(bank.earliest(Command::kWrite), wr_rel);
-        v.miss = bank.earliest(Command::kPrecharge);
-      } else {
-        v.miss = std::max(bank.earliest(Command::kActivate), act_rel);
-      }
+  // Three release terms per bank with queued work, as in build_candidates:
+  // read and write hits on the open row, and the PRE (or, on an idle bank,
+  // the ACT) every other request needs. Banks awaiting auto-precharge are
+  // gated by its release above and contribute nothing.
+  const std::uint64_t* hit = hit_mask_.data();
+  const std::uint64_t* writes = write_mask_.data();
+  for (std::uint64_t bits = busy_banks_; bits != 0; bits &= bits - 1) {
+    const auto b = static_cast<unsigned>(std::countr_zero(bits));
+    if (autopre_pending_[b]) continue;
+    const Bank& bank = banks_[b];
+    if (!bank.has_open_row()) {
+      upd(std::max(bank.earliest(Command::kActivate), act_rel));
+      continue;
     }
-    first = std::min(first, (key >> 1) == v.open ? v.col[key & 1] : v.miss);
+    const std::uint64_t* queued = bank_queued(b);
+    bool rd = false, wr = false, miss = false;
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+      const std::uint64_t h = queued[w] & hit[w];
+      rd |= (h & ~writes[w]) != 0;
+      wr |= (h & writes[w]) != 0;
+      miss |= (queued[w] & ~hit[w]) != 0;
+    }
+    if (rd) upd(std::max(bank.earliest(Command::kRead), rd_rel));
+    if (wr) upd(std::max(bank.earliest(Command::kWrite), wr_rel));
+    if (miss) upd(bank.earliest(Command::kPrecharge));
   }
-  upd(first);
   return ne;
 }
 
@@ -1062,12 +1127,11 @@ void Controller::load(SnapshotReader& r) {
   load_controller_stats(r, stats_);
 
   // Derived caches: recompute rather than trust the stream.
-  queue_key_.clear();
-  queue_client_.clear();
-  for (const QueueEntry& e : queue_) {
-    queue_key_.push_back(queue_key(e.coord, e.req.type));
-    queue_client_.push_back(e.req.client_id);
+  busy_banks_ = 0;
+  for (auto* m : {&bank_queued_, &hit_mask_, &write_mask_, &owner_mask_}) {
+    std::fill(m->begin(), m->end(), 0);
   }
+  for (std::size_t pos = 0; pos < queue_.size(); ++pos) mark_queued(pos);
   autopre_count_ = 0;
   for (unsigned b = 0; b < cfg_.banks; ++b) {
     if (autopre_pending_[b]) ++autopre_count_;

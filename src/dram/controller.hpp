@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -68,7 +67,9 @@ struct ControllerStats {
 ///
 /// Drive it with `enqueue` and `tick`; collect finished requests with
 /// `drain_completed`. One command per cycle on the command bus; the data
-/// bus is tracked separately with read/write turnaround penalties.
+/// bus is tracked separately with read/write turnaround penalties. The
+/// scheduling round, the next-event bound and the bank queries read
+/// queue-position bitmasks kept beside the queue, never the queue itself.
 class Controller {
  public:
   explicit Controller(const DramConfig& cfg);
@@ -179,7 +180,7 @@ class Controller {
   /// DramConfig, re-attaches its observers (attach_reliability BEFORE
   /// load, so the attach-derived flags are in place and load then restores
   /// the counters attach reset), and calls load(). Derived state (the
-  /// queue key mirror, the in-flight minimum, the auto-precharge
+  /// queue-position masks, the in-flight minimum, the auto-precharge
   /// count) is recomputed on load, not stored.
   void save(SnapshotWriter& w) const;
   void load(SnapshotReader& r);
@@ -229,55 +230,34 @@ class Controller {
   /// Retire every in-flight request whose last data beat is done (step 1
   /// of tick()).
   void retire_due_inflight();
-  /// One bank's verdict for this round: what a row hit and a row miss to
-  /// it would issue, and whether the bank and channel constraints allow it.
-  struct BankVerdict {
-    std::uint64_t open;  ///< key >> 1 of a row hit; ~0 when no row is open
-    Command miss_cmd;    ///< ACT on an idle bank, PRE over another row
-    bool miss_ok;
-    bool col_ok[2];      ///< RD, WR issuable on the open row
-  };
-  /// One scheduler round's candidates, read on demand: view[i] derives
-  /// queued request i's Candidate from its packed key, its client id and
-  /// its bank's verdict. Valid until the queue or a bank changes.
-  struct CandidateView {
-    const std::uint64_t* keys;
-    const std::uint32_t* clients;
-    std::size_t n;
-    // DramConfig::validate caps banks at 64. Only banks with queued work
-    // get a verdict and only those are read, so the array is left
-    // uninitialized: zeroing it every round cost ~14% on a6.
-    std::array<BankVerdict, 64> verdicts;
-
-    std::size_t size() const { return n; }
-    Candidate operator[](std::size_t i) const {
-      const std::uint64_t key = keys[i];
-      const auto b = static_cast<unsigned>(key >> 33);
-      const BankVerdict& v = verdicts[b];
-      Candidate c;
-      c.queue_index = i;
-      c.bank = b;
-      c.client_id = clients[i];
-      c.is_write = (key & 1) != 0;
-      c.row_hit = (key >> 1) == v.open;
-      c.cmd = !c.row_hit   ? v.miss_cmd
-              : c.is_write ? Command::kWrite
-                           : Command::kRead;
-      c.issuable = c.row_hit ? v.col_ok[c.is_write] : v.miss_ok;
-      return c;
-    }
-  };
-  /// This round's candidate view: one verdict per bank with queued work
-  /// (seen-mask pre-pass over the key mirror), read by every request.
-  CandidateView build_candidates() const;
+  /// This round's queue masks: the issuable positions (one verdict per
+  /// bank with queued work, applied to its position masks as words), the
+  /// row hits, the writes, and the bank heads or TDM owner slots when the
+  /// configured policy reads them. Valid until the queue or a bank changes.
+  QueueMasks build_candidates();
   /// Devirtualized scheduler dispatch: every policy class is final, so a
   /// switch on the configured kind lets the compiler inline the policy's
-  /// pick body over the view into the issue path.
-  std::size_t dispatch_pick(const CandidateView& view,
+  /// pick body over the masks into the issue path.
+  std::size_t dispatch_pick(const QueueMasks& m,
                             std::uint64_t oldest_wait) const;
 
-  /// Remove queue_[pos] and its key-mirror slots.
+  /// Set queue_[pos]'s bits in the position masks (enqueue and load).
+  void mark_queued(std::size_t pos);
+  /// Remove queue_[pos] and squeeze its bit out of every position mask.
   void erase_queue_entry(std::size_t pos);
+  /// Bank `b`'s queued positions (mask_words_ words).
+  std::uint64_t* bank_queued(unsigned b) {
+    return bank_queued_.data() + b * mask_words_;
+  }
+  const std::uint64_t* bank_queued(unsigned b) const {
+    return bank_queued_.data() + b * mask_words_;
+  }
+  /// ACT on bank `b`: rebuild the row hits among its queued positions.
+  void mark_open_row_hits(unsigned b);
+  /// Every row close goes through here: PRE on bank `b`, drop its row
+  /// hits and any pending auto-precharge, and log the command unless it is
+  /// the hardware auto-precharge (`logged` false).
+  void close_row(unsigned b, unsigned client, bool logged);
   /// True when a queued request still wants bank `b`'s open row.
   bool open_row_wanted(unsigned b) const;
   void set_autopre(unsigned b);
@@ -301,12 +281,20 @@ class Controller {
   std::uint64_t inflight_min_done_ = kNeverCycle;
   unsigned autopre_count_ = 0;
 
-  // SoA mirror of the queue: one packed (bank, row, direction) key and one
-  // client id per entry, maintained on enqueue / erase / load alongside
-  // queue_. Every queue scan reads it (see docs/performance.md,
-  // "Scheduling scans" and "Dense traffic").
-  std::vector<std::uint64_t> queue_key_;   // (bank << 33) | (row << 1) | w
-  std::vector<std::uint32_t> queue_client_;
+  // Queue-position bitmasks: bit p of each stands for queue_[p]; every
+  // mask is mask_words_ = ceil(queue_depth / 64) words. Kept in step with
+  // queue_ on enqueue, erase, ACT and row close, and rebuilt on load. Every
+  // scheduling read (the round, the next-event bound, the bank and
+  // open-row queries) works on these instead of walking the queue (see
+  // docs/performance.md, "Scheduling scans" and "Dense traffic").
+  std::size_t mask_words_ = 1;
+  std::uint64_t busy_banks_ = 0;            // banks with queued work
+  std::vector<std::uint64_t> bank_queued_;  // [bank * words + w]
+  std::vector<std::uint64_t> hit_mask_;     // row == its bank's open row
+  std::vector<std::uint64_t> write_mask_;
+  std::vector<std::uint64_t> owner_mask_;   // TDM only: [slot * words + w]
+  std::vector<std::uint64_t> issuable_;     // one round's scratch
+  std::vector<std::uint64_t> heads_;        // same, FCFS-per-bank only
 
   std::uint64_t cycle_ = 0;
   std::uint64_t next_id_ = 0;

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "dram/config.hpp"
@@ -13,34 +15,38 @@ class SnapshotWriter;
 
 namespace edsim::dram {
 
-/// One schedulable action the controller could take this cycle, derived
-/// from a queued request. Candidates are listed in arrival (age) order.
-struct Candidate {
-  std::size_t queue_index = 0;
-  unsigned bank = 0;
-  unsigned client_id = 0;            ///< issuing client (TDM slot ownership)
-  Command cmd = Command::kActivate;  ///< next command this request needs
-  bool row_hit = false;              ///< cmd is a column command to an open row
-  bool issuable = false;             ///< all timing constraints met this cycle
-  bool is_write = false;             ///< underlying request is a write
+/// One scheduling round's queue as position bitmasks. Bit p (word p / 64,
+/// bit p % 64) stands for the request at queue position p. Positions are
+/// in arrival (age) order, so the lowest set bit of a mask is its oldest
+/// request. Every array is `words` long, and bits at or past the queue
+/// length are zero in all of them.
+struct QueueMasks {
+  std::size_t words = 0;
+  const std::uint64_t* issuable = nullptr;  ///< next command legal now
+  const std::uint64_t* hit = nullptr;       ///< RD/WR to its bank's open row
+  const std::uint64_t* writes = nullptr;    ///< the request is a write
+  /// The oldest request of each bank with queued work (FCFS-per-bank only).
+  const std::uint64_t* heads = nullptr;
+  /// TDM only: slot s's requests (client_id % num_slots == s) are the
+  /// `words` words at owners + s * words.
+  const std::uint64_t* owners = nullptr;
 };
 
-/// Scheduling policy: picks which candidate to issue. Pure function of the
-/// candidates (plus the current cycle, for time-sliced policies) so
-/// policies are trivially testable. Each policy is a final class whose
-/// pick body is a template
+/// Scheduling policy: picks which queued request advances this cycle.
+/// Each policy is a final class with a non-virtual
 ///
-///   std::size_t pick_in(const Cands& cands, std::uint64_t cycle,
-///                       std::uint64_t oldest_wait) const;
+///   std::size_t pick(const QueueMasks& m, std::uint64_t cycle,
+///                    std::uint64_t oldest_wait) const;
 ///
-/// over any indexable candidate source (`size()` and `operator[]`
-/// yielding a Candidate): the controller runs it on a view derived from
-/// its queue (Controller::dispatch_pick switches on the SchedulerKind),
-/// tests on a written std::vector<Candidate>. It returns an index into
-/// `cands` (not the queue), or kNone. `cycle` is the current controller
-/// cycle (TDM slot selection); `oldest_wait` is the age in cycles of the
-/// oldest queued request, used for starvation control. The base class
-/// carries only the policy-internal state hooks and the factories.
+/// a pure function of the round's masks (plus the current cycle, for
+/// time-sliced policies), so policies are trivially testable: the
+/// controller builds the masks from its queue and dispatches on the
+/// SchedulerKind (Controller::dispatch_pick), tests build them from a
+/// written list. It returns the picked queue position, or kNone. `cycle`
+/// is the current controller cycle (TDM slot selection); `oldest_wait` is
+/// the age in cycles of the oldest queued request, used for starvation
+/// control. The base class carries only the policy-internal state hooks
+/// and the factories.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -48,7 +54,7 @@ class Scheduler {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   /// Persist / restore policy-internal state. Most policies are pure
-  /// functions of the candidate list (nothing to save); ReadFirst carries
+  /// functions of the round's masks (nothing to save); ReadFirst carries
   /// its write-drain hysteresis flag across cycles and overrides these.
   virtual void save(SnapshotWriter& /*w*/) const {}
   virtual void load(SnapshotReader& /*r*/) {}
@@ -58,37 +64,55 @@ class Scheduler {
   static std::unique_ptr<Scheduler> make(const DramConfig& cfg);
 };
 
+/// The oldest position set in `word(w)` over w in [0, words), or kNone.
+template <class Word>
+std::size_t oldest_in(std::size_t words, Word word) {
+  for (std::size_t w = 0; w < words; ++w) {
+    if (const std::uint64_t x = word(w)) {
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(x));
+    }
+  }
+  return Scheduler::kNone;
+}
+
+/// FR-FCFS order over the positions `ready(w)` selects: the oldest ready
+/// row hit, else the oldest ready request; kNone when none is ready.
+template <class Ready>
+std::size_t oldest_ready(const QueueMasks& m, Ready ready) {
+  std::size_t first = Scheduler::kNone;
+  for (std::size_t w = 0; w < m.words; ++w) {
+    const std::uint64_t x = ready(w);
+    if (const std::uint64_t h = x & m.hit[w]) {
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(h));
+    }
+    if (x != 0 && first == Scheduler::kNone) {
+      first = w * 64 + static_cast<std::size_t>(std::countr_zero(x));
+    }
+  }
+  return first;
+}
+
 /// Strict in-order service: only the oldest request may advance. Exhibits
 /// the head-of-line blocking that makes sustainable bandwidth collapse
 /// under interleaved clients (paper §4).
 class FcfsScheduler final : public Scheduler {
  public:
-  template <class Cands>
-  std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
-                      std::uint64_t /*oldest_wait*/) const {
+  std::size_t pick(const QueueMasks& m, std::uint64_t /*cycle*/,
+                   std::uint64_t /*oldest_wait*/) const {
     // Only the head of the queue may issue; everything else waits behind it.
-    return cands.size() != 0 && cands[0].queue_index == 0 && cands[0].issuable
-               ? 0
-               : kNone;
+    return (m.issuable[0] & 1) != 0 ? 0 : kNone;
   }
 };
 
 /// In-order within each bank, banks progress independently.
 class FcfsPerBankScheduler final : public Scheduler {
  public:
-  template <class Cands>
-  std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
-                      std::uint64_t /*oldest_wait*/) const {
-    // The oldest candidate per bank may issue; pick the oldest issuable one.
-    std::uint64_t seen_banks = 0;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      const Candidate& c = cands[i];
-      const std::uint64_t bit = 1ull << (c.bank & 63u);
-      const bool head_of_bank = (seen_banks & bit) == 0;
-      seen_banks |= bit;
-      if (head_of_bank && c.issuable) return i;
-    }
-    return kNone;
+  std::size_t pick(const QueueMasks& m, std::uint64_t /*cycle*/,
+                   std::uint64_t /*oldest_wait*/) const {
+    // The oldest request per bank may issue; pick the oldest issuable one.
+    return oldest_in(m.words, [&](std::size_t w) {
+      return m.heads[w] & m.issuable[w];
+    });
   }
 };
 
@@ -100,20 +124,13 @@ class FrFcfsScheduler final : public Scheduler {
   explicit FrFcfsScheduler(std::uint64_t starvation_cap = 256)
       : starvation_cap_(starvation_cap) {}
 
-  /// One pass: the first issuable row hit, else the first issuable one;
-  /// past the starvation cap the first issuable one (strict age order).
-  template <class Cands>
-  std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
-                      std::uint64_t oldest_wait) const {
-    const bool starved = oldest_wait > starvation_cap_;
-    std::size_t first = kNone;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      const Candidate& c = cands[i];
-      if (!c.issuable) continue;
-      if (c.row_hit || starved) return i;
-      if (first == kNone) first = i;
-    }
-    return first;
+  /// The oldest issuable row hit, else the oldest issuable request; past
+  /// the starvation cap the oldest issuable one (strict age order).
+  std::size_t pick(const QueueMasks& m, std::uint64_t /*cycle*/,
+                   std::uint64_t oldest_wait) const {
+    const auto issuable = [&](std::size_t w) { return m.issuable[w]; };
+    return oldest_wait > starvation_cap_ ? oldest_in(m.words, issuable)
+                                         : oldest_ready(m, issuable);
   }
 
   std::uint64_t starvation_cap() const { return starvation_cap_; }
@@ -132,35 +149,28 @@ class ReadFirstScheduler final : public Scheduler {
   ReadFirstScheduler(unsigned high_watermark = 20, unsigned low_watermark = 6,
                      std::uint64_t starvation_cap = 512);
 
-  template <class Cands>
-  std::size_t pick_in(const Cands& cands, std::uint64_t /*cycle*/,
-                      std::uint64_t oldest_wait) const {
+  std::size_t pick(const QueueMasks& m, std::uint64_t /*cycle*/,
+                   std::uint64_t oldest_wait) const {
     unsigned writes = 0;
-    for (std::size_t i = 0; i < cands.size(); ++i)
-      if (cands[i].is_write) ++writes;
+    for (std::size_t w = 0; w < m.words; ++w) {
+      writes += static_cast<unsigned>(std::popcount(m.writes[w]));
+    }
     note_writes(writes);
 
     if (oldest_wait > starvation_cap_) {
-      for (std::size_t i = 0; i < cands.size(); ++i)
-        if (cands[i].issuable) return i;
-      return kNone;
+      return oldest_in(m.words, [&](std::size_t w) { return m.issuable[w]; });
     }
 
-    const bool favour_writes = draining_;
     // Four priority classes: (favoured, row hit) > (favoured) >
     // (other, row hit) > (other). Oldest-first within a class.
-    for (const int pass : {0, 1, 2, 3}) {
-      const bool want_write = (pass < 2) == favour_writes;
-      const bool want_hit = pass % 2 == 0;
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        const Candidate& c = cands[i];
-        if (!c.issuable) continue;
-        if (c.is_write != want_write) continue;
-        if (want_hit && !c.row_hit) continue;
-        return i;
-      }
-    }
-    return kNone;
+    const std::uint64_t flip = draining_ ? 0 : ~std::uint64_t{0};
+    const std::size_t favoured = oldest_ready(m, [&](std::size_t w) {
+      return m.issuable[w] & (m.writes[w] ^ flip);
+    });
+    if (favoured != kNone) return favoured;
+    return oldest_ready(m, [&](std::size_t w) {
+      return m.issuable[w] & ~(m.writes[w] ^ flip);
+    });
   }
 
   bool draining() const { return draining_; }
@@ -198,19 +208,12 @@ class TdmScheduler final : public Scheduler {
 
   /// Hard slot isolation: only the slot owner's requests may issue, no
   /// matter how long anyone else has waited — the rotation itself is the
-  /// starvation guard. Within the slot, FR-FCFS order in one pass.
-  template <class Cands>
-  std::size_t pick_in(const Cands& cands, std::uint64_t cycle,
-                      std::uint64_t /*oldest_wait*/) const {
-    const unsigned own = owner(cycle);
-    std::size_t first = kNone;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      const Candidate& c = cands[i];
-      if (!c.issuable || c.client_id % num_slots_ != own) continue;
-      if (c.row_hit) return i;
-      if (first == kNone) first = i;
-    }
-    return first;
+  /// starvation guard. Within the slot, FR-FCFS order.
+  std::size_t pick(const QueueMasks& m, std::uint64_t cycle,
+                   std::uint64_t /*oldest_wait*/) const {
+    const std::uint64_t* own = m.owners + owner(cycle) * m.words;
+    return oldest_ready(m,
+                        [&](std::size_t w) { return m.issuable[w] & own[w]; });
   }
 
   /// Which slot (and thus which client-id class) owns `cycle`.

@@ -265,6 +265,53 @@ TEST_P(DeviceSweep, WriteLatencyMatchesFormula) {
       << dc.name;
 }
 
+TEST_P(DeviceSweep, ReadWriteTurnaroundOnOneOpenRowMatchesFormula) {
+  // Two row hits on one open row, in each order, on a quiet channel. The
+  // second column command waits for the bus to turn around: a read after
+  // a write waits tWTR past the end of the write data, and a write after a
+  // read waits until its data would start tRTW past the end of the read
+  // data. Both are bounded below by tCCD.
+  const DeviceCase dc = devices()[GetParam()];
+  if (dc.cfg.page_policy != PagePolicy::kOpen) GTEST_SKIP();
+  const auto& t = dc.cfg.timing;
+  const unsigned data = dc.cfg.data_cycles_per_access();
+  const unsigned burst = dc.cfg.bytes_per_access();
+  ASSERT_LE(3 * burst, dc.cfg.page_bytes);
+  const std::uint64_t write_to_read =
+      std::max<std::uint64_t>(t.tCCD, t.tWL + data + t.tWTR);
+  const std::uint64_t read_to_write =
+      std::max<std::uint64_t>(t.tCCD, t.tCL + data + t.tRTW - t.tWL);
+  for (const AccessType first : {AccessType::kWrite, AccessType::kRead}) {
+    Controller ctl(dc.cfg);
+    CommandLog log;
+    ctl.attach_command_log(&log);
+    Request warm;
+    warm.addr = 0;
+    ASSERT_TRUE(ctl.enqueue(warm));
+    ctl.drain();
+    // Let the warm-up read's bus occupancy and turnaround expire.
+    ctl.tick_until(ctl.cycle() + 1'000);
+    log.clear();
+    for (const AccessType type :
+         {first, first == AccessType::kRead ? AccessType::kWrite
+                                            : AccessType::kRead}) {
+      Request r;
+      r.type = type;
+      r.addr = (type == first ? 1 : 2) * std::uint64_t{burst};  // same row
+      ASSERT_TRUE(ctl.enqueue(r));
+    }
+    ctl.drain();
+    const auto& recs = log.records();
+    ASSERT_EQ(recs.size(), 2u) << dc.name;  // two column commands, no ACT
+    const Command want_first =
+        first == AccessType::kRead ? Command::kRead : Command::kWrite;
+    EXPECT_EQ(recs[0].cmd, want_first) << dc.name;
+    EXPECT_EQ(recs[1].cycle - recs[0].cycle,
+              first == AccessType::kWrite ? write_to_read : read_to_write)
+        << dc.name << (first == AccessType::kWrite ? " WR->RD" : " RD->WR");
+  }
+}
+
 TEST_P(DeviceSweep, PeakBandwidthAlgebra) {
   const DeviceCase dc = devices()[GetParam()];
   const double by_hand = static_cast<double>(dc.cfg.interface_bits) *

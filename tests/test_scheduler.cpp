@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "pick_masks.hpp"
 
 namespace edsim::dram {
 namespace {
@@ -27,14 +28,14 @@ TEST(Fcfs, OnlyHeadMayIssue) {
       cand(1, 1, Command::kRead, true, true),
   };
   // Head not issuable: nothing issues even though a younger one could.
-  EXPECT_EQ(s.pick_in(cs, 0, 0), Scheduler::kNone);
+  EXPECT_EQ(pick_from(s, cs, 0, 0), Scheduler::kNone);
   cs[0].issuable = true;
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 0u);
 }
 
 TEST(Fcfs, EmptyQueue) {
   FcfsScheduler s;
-  EXPECT_EQ(s.pick_in(std::vector<Candidate>{}, 0, 0), Scheduler::kNone);
+  EXPECT_EQ(pick_from(s, std::vector<Candidate>{}, 0, 0), Scheduler::kNone);
 }
 
 TEST(FcfsPerBank, HeadOfEachBankMayIssue) {
@@ -44,7 +45,7 @@ TEST(FcfsPerBank, HeadOfEachBankMayIssue) {
       cand(1, 0, Command::kRead, true, true),        // bank 0, behind head
       cand(2, 1, Command::kRead, true, true),        // bank 1 head, ready
   };
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 2u);  // bank 1's head proceeds independently
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 2u);  // bank 1's head goes independently
 }
 
 TEST(FcfsPerBank, InOrderWithinBank) {
@@ -53,7 +54,7 @@ TEST(FcfsPerBank, InOrderWithinBank) {
       cand(0, 0, Command::kActivate, false, true),
       cand(1, 0, Command::kRead, true, true),
   };
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);  // never the younger one in the same bank
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 0u);  // never the younger one in a bank
 }
 
 TEST(FrFcfs, PrefersRowHitsOverOlderMisses) {
@@ -62,7 +63,7 @@ TEST(FrFcfs, PrefersRowHitsOverOlderMisses) {
       cand(0, 0, Command::kActivate, false, true),  // oldest, row miss
       cand(1, 1, Command::kRead, true, true),       // younger, row hit
   };
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 1u);
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 1u);
 }
 
 TEST(FrFcfs, OldestAmongEqualPriority) {
@@ -71,7 +72,7 @@ TEST(FrFcfs, OldestAmongEqualPriority) {
       cand(0, 0, Command::kRead, true, true),
       cand(1, 1, Command::kRead, true, true),
   };
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 0u);
 }
 
 TEST(FrFcfs, FallsBackToOldestIssuable) {
@@ -80,7 +81,7 @@ TEST(FrFcfs, FallsBackToOldestIssuable) {
       cand(0, 0, Command::kPrecharge, false, false),
       cand(1, 1, Command::kActivate, false, true),
   };
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 1u);
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 1u);
 }
 
 TEST(FrFcfs, StarvationGuardRevertsToAgeOrder) {
@@ -89,8 +90,8 @@ TEST(FrFcfs, StarvationGuardRevertsToAgeOrder) {
       cand(0, 0, Command::kPrecharge, false, true),  // old conflict victim
       cand(1, 1, Command::kRead, true, true),        // young row hit
   };
-  EXPECT_EQ(s.pick_in(cs, 0, 50), 1u);   // normal: hit first
-  EXPECT_EQ(s.pick_in(cs, 0, 101), 0u);  // starved: oldest first
+  EXPECT_EQ(pick_from(s, cs, 0, 50), 1u);   // normal: hit first
+  EXPECT_EQ(pick_from(s, cs, 0, 101), 0u);  // starved: oldest first
 }
 
 TEST(SchedulerFactory, MakesRequestedKind) {
@@ -134,9 +135,9 @@ TEST(Tdm, OnlySlotOwnerMayIssue) {
       tdm_cand(0, 0, true, true),   // client 0, ready row hit
       tdm_cand(1, 1, true, true),   // client 1, ready row hit
   };
-  EXPECT_EQ(s.pick_in(cs, 5, 0), 0u);    // cycles 0..9: slot 0
-  EXPECT_EQ(s.pick_in(cs, 15, 0), 1u);   // cycles 10..19: slot 1
-  EXPECT_EQ(s.pick_in(cs, 25, 0), 0u);   // rotation wraps
+  EXPECT_EQ(pick_from(s, cs, 5, 0), 0u);    // cycles 0..9: slot 0
+  EXPECT_EQ(pick_from(s, cs, 15, 0), 1u);   // cycles 10..19: slot 1
+  EXPECT_EQ(pick_from(s, cs, 25, 0), 0u);   // rotation wraps
 }
 
 TEST(Tdm, IdleSlotStaysIdleEvenUnderStarvation) {
@@ -146,8 +147,8 @@ TEST(Tdm, IdleSlotStaysIdleEvenUnderStarvation) {
   };
   // Slot 0 stays idle no matter how long client 1 has waited: the
   // rotation, not an age cap, is the starvation guard.
-  EXPECT_EQ(s.pick_in(cs, 3, 1'000'000), Scheduler::kNone);
-  EXPECT_EQ(s.pick_in(cs, 13, 0), 0u);
+  EXPECT_EQ(pick_from(s, cs, 3, 1'000'000), Scheduler::kNone);
+  EXPECT_EQ(pick_from(s, cs, 13, 0), 0u);
 }
 
 TEST(Tdm, FrFcfsOrderWithinSlot) {
@@ -157,9 +158,9 @@ TEST(Tdm, FrFcfsOrderWithinSlot) {
       tdm_cand(1, 0, true, true),   // owner, younger, row hit
       tdm_cand(2, 1, true, true),   // not the owner: invisible this slot
   };
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 1u);  // hit first within the owner's work
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 1u);  // hit first within the owner's work
   cs[1].issuable = false;
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);  // then oldest issuable
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 0u);  // then oldest issuable
 }
 
 TEST(Tdm, ClientIdsFoldOntoSlots) {
@@ -167,14 +168,28 @@ TEST(Tdm, ClientIdsFoldOntoSlots) {
   std::vector<Candidate> cs = {
       tdm_cand(0, 2, true, true),  // 2 % 2 == 0: shares slot 0
   };
-  EXPECT_EQ(s.pick_in(cs, 0, 0), 0u);
-  EXPECT_EQ(s.pick_in(cs, 10, 0), Scheduler::kNone);
+  EXPECT_EQ(pick_from(s, cs, 0, 0), 0u);
+  EXPECT_EQ(pick_from(s, cs, 10, 0), Scheduler::kNone);
 }
 
 // ---------------------------------------------------------------------------
-// FR-FCFS and TDM pick in one pass: the first issuable row hit, else the
-// first issuable candidate seen. Their two-pass definitions, written out
-// here, must pick the same index on every list.
+// Every policy picks from position bitmasks. Its definition, written out
+// below over the candidate list (two passes for FR-FCFS and TDM, four
+// classes for ReadFirst), must pick the same position on every list.
+
+std::size_t listed_fcfs(const std::vector<Candidate>& cs) {
+  return !cs.empty() && cs[0].issuable ? 0 : Scheduler::kNone;
+}
+
+std::size_t listed_fcfs_per_bank(const std::vector<Candidate>& cs) {
+  std::vector<bool> seen(16, false);
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    const bool head = !seen[cs[i].bank];
+    seen[cs[i].bank] = true;
+    if (head && cs[i].issuable) return i;
+  }
+  return Scheduler::kNone;
+}
 
 std::size_t two_pass_fr_fcfs(const std::vector<Candidate>& cs,
                              std::uint64_t oldest_wait,
@@ -191,6 +206,32 @@ std::size_t two_pass_fr_fcfs(const std::vector<Candidate>& cs,
   return Scheduler::kNone;
 }
 
+/// ReadFirst's definition; `draining` is the hysteresis flag it carries.
+std::size_t listed_read_first(const std::vector<Candidate>& cs,
+                              std::uint64_t oldest_wait, unsigned high,
+                              unsigned low, std::uint64_t starvation_cap,
+                              bool& draining) {
+  unsigned writes = 0;
+  for (const Candidate& c : cs) writes += c.is_write ? 1u : 0u;
+  if (writes >= high) draining = true;
+  if (writes <= low) draining = false;
+  if (oldest_wait > starvation_cap) {
+    for (std::size_t i = 0; i < cs.size(); ++i)
+      if (cs[i].issuable) return i;
+    return Scheduler::kNone;
+  }
+  for (const int pass : {0, 1, 2, 3}) {
+    const bool want_write = (pass < 2) == draining;
+    const bool want_hit = pass % 2 == 0;
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      if (cs[i].issuable && cs[i].is_write == want_write &&
+          (cs[i].row_hit || !want_hit))
+        return i;
+    }
+  }
+  return Scheduler::kNone;
+}
+
 std::size_t two_pass_tdm(const std::vector<Candidate>& cs, std::uint64_t cycle,
                          unsigned slot_cycles, unsigned num_slots) {
   const auto own = static_cast<unsigned>((cycle / slot_cycles) % num_slots);
@@ -202,29 +243,28 @@ std::size_t two_pass_tdm(const std::vector<Candidate>& cs, std::uint64_t cycle,
   return Scheduler::kNone;
 }
 
-/// An indexable source that yields candidates by value, like the
-/// controller's queue view: pick_in over it must agree with pick_in over
-/// the list itself.
-struct ByValue {
-  const std::vector<Candidate>& list;
-  std::size_t size() const { return list.size(); }
-  Candidate operator[](std::size_t i) const { return list[i]; }
-};
-
 TEST(OnePassPick, MatchesTwoPassDefinitionOnRandomLists) {
   constexpr std::uint64_t kCap = 64;
   constexpr unsigned kSlotCycles = 8, kSlots = 3;
+  constexpr unsigned kHigh = 40, kLow = 12;
+  const FcfsScheduler fcfs;
+  const FcfsPerBankScheduler per_bank;
   const FrFcfsScheduler fr(kCap);
+  const ReadFirstScheduler rf(kHigh, kLow, kCap);
   const TdmScheduler tdm(kSlotCycles, kSlots);
+  bool rf_draining = false;
   Rng rng(20'261'017);
   unsigned starved = 0, hit_picks = 0, miss_picks = 0, none = 0;
+  unsigned past_word = 0, drains = 0;
   std::vector<Candidate> cs;
   for (int list = 0; list < 10'000; ++list) {
     // Per-list densities, so sparse and dense mixes of each flag appear.
     const double p_issuable = rng.next_double();
     const double p_hit = rng.next_double();
     const double p_write = rng.next_double();
-    cs.resize(rng.next_below(129));
+    // Lengths 0..200: up to four mask words, so picks and heads cross
+    // word boundaries.
+    cs.resize(rng.next_below(201));
     for (std::size_t i = 0; i < cs.size(); ++i) {
       Candidate& c = cs[i];
       c.queue_index = i;
@@ -241,13 +281,19 @@ TEST(OnePassPick, MatchesTwoPassDefinitionOnRandomLists) {
     const std::uint64_t wait = rng.next_below(2 * kCap);
     const std::uint64_t cycle = rng.next_below(1'000);
 
-    const std::size_t want_fr = two_pass_fr_fcfs(cs, wait, kCap);
-    ASSERT_EQ(fr.pick_in(cs, cycle, wait), want_fr) << "list " << list;
-    ASSERT_EQ(fr.pick_in(ByValue{cs}, cycle, wait), want_fr) << "list " << list;
-    const std::size_t want_tdm = two_pass_tdm(cs, cycle, kSlotCycles, kSlots);
-    ASSERT_EQ(tdm.pick_in(cs, cycle, wait), want_tdm) << "list " << list;
-    ASSERT_EQ(tdm.pick_in(ByValue{cs}, cycle, wait), want_tdm)
+    ASSERT_EQ(pick_from(fcfs, cs, cycle, wait), listed_fcfs(cs))
         << "list " << list;
+    const std::size_t want_bank = listed_fcfs_per_bank(cs);
+    ASSERT_EQ(pick_from(per_bank, cs, cycle, wait), want_bank)
+        << "list " << list;
+    const std::size_t want_fr = two_pass_fr_fcfs(cs, wait, kCap);
+    ASSERT_EQ(pick_from(fr, cs, cycle, wait), want_fr) << "list " << list;
+    const std::size_t want_rf =
+        listed_read_first(cs, wait, kHigh, kLow, kCap, rf_draining);
+    ASSERT_EQ(pick_from(rf, cs, cycle, wait), want_rf) << "list " << list;
+    ASSERT_EQ(rf.draining(), rf_draining) << "list " << list;
+    const std::size_t want_tdm = two_pass_tdm(cs, cycle, kSlotCycles, kSlots);
+    ASSERT_EQ(pick_from(tdm, cs, cycle, wait), want_tdm) << "list " << list;
 
     if (want_fr == Scheduler::kNone) {
       ++none;
@@ -256,12 +302,20 @@ TEST(OnePassPick, MatchesTwoPassDefinitionOnRandomLists) {
     } else {
       ++(cs[want_fr].row_hit ? hit_picks : miss_picks);
     }
+    for (const std::size_t want : {want_bank, want_fr, want_rf, want_tdm}) {
+      if (want != Scheduler::kNone && want >= 64) ++past_word;
+    }
+    drains += rf_draining ? 1u : 0u;
   }
   // Every branch of the FR-FCFS definition was taken many times.
   EXPECT_GT(starved, 1'000u);
   EXPECT_GT(hit_picks, 1'000u);
   EXPECT_GT(miss_picks, 200u);
   EXPECT_GT(none, 100u);
+  // Picks past the first mask word, and both ReadFirst regimes.
+  EXPECT_GT(past_word, 500u);
+  EXPECT_GT(drains, 1'000u);
+  EXPECT_LT(drains, 9'000u);
 }
 
 }  // namespace
