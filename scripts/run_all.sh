@@ -96,10 +96,23 @@ done
   done
 } 2>&1 | tee bench_output.txt
 
+# Claim gate: any [CHECK] verdict fails the run, and so does an e*/a*
+# experiment that printed no [SHAPE-OK] (one that did not build or run
+# counts too).
 echo
 echo "claim summary:"
-grep -c "SHAPE-OK" bench_output.txt || true
-grep "CHECK" bench_output.txt || echo "  (no CHECK verdicts — all claims in band)"
+experiments=$(for s in bench/[ea][0-9]*.cpp; do basename "$s" .cpp; done)
+awk -v experiments="$experiments" '
+  BEGIN { n = split(experiments, list, "\n"); for (i = 1; i <= n; i++) shape[list[i]] = 0 }
+  /^===== .* =====$/ { name = $2; next }
+  /\[SHAPE-OK\]/ { total++; if (name in shape) shape[name]++ }
+  /\[CHECK\]/ { print "  " name ": " $0; bad++ }
+  END {
+    for (i = 1; i <= n; i++)
+      if (shape[list[i]] == 0) { print "  " list[i] ": no [SHAPE-OK] verdict"; bad++ }
+    printf "  %d [SHAPE-OK] verdicts from %d experiments, %d failures\n", total, n, bad
+    exit bad > 0
+  }' bench_output.txt
 
 # Determinism gate: every experiment binary and example must print
 # byte-identical stdout across repeated runs, EDSIM_THREADS=1 vs 4, and

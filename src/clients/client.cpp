@@ -7,12 +7,6 @@
 
 namespace edsim::clients {
 
-namespace {
-std::uint64_t align_down(std::uint64_t v, std::uint64_t a) {
-  return v - v % a;
-}
-}  // namespace
-
 // --- ClientStats ------------------------------------------------------------
 
 void ClientStats::save(SnapshotWriter& w) const {
@@ -39,63 +33,70 @@ void ClientStats::load(SnapshotReader& r) {
   latency_samples.load(r);
 }
 
+// --- PacedClient ------------------------------------------------------------
+
+PacedClient::PacedClient(unsigned id, std::string name, unsigned period_cycles,
+                         std::uint64_t total_requests,
+                         std::uint64_t start_cycle)
+    : Client(id, std::move(name)),
+      gap_(period_cycles ? period_cycles : 1),
+      total_(total_requests),
+      next_allowed_(start_cycle) {}
+
+bool PacedClient::has_request(std::uint64_t cycle) const {
+  return !finished() && cycle >= next_allowed_;
+}
+
+std::uint64_t PacedClient::next_request_cycle(std::uint64_t now) const {
+  if (finished()) return dram::kNeverCycle;
+  return std::max(now, next_allowed_);
+}
+
+bool PacedClient::finished() const {
+  return total_ != 0 && issued_ >= total_;
+}
+
+void PacedClient::save_state(SnapshotWriter& w) const {
+  save_position(w);
+  w.u64(issued_);
+  w.u64(next_allowed_);
+}
+
+void PacedClient::load_state(SnapshotReader& r) {
+  load_position(r);
+  issued_ = r.u64();
+  next_allowed_ = r.u64();
+}
+
 // --- StreamClient -----------------------------------------------------------
 
 StreamClient::StreamClient(unsigned id, std::string name, const Params& p)
-    : Client(id, std::move(name)), p_(p), next_allowed_(p.start_cycle) {
+    : PacedClient(id, std::move(name), p.period_cycles, p.total_requests,
+                  p.start_cycle),
+      p_(p) {
   require(p_.burst_bytes > 0, "stream client: burst_bytes must be > 0");
   require(p_.length >= p_.burst_bytes,
           "stream client: region shorter than one burst");
 }
 
-bool StreamClient::has_request(std::uint64_t cycle) const {
-  return !finished() && cycle >= next_allowed_;
-}
-
-std::uint64_t StreamClient::next_request_cycle(std::uint64_t now) const {
-  if (finished()) return dram::kNeverCycle;
-  return std::max(now, next_allowed_);
-}
-
-std::uint64_t StreamClient::pending_run_length(std::uint64_t now) const {
-  if (finished() || now < next_allowed_) return 0;
-  if (p_.period_cycles > 1) return 1;  // pacing lapses after each accept
-  return p_.total_requests == 0 ? dram::kNeverCycle
-                                : p_.total_requests - issued_;
-}
-
-dram::Request StreamClient::make_request(std::uint64_t cycle) {
+dram::Request StreamClient::next_access() {
   dram::Request r;
   r.type = p_.type;
   r.addr = p_.base + pos_;
-  r.tag = issued_;
   pos_ += p_.burst_bytes;
   if (pos_ + p_.burst_bytes > p_.length) pos_ = 0;  // wrap
-  ++issued_;
-  next_allowed_ = cycle + (p_.period_cycles ? p_.period_cycles : 1);
   return r;
 }
 
-bool StreamClient::finished() const {
-  return p_.total_requests != 0 && issued_ >= p_.total_requests;
-}
+void StreamClient::save_position(SnapshotWriter& w) const { w.u64(pos_); }
 
-void StreamClient::save_state(SnapshotWriter& w) const {
-  w.u64(pos_);
-  w.u64(issued_);
-  w.u64(next_allowed_);
-}
-
-void StreamClient::load_state(SnapshotReader& r) {
-  pos_ = r.u64();
-  issued_ = r.u64();
-  next_allowed_ = r.u64();
-}
+void StreamClient::load_position(SnapshotReader& r) { pos_ = r.u64(); }
 
 // --- StridedClient -----------------------------------------------------------
 
 StridedClient::StridedClient(unsigned id, std::string name, const Params& p)
-    : Client(id, std::move(name)), p_(p) {
+    : PacedClient(id, std::move(name), p.period_cycles, p.total_requests),
+      p_(p) {
   require(p_.burst_bytes > 0, "strided client: burst_bytes must be > 0");
   require(p_.stride_bytes >= p_.burst_bytes,
           "strided client: stride smaller than burst");
@@ -103,27 +104,10 @@ StridedClient::StridedClient(unsigned id, std::string name, const Params& p)
           "strided client: region shorter than one stride");
 }
 
-bool StridedClient::has_request(std::uint64_t cycle) const {
-  return !finished() && cycle >= next_allowed_;
-}
-
-std::uint64_t StridedClient::next_request_cycle(std::uint64_t now) const {
-  if (finished()) return dram::kNeverCycle;
-  return std::max(now, next_allowed_);
-}
-
-std::uint64_t StridedClient::pending_run_length(std::uint64_t now) const {
-  if (finished() || now < next_allowed_) return 0;
-  if (p_.period_cycles > 1) return 1;
-  return p_.total_requests == 0 ? dram::kNeverCycle
-                                : p_.total_requests - issued_;
-}
-
-dram::Request StridedClient::make_request(std::uint64_t cycle) {
+dram::Request StridedClient::next_access() {
   dram::Request r;
   r.type = p_.type;
   r.addr = p_.base + offset_;
-  r.tag = issued_;
   offset_ += p_.stride_bytes;
   if (offset_ + p_.burst_bytes > p_.length) {
     // Next pass starts one burst further into the stride (phase shift), so
@@ -131,33 +115,25 @@ dram::Request StridedClient::make_request(std::uint64_t cycle) {
     ++lane_;
     offset_ = (lane_ * p_.burst_bytes) % p_.stride_bytes;
   }
-  ++issued_;
-  next_allowed_ = cycle + (p_.period_cycles ? p_.period_cycles : 1);
   return r;
 }
 
-bool StridedClient::finished() const {
-  return p_.total_requests != 0 && issued_ >= p_.total_requests;
-}
-
-void StridedClient::save_state(SnapshotWriter& w) const {
+void StridedClient::save_position(SnapshotWriter& w) const {
   w.u64(offset_);
   w.u64(lane_);
-  w.u64(issued_);
-  w.u64(next_allowed_);
 }
 
-void StridedClient::load_state(SnapshotReader& r) {
+void StridedClient::load_position(SnapshotReader& r) {
   offset_ = r.u64();
   lane_ = r.u64();
-  issued_ = r.u64();
-  next_allowed_ = r.u64();
 }
 
 // --- RandomClient ------------------------------------------------------------
 
 RandomClient::RandomClient(unsigned id, std::string name, const Params& p)
-    : Client(id, std::move(name)), p_(p), rng_(p.seed) {
+    : PacedClient(id, std::move(name), p.period_cycles, p.total_requests),
+      p_(p),
+      rng_(p.seed) {
   require(p_.burst_bytes > 0, "random client: burst_bytes must be > 0");
   require(p_.length >= p_.burst_bytes,
           "random client: region shorter than one burst");
@@ -165,49 +141,18 @@ RandomClient::RandomClient(unsigned id, std::string name, const Params& p)
           "random client: read_fraction must be in [0,1]");
 }
 
-bool RandomClient::has_request(std::uint64_t cycle) const {
-  return !finished() && cycle >= next_allowed_;
-}
-
-std::uint64_t RandomClient::next_request_cycle(std::uint64_t now) const {
-  if (finished()) return dram::kNeverCycle;
-  return std::max(now, next_allowed_);
-}
-
-std::uint64_t RandomClient::pending_run_length(std::uint64_t now) const {
-  if (finished() || now < next_allowed_) return 0;
-  if (p_.period_cycles > 1) return 1;
-  return p_.total_requests == 0 ? dram::kNeverCycle
-                                : p_.total_requests - issued_;
-}
-
-dram::Request RandomClient::make_request(std::uint64_t cycle) {
+dram::Request RandomClient::next_access() {
   dram::Request r;
   r.type = rng_.next_bool(p_.read_fraction) ? dram::AccessType::kRead
                                             : dram::AccessType::kWrite;
   const std::uint64_t span = p_.length - p_.burst_bytes + 1;
   r.addr = p_.base + align_down(rng_.next_below(span), p_.burst_bytes);
-  r.tag = issued_;
-  ++issued_;
-  next_allowed_ = cycle + (p_.period_cycles ? p_.period_cycles : 1);
   return r;
 }
 
-bool RandomClient::finished() const {
-  return p_.total_requests != 0 && issued_ >= p_.total_requests;
-}
+void RandomClient::save_position(SnapshotWriter& w) const { rng_.save(w); }
 
-void RandomClient::save_state(SnapshotWriter& w) const {
-  rng_.save(w);
-  w.u64(issued_);
-  w.u64(next_allowed_);
-}
-
-void RandomClient::load_state(SnapshotReader& r) {
-  rng_.load(r);
-  issued_ = r.u64();
-  next_allowed_ = r.u64();
-}
+void RandomClient::load_position(SnapshotReader& r) { rng_.load(r); }
 
 // --- TraceClient -------------------------------------------------------------
 
@@ -230,13 +175,6 @@ bool TraceClient::has_request(std::uint64_t cycle) const {
 std::uint64_t TraceClient::next_request_cycle(std::uint64_t now) const {
   if (pos_ >= trace_.size()) return dram::kNeverCycle;
   return std::max(now, trace_[pos_].cycle);
-}
-
-std::uint64_t TraceClient::pending_run_length(std::uint64_t now) const {
-  // A trace record is pending once its cycle has passed and stays pending
-  // until granted; the next record may sit arbitrarily far ahead, so only
-  // one grant is ever promised.
-  return (pos_ < trace_.size() && trace_[pos_].cycle <= now) ? 1 : 0;
 }
 
 dram::Request TraceClient::make_request(std::uint64_t /*cycle*/) {

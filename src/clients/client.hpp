@@ -46,6 +46,12 @@ class Client {
   const std::string& name() const { return name_; }
 
   /// Does the client want to issue a request at this cycle?
+  ///
+  /// The readiness rule every client keeps: once has_request is true it
+  /// stays true, at that and every later cycle, until the client is
+  /// granted (make_request) or receives a completion (notify_complete).
+  /// The memory system counts on it to credit a full-queue stretch as
+  /// stalls without polling every cycle.
   virtual bool has_request(std::uint64_t cycle) const = 0;
 
   /// Earliest cycle >= `now` at which has_request can become true without
@@ -57,24 +63,10 @@ class Client {
     return now;
   }
 
-  /// Dense-traffic hint: the largest n such that, starting at `now`, the
-  /// client keeps a request pending every cycle until n of them have been
-  /// accepted (dram::kNeverCycle = unbounded). Clients that claim n > 0
-  /// promise readiness does not lapse mid-run and must keep the default
-  /// (no-op) notify_rejected, so arbitration losses cannot perturb their
-  /// pacing. The conservative default claims nothing, which disables the
-  /// memory system's dense stretch for this client.
-  virtual std::uint64_t pending_run_length(std::uint64_t /*now*/) const {
-    return 0;
-  }
-
   /// Produce the request (only call when has_request is true). The front
-  /// end fills in client_id.
+  /// end fills in client_id. A client that is ready but not granted (a
+  /// full queue or a lost arbitration) is not told; it stays ready.
   virtual dram::Request make_request(std::uint64_t cycle) = 0;
-
-  /// The front end failed to enqueue (controller queue full / lost
-  /// arbitration). Default: nothing — the client retries next cycle.
-  virtual void notify_rejected(std::uint64_t /*cycle*/) {}
 
   /// A previously issued request completed.
   virtual void notify_complete(const dram::Request& /*req*/,
@@ -95,10 +87,60 @@ class Client {
   std::string name_;
 };
 
+/// Round `v` down to a multiple of `a` (burst alignment).
+inline std::uint64_t align_down(std::uint64_t v, std::uint64_t a) {
+  return v - v % a;
+}
+
+/// A generator client with kAfterAccept pacing: it may issue once
+/// `period_cycles` (0 counts as 1) have passed since its last accepted
+/// request, from `start_cycle` on, until `total_requests` have been
+/// issued (0 = endless). Subclasses supply only the address sequence,
+/// which depends on the issue index alone, never on issue cycles — what
+/// lets compile_paced capture it into an arena.
+class PacedClient : public Client {
+ public:
+  bool has_request(std::uint64_t cycle) const final;
+  std::uint64_t next_request_cycle(std::uint64_t now) const final;
+  dram::Request make_request(std::uint64_t cycle) final {
+    dram::Request r = next_access();
+    r.tag = issued_++;
+    next_allowed_ = cycle + gap_;
+    return r;
+  }
+  bool finished() const final;
+  /// The subclass position state first, then the two pacing registers.
+  void save_state(SnapshotWriter& w) const final;
+  void load_state(SnapshotReader& r) final;
+
+  /// Minimum cycles between accepted requests (>= 1).
+  std::uint64_t gap() const { return gap_; }
+  std::uint64_t total_requests() const { return total_; }
+
+ protected:
+  PacedClient(unsigned id, std::string name, unsigned period_cycles,
+              std::uint64_t total_requests, std::uint64_t start_cycle = 0);
+
+  /// The next access (address and type) of the sequence, advancing the
+  /// subclass position state; the base sets the tag and the pacing.
+  virtual dram::Request next_access() = 0;
+  virtual void save_position(SnapshotWriter& /*w*/) const {}
+  virtual void load_position(SnapshotReader& /*r*/) {}
+
+  /// Requests issued so far (the index of the next one).
+  std::uint64_t issued() const { return issued_; }
+
+ private:
+  std::uint64_t gap_;
+  std::uint64_t total_;
+  std::uint64_t issued_ = 0;
+  std::uint64_t next_allowed_;
+};
+
 /// Sequentially streaming client (frame scan-out, packet segment writes…).
 /// Issues one burst every `period_cycles` (0 = as fast as possible) over
 /// [base, base+length), optionally wrapping forever.
-class StreamClient final : public Client {
+class StreamClient final : public PacedClient {
  public:
   struct Params {
     std::uint64_t base = 0;
@@ -112,23 +154,17 @@ class StreamClient final : public Client {
 
   StreamClient(unsigned id, std::string name, const Params& p);
 
-  bool has_request(std::uint64_t cycle) const override;
-  std::uint64_t next_request_cycle(std::uint64_t now) const override;
-  std::uint64_t pending_run_length(std::uint64_t now) const override;
-  dram::Request make_request(std::uint64_t cycle) override;
-  bool finished() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
-
  private:
+  dram::Request next_access() override;
+  void save_position(SnapshotWriter& w) const override;
+  void load_position(SnapshotReader& r) override;
+
   Params p_;
   std::uint64_t pos_ = 0;      // byte offset within region
-  std::uint64_t issued_ = 0;
-  std::uint64_t next_allowed_ = 0;
 };
 
 /// Strided client (column-order frame access, matrix transpose...).
-class StridedClient final : public Client {
+class StridedClient final : public PacedClient {
  public:
   struct Params {
     std::uint64_t base = 0;
@@ -142,25 +178,19 @@ class StridedClient final : public Client {
 
   StridedClient(unsigned id, std::string name, const Params& p);
 
-  bool has_request(std::uint64_t cycle) const override;
-  std::uint64_t next_request_cycle(std::uint64_t now) const override;
-  std::uint64_t pending_run_length(std::uint64_t now) const override;
-  dram::Request make_request(std::uint64_t cycle) override;
-  bool finished() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
-
  private:
+  dram::Request next_access() override;
+  void save_position(SnapshotWriter& w) const override;
+  void load_position(SnapshotReader& r) override;
+
   Params p_;
   std::uint64_t offset_ = 0;   // current position
   std::uint64_t lane_ = 0;     // wrap count for stride phase
-  std::uint64_t issued_ = 0;
-  std::uint64_t next_allowed_ = 0;
 };
 
 /// Uniform-random client (pointer chasing, table lookups) — the
 /// page-miss generator.
-class RandomClient final : public Client {
+class RandomClient final : public PacedClient {
  public:
   struct Params {
     std::uint64_t base = 0;
@@ -174,19 +204,13 @@ class RandomClient final : public Client {
 
   RandomClient(unsigned id, std::string name, const Params& p);
 
-  bool has_request(std::uint64_t cycle) const override;
-  std::uint64_t next_request_cycle(std::uint64_t now) const override;
-  std::uint64_t pending_run_length(std::uint64_t now) const override;
-  dram::Request make_request(std::uint64_t cycle) override;
-  bool finished() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
-
  private:
+  dram::Request next_access() override;
+  void save_position(SnapshotWriter& w) const override;
+  void load_position(SnapshotReader& r) override;
+
   Params p_;
   Rng rng_;
-  std::uint64_t issued_ = 0;
-  std::uint64_t next_allowed_ = 0;
 };
 
 /// Replays an explicit trace (used by the MPEG2 decoder model).
@@ -203,7 +227,6 @@ class TraceClient final : public Client {
 
   bool has_request(std::uint64_t cycle) const override;
   std::uint64_t next_request_cycle(std::uint64_t now) const override;
-  std::uint64_t pending_run_length(std::uint64_t now) const override;
   dram::Request make_request(std::uint64_t cycle) override;
   bool finished() const override;
   void save_state(SnapshotWriter& w) const override;

@@ -17,10 +17,6 @@ constexpr std::uint8_t kFlagWrite = 0x01;
 constexpr std::uint8_t kFlagPacingShift = 1;  // bits 1-2
 constexpr std::uint8_t kFlagExplicitTag = 0x08;
 
-std::uint64_t align_down(std::uint64_t v, std::uint64_t a) {
-  return v - v % a;
-}
-
 }  // namespace
 
 // --- CompiledTrace ----------------------------------------------------------
@@ -127,57 +123,25 @@ std::shared_ptr<const CompiledTrace> compile_trace_records(
   return b.build();
 }
 
-namespace {
-
-/// Drive a real generator client, capturing its (addr, type, tag)
-/// sequence — which for these client types is a function of the issue
-/// index only — and attach the pacing rule from the params. Replay is
-/// then bit-identical to the live client under any backpressure.
-template <typename ClientT, typename ParamsT>
-std::shared_ptr<const CompiledTrace> compile_paced(
-    const ParamsT& p, std::uint64_t start_gate, std::uint64_t max_requests) {
-  const std::uint64_t n = p.total_requests != 0 ? p.total_requests
-                                                : max_requests;
-  require(n > 0,
-          "compile client: endless params need a max_requests budget > 0");
-  const std::uint64_t gap = p.period_cycles ? p.period_cycles : 1;
-  ClientT client(0, "compile", p);
-  CompiledTraceBuilder b(start_gate);
-  b.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const dram::Request req = client.make_request(0);
-    CompiledRecord r;
-    r.addr = req.addr;
-    r.type = req.type;
-    r.tag = req.tag;
-    r.pacing = PacingKind::kAfterAccept;
-    r.param = gap;
-    b.add(r);
-  }
-  return b.build();
-}
-
-}  // namespace
-
 std::shared_ptr<const CompiledTrace> compile_stream(
     const StreamClient::Params& p, std::uint64_t max_requests) {
-  return compile_paced<StreamClient>(p, p.start_cycle, max_requests);
+  return compile_paced<StreamClient>(p, max_requests);
 }
 
 std::shared_ptr<const CompiledTrace> compile_strided(
     const StridedClient::Params& p, std::uint64_t max_requests) {
-  return compile_paced<StridedClient>(p, 0, max_requests);
+  return compile_paced<StridedClient>(p, max_requests);
 }
 
 std::shared_ptr<const CompiledTrace> compile_random(
     const RandomClient::Params& p, std::uint64_t max_requests) {
-  return compile_paced<RandomClient>(p, 0, max_requests);
+  return compile_paced<RandomClient>(p, max_requests);
 }
 
 std::uint64_t compile_key(const StreamClient::Params& p,
                           std::uint64_t max_requests) {
   ContentHasher h;
-  h.mix(std::uint64_t{1})  // client-kind discriminator
+  h.mix(static_cast<std::uint64_t>(CompileKind::kStream))
       .mix(p.base)
       .mix(p.length)
       .mix(p.burst_bytes)
@@ -192,7 +156,7 @@ std::uint64_t compile_key(const StreamClient::Params& p,
 std::uint64_t compile_key(const StridedClient::Params& p,
                           std::uint64_t max_requests) {
   ContentHasher h;
-  h.mix(std::uint64_t{2})
+  h.mix(static_cast<std::uint64_t>(CompileKind::kStrided))
       .mix(p.base)
       .mix(p.length)
       .mix(p.burst_bytes)
@@ -207,7 +171,7 @@ std::uint64_t compile_key(const StridedClient::Params& p,
 std::uint64_t compile_key(const RandomClient::Params& p,
                           std::uint64_t max_requests) {
   ContentHasher h;
-  h.mix(std::uint64_t{3})
+  h.mix(static_cast<std::uint64_t>(CompileKind::kRandom))
       .mix(p.base)
       .mix(p.length)
       .mix(p.burst_bytes)
@@ -240,13 +204,6 @@ bool ArenaReplayClient::has_request(std::uint64_t cycle) const {
     case PacingKind::kImmediate: return true;
   }
   return false;
-}
-
-std::uint64_t ArenaReplayClient::pending_run_length(std::uint64_t now) const {
-  // Readiness is monotone in `cycle` for every pacing kind, so one grant
-  // is always safe to promise; the next record's eligibility depends on
-  // the accept cycle, so nothing beyond that is.
-  return has_request(now) ? 1 : 0;
 }
 
 std::uint64_t ArenaReplayClient::next_request_cycle(std::uint64_t now) const {

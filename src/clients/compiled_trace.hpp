@@ -3,9 +3,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "clients/client.hpp"
+#include "common/error.hpp"
 
 namespace edsim::clients {
 
@@ -16,8 +18,8 @@ namespace edsim::clients {
 /// * `kAtCycle`    — eligible at an absolute cycle (trace files; the
 ///                   `TraceClient` contract). No post-accept state.
 /// * `kAfterAccept`— eligible when the *previous* accept is at least
-///                   `param` cycles old (`StreamClient`/`StridedClient`/
-///                   `RandomClient` pacing: `next_allowed = accept + gap`).
+///                   `param` cycles old (the `PacedClient` generators:
+///                   `next_allowed = accept + gap`).
 /// * `kPacedClock` — eligible when a free-running paced clock has
 ///                   matured; accepting advances it by
 ///                   `pclock = max(pclock + param, accept)` (the MPEG2
@@ -142,20 +144,57 @@ class CompiledTraceBuilder {
 std::shared_ptr<const CompiledTrace> compile_trace_records(
     const std::vector<TraceRecord>& records, unsigned burst_bytes);
 
-/// Compile generator clients by driving a real instance of the client and
-/// capturing its (address, type, tag) sequence — which for these client
-/// types depends only on the issue index, never on issue cycles — plus
-/// the pacing rule from the params. For endless params
-/// (total_requests == 0) `max_requests` bounds the compiled prefix and
-/// must be > 0; callers replaying a window of W cycles need at least
-/// W / max(1, period) + 2 records for the prefix to be inexhaustible
-/// within the window.
+/// Compile a paced generator client by driving a fresh instance built
+/// from `p` and capturing its (address, type, tag) sequence — which depends only on
+/// the issue index, never on issue cycles — with its kAfterAccept gap and
+/// start gate. For an endless client (total_requests == 0)
+/// `max_requests` bounds the compiled prefix and must be > 0; callers
+/// replaying a window of W cycles need at least W / gap + 2 records for
+/// the prefix to be inexhaustible within the window. Replay is then
+/// bit-identical to the live client under any backpressure. The instance
+/// is a local of its exact type, so its next_access binds statically.
+template <typename ClientT>
+std::shared_ptr<const CompiledTrace> compile_paced(
+    const typename ClientT::Params& p, std::uint64_t max_requests) {
+  static_assert(std::is_base_of_v<PacedClient, ClientT>);
+  ClientT fresh(0, "compile", p);
+  const std::uint64_t n = fresh.total_requests() != 0 ? fresh.total_requests()
+                                                      : max_requests;
+  require(n > 0,
+          "compile client: endless params need a max_requests budget > 0");
+  // A fresh client's first eligible cycle is its start gate.
+  CompiledTraceBuilder b(fresh.next_request_cycle(0));
+  b.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const dram::Request req = fresh.make_request(0);
+    CompiledRecord r;
+    r.addr = req.addr;
+    r.type = req.type;
+    r.tag = req.tag;
+    r.pacing = PacingKind::kAfterAccept;
+    r.param = fresh.gap();
+    b.add(r);
+  }
+  return b.build();
+}
+
+/// compile_paced over each paced generator.
 std::shared_ptr<const CompiledTrace> compile_stream(
     const StreamClient::Params& p, std::uint64_t max_requests = 0);
 std::shared_ptr<const CompiledTrace> compile_strided(
     const StridedClient::Params& p, std::uint64_t max_requests = 0);
 std::shared_ptr<const CompiledTrace> compile_random(
     const RandomClient::Params& p, std::uint64_t max_requests = 0);
+
+/// Client-kind discriminator mixed first into every compile_key, so two
+/// client kinds never share a WorkloadCache key.
+enum class CompileKind : std::uint64_t {
+  kStream = 1,
+  kStrided = 2,
+  kRandom = 3,
+  kMc = 4,
+  kSimdStrided = 5,
+};
 
 /// Content-hash keys for the compile results above (used by
 /// WorkloadCache callers): two equal keys compile to identical arenas.
@@ -178,7 +217,6 @@ class ArenaReplayClient : public Client {
 
   bool has_request(std::uint64_t cycle) const override;
   std::uint64_t next_request_cycle(std::uint64_t now) const override;
-  std::uint64_t pending_run_length(std::uint64_t now) const override;
   dram::Request make_request(std::uint64_t cycle) override;
   bool finished() const override;
 

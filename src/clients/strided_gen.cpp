@@ -1,10 +1,7 @@
 #include "clients/strided_gen.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "common/snapshot.hpp"
 
 namespace edsim::clients {
 
@@ -19,7 +16,8 @@ const char* to_string(StridePattern p) {
 
 SimdStridedClient::SimdStridedClient(unsigned id, std::string name,
                                      const Params& p)
-    : Client(id, std::move(name)), p_(p) {
+    : PacedClient(id, std::move(name), p.period_cycles, p.total_requests),
+      p_(p) {
   require(p_.burst_bytes > 0, "simd strided client: burst_bytes must be > 0");
   require(p_.width_bytes > 0 && p_.height > 0,
           "simd strided client: surface must be non-empty");
@@ -73,76 +71,22 @@ std::uint64_t SimdStridedClient::address_of(std::uint64_t index) const {
          col * static_cast<std::uint64_t>(p_.burst_bytes);
 }
 
-bool SimdStridedClient::has_request(std::uint64_t cycle) const {
-  return !finished() && cycle >= next_allowed_;
-}
-
-std::uint64_t SimdStridedClient::next_request_cycle(std::uint64_t now) const {
-  if (finished()) return dram::kNeverCycle;
-  return std::max(now, next_allowed_);
-}
-
-std::uint64_t SimdStridedClient::pending_run_length(std::uint64_t now) const {
-  if (finished() || now < next_allowed_) return 0;
-  if (p_.period_cycles > 1) return 1;  // pacing lapses after each accept
-  return p_.total_requests == 0 ? dram::kNeverCycle
-                                : p_.total_requests - issued_;
-}
-
-dram::Request SimdStridedClient::make_request(std::uint64_t cycle) {
+dram::Request SimdStridedClient::next_access() {
   dram::Request r;
   r.type = p_.type;
-  r.addr = address_of(issued_);
-  r.tag = issued_;
-  ++issued_;
-  next_allowed_ = cycle + (p_.period_cycles ? p_.period_cycles : 1);
+  r.addr = address_of(issued());
   return r;
-}
-
-bool SimdStridedClient::finished() const {
-  return p_.total_requests != 0 && issued_ >= p_.total_requests;
-}
-
-void SimdStridedClient::save_state(SnapshotWriter& w) const {
-  w.u64(issued_);
-  w.u64(next_allowed_);
-}
-
-void SimdStridedClient::load_state(SnapshotReader& r) {
-  issued_ = r.u64();
-  next_allowed_ = r.u64();
 }
 
 std::shared_ptr<const CompiledTrace> compile_simd_strided(
     const SimdStridedClient::Params& p, std::uint64_t max_requests) {
-  // Drive a live client, recording the (addr, type, tag) sequence — a pure
-  // function of the issue index — with the params' kAfterAccept pacing
-  // (the compile_stream / compile_random recipe).
-  const std::uint64_t n =
-      p.total_requests != 0 ? p.total_requests : max_requests;
-  require(n > 0,
-          "compile client: endless params need a max_requests budget > 0");
-  const std::uint64_t gap = p.period_cycles ? p.period_cycles : 1;
-  SimdStridedClient client(0, "compile", p);
-  CompiledTraceBuilder b(0);
-  b.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const dram::Request req = client.make_request(0);
-    CompiledRecord r;
-    r.addr = req.addr;
-    r.type = req.type;
-    r.tag = req.tag;
-    r.pacing = PacingKind::kAfterAccept;
-    r.param = gap;
-    b.add(r);
-  }
-  return b.build();
+  return compile_paced<SimdStridedClient>(p, max_requests);
 }
 
 std::uint64_t compile_key(const SimdStridedClient::Params& p,
                           std::uint64_t max_requests) {
   ContentHasher h;
-  h.mix(std::uint64_t{4})  // client-kind discriminator (1..3 taken)
+  h.mix(static_cast<std::uint64_t>(CompileKind::kSimdStrided))
       .mix(p.base)
       .mix(p.width_bytes)
       .mix(p.height)

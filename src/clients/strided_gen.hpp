@@ -25,7 +25,7 @@ const char* to_string(StridePattern p);
 /// The address sequence is a pure function of the issue index (never of
 /// issue cycles), which is what makes the client compilable into a PR 5
 /// arena with bit-identical replay under any backpressure.
-class SimdStridedClient final : public Client {
+class SimdStridedClient final : public PacedClient {
  public:
   struct Params {
     std::uint64_t base = 0;
@@ -43,28 +43,21 @@ class SimdStridedClient final : public Client {
 
   SimdStridedClient(unsigned id, std::string name, const Params& p);
 
-  bool has_request(std::uint64_t cycle) const override;
-  std::uint64_t next_request_cycle(std::uint64_t now) const override;
-  std::uint64_t pending_run_length(std::uint64_t now) const override;
-  dram::Request make_request(std::uint64_t cycle) override;
-  bool finished() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
-
   /// Byte address of the index-th access (pure; exposed for tests).
   std::uint64_t address_of(std::uint64_t index) const;
   /// Accesses in one full sweep of the surface.
   std::uint64_t accesses_per_pass() const { return per_pass_; }
 
  private:
+  /// The position is the issue index itself: no state of its own.
+  dram::Request next_access() override;
+
   Params p_;
   std::uint64_t per_pass_ = 0;
-  std::uint64_t issued_ = 0;
-  std::uint64_t next_allowed_ = 0;
 };
 
-/// Compile a strided sweep into a shared arena (drive-the-client capture,
-/// kAfterAccept pacing — the same recipe as compile_stream/compile_random).
+/// Compile a strided sweep into a shared arena (compile_paced, the
+/// compile_stream/compile_random recipe).
 std::shared_ptr<const CompiledTrace> compile_simd_strided(
     const SimdStridedClient::Params& p, std::uint64_t max_requests = 0);
 

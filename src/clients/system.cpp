@@ -71,10 +71,7 @@ void MemorySystem::step() {
   } else if (any_ready) {
     // Back-pressure: every ready client stalls this cycle.
     for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (ready[i]) {
-        stats_[i].stall_cycles++;
-        clients_[i]->notify_rejected(cycle);
-      }
+      if (ready[i]) stats_[i].stall_cycles++;
     }
   }
 
@@ -102,8 +99,8 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
   // the controller run event to event until the next front-end-visible
   // event, bulk-crediting the sample/stall-only cycles in between. The
   // loop hands the cycle back to per-cycle step() only when it cannot
-  // prove the shape: a ready client without a claim, a conservative
-  // client, or a grant that leaves the queue short.
+  // prove the shape: a conservative client or a grant that leaves the
+  // queue short.
   while (true) {
     const std::uint64_t now = controller_.cycle();
     if (now >= end) return;
@@ -175,11 +172,9 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
          controller_.all_banks_retired())) {
       return;
     }
-    // Readiness must provably persist across the stretch; a client that
-    // claims nothing falls back to per-cycle stepping.
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (ready_[i] && clients_[i]->pending_run_length(now) == 0) return;
-    }
+    // No grant or delivery happens inside the stretch, so by the
+    // readiness rule (Client::has_request) every ready client stays ready
+    // across it.
     std::size_t win = Arbiter::kNone;
     if (!full) {
       // Execute cycle `now`'s arbitration exactly as step() would. With
@@ -188,14 +183,10 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
       win = arbiter_->pick(ready_);
       if (win == Arbiter::kNone) return;
       grant(win, now);
-      // The grant consumed the winner's claim: re-establish it (the
-      // stall credit below counts on it) or learn its wake-up instead.
-      if (clients_[win]->has_request(now + 1)) {
-        if (clients_[win]->pending_run_length(now + 1) == 0) {
-          wake = std::min(wake, now + 1);
-          ready_[win] = false;
-        }
-      } else {
+      // The grant ends the winner's readiness: ready again at now + 1
+      // means ready across the stretch (the stall credit below counts on
+      // it); otherwise its wake-up bounds the stretch.
+      if (!clients_[win]->has_request(now + 1)) {
         const std::uint64_t w = clients_[win]->next_request_cycle(now + 1);
         wake = std::min(wake, std::max(w, now + 1));
         ready_[win] = false;

@@ -51,10 +51,11 @@ class MemorySystem {
 
   /// Disable/enable the resident front end for dense traffic (on by
   /// default; the dense half of stretch()). When the controller queue is
-  /// full and every ready client promises persistent demand
-  /// (pending_run_length), front-end steps between controller events are
-  /// pure stall/sample bookkeeping: they are credited in bulk while the
-  /// controller runs event to event through Controller::dense_advance.
+  /// full, front-end steps between controller events are pure
+  /// stall/sample bookkeeping — by the readiness rule (Client::has_request)
+  /// a ready client stays ready until a grant or a delivery — so they are
+  /// credited in bulk while the controller runs event to event through
+  /// Controller::dense_advance.
   /// Bit-identical to per-cycle stepping; off is the differential
   /// reference for the equivalence and fuzz suites.
   void set_burst_issue(bool on) { burst_issue_ = on; }
@@ -117,11 +118,10 @@ class MemorySystem {
   ///    first client wake or retirement — controller events in between
   ///    (ACT, PRE, column issue, refresh, maintenance, power-down) do
   ///    not stop it;
-  ///  - dense (ready clients with a claim and a full or topped-off queue;
-  ///    gated by set_burst_issue): up to the first freed slot or
-  ///    retirement.
-  /// Returns to step() for anything else: a ready client without a
-  /// claim, a conservative client, a grant that leaves the queue short,
+  ///  - dense (ready clients and a full or topped-off queue; gated by
+  ///    set_burst_issue): up to the first freed slot or retirement.
+  /// Returns to step() for anything else: a conservative client (not
+  /// ready, with no wake-up past now), a grant that leaves the queue short,
   /// `end`, or — with `stop_when_done` — a finished system, whose last
   /// step run_to_completion executes itself, or an idle channel with a
   /// delivery pending, which may finish it (step() delivers it).

@@ -879,42 +879,36 @@ void Controller::advance_idle(std::uint64_t count) {
   EDSIM_TELEMETRY(telemetry_, on_bulk_advance(from, tick_sample(), stats_));
 }
 
-void Controller::tick_until(std::uint64_t target_cycle) {
-  while (cycle_ < target_cycle) {
+template <typename Stop>
+void Controller::tick_then_skip(std::uint64_t bound, Stop stop) {
+  while (cycle_ < bound) {
     // One real tick settles same-cycle transitions (idle-streak starts,
     // scheduler hysteresis, lazy refresh batching) before any skip.
     tick();
-    if (cycle_ >= target_cycle) break;
-    const std::uint64_t ne = next_event_cycle();
-    if (ne > cycle_) advance_idle(std::min(ne, target_cycle) - cycle_);
-  }
-}
-
-void Controller::dense_advance(std::uint64_t bound) {
-  while (cycle_ < bound) {
-    // A real tick, with the front-end-visible transitions detected by
-    // their only possible footprints — a queue slot freed
-    // (column issue, invalidation) or a retirement into the completed
-    // list. Anything else (ACT/PRE, refresh, maintenance, power-down) is
-    // invisible to the front end and the stretch continues.
-    const std::size_t q0 = queue_.size();
-    const std::size_t c0 = completed_.size();
-    tick();
-    if (queue_.size() < q0 || completed_.size() != c0) return;
-    if (cycle_ >= bound) return;
+    if (stop() || cycle_ >= bound) return;
     const std::uint64_t ne = next_event_cycle();
     if (ne > cycle_) advance_idle(std::min(ne, bound) - cycle_);
   }
 }
 
+void Controller::tick_until(std::uint64_t target_cycle) {
+  tick_then_skip(target_cycle, [] { return false; });
+}
+
+void Controller::dense_advance(std::uint64_t bound) {
+  // The front-end-visible transitions are detected by their only possible
+  // footprints — a queue slot freed (column issue, invalidation) or a
+  // retirement into the completed list. Anything else (ACT/PRE, refresh,
+  // maintenance, power-down) is invisible to the front end and the
+  // stretch continues. Nothing enqueues or drains while this runs, so the
+  // sizes at entry are the sizes before every tick until the first stop.
+  tick_then_skip(bound, [this, q0 = queue_.size(), c0 = completed_.size()] {
+    return queue_.size() < q0 || completed_.size() != c0;
+  });
+}
+
 void Controller::drain(std::uint64_t max_cycles) {
-  const std::uint64_t limit = cycle_ + max_cycles;
-  while (!idle() && cycle_ < limit) {
-    tick();
-    if (idle() || cycle_ >= limit) break;
-    const std::uint64_t ne = next_event_cycle();
-    if (ne > cycle_) advance_idle(std::min(ne, limit) - cycle_);
-  }
+  if (!idle()) tick_then_skip(cycle_ + max_cycles, [this] { return idle(); });
   require(idle(), "Controller::drain: did not converge (deadlock?)");
 }
 

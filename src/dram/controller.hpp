@@ -198,6 +198,11 @@ class Controller {
     Request req;
   };
 
+  /// The loop behind tick_until, dense_advance and drain: tick, return
+  /// once `stop()` holds or `bound` is reached, else skip to the next
+  /// event (at most `bound`).
+  template <typename Stop>
+  void tick_then_skip(std::uint64_t bound, Stop stop);
   void classify(QueueEntry& e, const Bank& bank);
   void log_command(const CommandRecord& rec);
   void notify_tick();

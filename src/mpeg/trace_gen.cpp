@@ -46,7 +46,7 @@ dram::Request McClient::make_request(std::uint64_t cycle) {
   r.type = dram::AccessType::kRead;
   const std::uint64_t row_addr =
       block_base_ + static_cast<std::uint64_t>(row_in_block_) * p_.pitch_bytes;
-  r.addr = row_addr - row_addr % p_.burst_bytes;
+  r.addr = clients::align_down(row_addr, p_.burst_bytes);
   r.tag = blocks_;
   ++row_in_block_;
   if (row_in_block_ >= p_.rows_per_block) block_active_ = false;
@@ -191,7 +191,7 @@ std::shared_ptr<const clients::CompiledTrace> compile_mc(
 
 std::uint64_t compile_key(const McClient::Params& p, std::uint64_t max_blocks) {
   ContentHasher h;
-  h.mix(std::uint64_t{4})  // client-kind discriminator (see clients::compile_key)
+  h.mix(static_cast<std::uint64_t>(clients::CompileKind::kMc))
       .mix(p.region_base)
       .mix(p.region_bytes)
       .mix(p.pitch_bytes)

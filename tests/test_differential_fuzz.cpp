@@ -23,6 +23,7 @@
 
 #include "bist/yield.hpp"
 #include "clients/client.hpp"
+#include "clients/extra_clients.hpp"
 #include "clients/strided_gen.hpp"
 #include "clients/system.hpp"
 #include "common/rng.hpp"
@@ -32,6 +33,7 @@
 #include "core/wcet.hpp"
 #include "dram/command_log.hpp"
 #include "dram/controller.hpp"
+#include "mpeg/trace_gen.hpp"
 #include "reliability/manager.hpp"
 #include "service/result_store.hpp"
 #include "telemetry/interval.hpp"
@@ -183,14 +185,25 @@ std::string describe_trial(int trial, std::uint64_t seed,
   return os.str();
 }
 
-/// Random paced client mix over [0, span). Burst size always matches the
-/// controller access granularity; pacing keeps idle stretches in the run
-/// so the fast path actually skips. Returns the client set as the WCET
-/// analysis sees it, so trials can assert `simulated <= analytical bound`.
+/// Client kinds add_random_clients draws from, in roster order: the four
+/// period-paced generators, then the pointer chase, bursty and MC
+/// clients. The McClient keeps no snapshot state, so snapshot trials draw
+/// from all but the last.
+constexpr std::uint64_t kPeriodPacedKinds = 4;
+constexpr std::uint64_t kRosterKinds = 7;
+constexpr std::uint64_t kSnapshotRosterKinds = kRosterKinds - 1;
+
+/// Random paced client mix over [0, span). Paced mixes draw only the
+/// period-paced kinds; high-demand mixes draw from the first `kinds`
+/// roster entries. Burst size always matches the controller access
+/// granularity; pacing keeps idle stretches in the run so the fast path
+/// actually skips. Returns the client set as the WCET analysis sees it,
+/// so trials can assert `simulated <= analytical bound`.
 std::vector<core::WcetClient> add_random_clients(clients::MemorySystem& sys,
                                                  const DramConfig& cfg,
                                                  std::uint64_t span,
-                                                 std::uint64_t seed) {
+                                                 std::uint64_t seed,
+                                                 std::uint64_t kinds) {
   Rng rng(seed);
   std::vector<core::WcetClient> wclients;
   // ~35% of mixes are high-demand: near-zero pacing, thousands of
@@ -210,9 +223,20 @@ std::vector<core::WcetClient> add_random_clients(clients::MemorySystem& sys,
     const std::uint64_t length =
         std::min<std::uint64_t>(span - base, dense ? 1 << 14 : 1 << 18);
     // period 0 paces like period 1 (one request per cycle) — the WCET
-    // model wants the >= 1 form.
-    wclients.push_back(core::WcetClient{i, std::max(period, 1u), total});
-    switch (rng.next_below(4)) {
+    // model wants the >= 1 form. No period states the pacing of the
+    // pointer chase, bursty and MC clients, so they join only high-demand
+    // mixes, whose period-1 clients already leave the latency bound to
+    // FCFS: paced mixes keep the latency oracle. They enter as period 1,
+    // the front end's one grant per cycle, and draw their own idle gap so
+    // their readiness comes and goes inside the dense traffic.
+    const std::uint64_t kind =
+        rng.next_below(dense ? kinds : kPeriodPacedKinds);
+    wclients.push_back(core::WcetClient{
+        i, kind < kPeriodPacedKinds ? std::max(period, 1u) : 1u, total});
+    const unsigned gap = kind < kPeriodPacedKinds
+                             ? 0
+                             : static_cast<unsigned>(rng.next_below(400));
+    switch (kind) {
       case 0: {
         clients::StreamClient::Params p;
         p.base = base;
@@ -253,7 +277,7 @@ std::vector<core::WcetClient> add_random_clients(clients::MemorySystem& sys,
             i, "rand" + std::to_string(i), p));
         break;
       }
-      default: {
+      case 3: {
         clients::SimdStridedClient::Params p;
         p.base = base;
         p.width_bytes = cfg.page_bytes * (1 + static_cast<unsigned>(
@@ -268,6 +292,50 @@ std::vector<core::WcetClient> add_random_clients(clients::MemorySystem& sys,
         p.total_requests = total;
         sys.add_client(std::make_unique<clients::SimdStridedClient>(
             i, "simd" + std::to_string(i), p));
+        break;
+      }
+      case 4: {
+        // Dependent loads: the think time stands in for the pacing.
+        clients::PointerChaseClient::Params p;
+        p.base = base;
+        p.length = length;
+        p.burst_bytes = cfg.bytes_per_access();
+        p.total_requests = total;
+        p.seed = derive_seed(seed, 1000 + i);
+        p.think_cycles = gap;
+        sys.add_client(std::make_unique<clients::PointerChaseClient>(
+            i, "chase" + std::to_string(i), p));
+        break;
+      }
+      case 5: {
+        clients::BurstyClient::Params p;
+        p.base = base;
+        p.length = length;
+        p.burst_bytes = cfg.bytes_per_access();
+        p.type = rng.next_bool(0.25) ? dram::AccessType::kWrite
+                                     : dram::AccessType::kRead;
+        p.on_requests = 1 + static_cast<unsigned>(rng.next_below(32));
+        p.off_cycles = gap;
+        p.total_requests = total;
+        p.seed = derive_seed(seed, 1000 + i);
+        p.randomize_gap = rng.next_bool(0.5);
+        sys.add_client(std::make_unique<clients::BurstyClient>(
+            i, "bursty" + std::to_string(i), p));
+        break;
+      }
+      default: {
+        // Block fetches: rows back to back, one block per period.
+        mpeg::McClient::Params p;
+        p.region_base = base;
+        p.region_bytes = length;
+        p.pitch_bytes = length / 32;  // a block always fits the region
+        p.rows_per_block = 1 + static_cast<unsigned>(rng.next_below(17));
+        p.burst_bytes = cfg.bytes_per_access();
+        p.block_period_cycles = std::max(gap, 1u);
+        p.total_blocks = std::max<std::uint64_t>(1, total / p.rows_per_block);
+        p.seed = derive_seed(seed, 1000 + i);
+        wclients.back().total_requests = p.total_blocks * p.rows_per_block;
+        sys.add_client(std::make_unique<mpeg::McClient>(i, p));
         break;
       }
     }
@@ -314,7 +382,8 @@ struct SystemRun {
 
   SystemRun(const DramConfig& cfg, std::uint64_t client_seed,
             std::uint64_t span, bool with_reliability, std::uint64_t rel_seed,
-            bool fast_forward, bool burst, std::uint64_t window)
+            bool fast_forward, bool burst, std::uint64_t window,
+            std::uint64_t kinds = kRosterKinds)
       : sys(cfg, clients::ArbiterKind::kRoundRobin), intervals(512) {
     sys.set_fast_forward(fast_forward);
     sys.set_burst_issue(burst);
@@ -325,7 +394,7 @@ struct SystemRun {
           cfg, random_reliability(rel_seed));
       sys.controller().attach_reliability(rel.get());
     }
-    wclients = add_random_clients(sys, cfg, span, client_seed);
+    wclients = add_random_clients(sys, cfg, span, client_seed, kinds);
     sys.run(window);
     intervals.finish();
   }
@@ -356,7 +425,7 @@ struct SnapshotRun {
       s->set_burst_issue(burst);
       s->controller().attach_command_log(&log);
       s->attach_telemetry(&intervals);
-      add_random_clients(*s, cfg, span, client_seed);
+      add_random_clients(*s, cfg, span, client_seed, kSnapshotRosterKinds);
       return s;
     };
     sys = build();
@@ -493,7 +562,8 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     const std::uint64_t rel_seed = derive_seed(seed, 2);
 
     const SystemRun straight(cfg, client_seed, span, with_rel, rel_seed,
-                             /*fast_forward=*/true, burst, window);
+                             /*fast_forward=*/true, burst, window,
+                             kSnapshotRosterKinds);
     const SnapshotRun resumed(cfg, client_seed, span, with_rel, rel_seed,
                               burst, cut, window);
     expect_system_runs_eq(straight, resumed);

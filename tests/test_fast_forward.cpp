@@ -862,7 +862,7 @@ TEST(FrontEndStretch, IdleDecodeRunToCompletionMatchesPerCycle) {
 }
 
 /// Forwards to another client, counting every readiness poll the front
-/// end makes (has_request, next_request_cycle, pending_run_length).
+/// end makes (has_request, next_request_cycle).
 class PollCountingClient final : public clients::Client {
  public:
   PollCountingClient(std::unique_ptr<clients::Client> inner,
@@ -879,15 +879,8 @@ class PollCountingClient final : public clients::Client {
     ++*polls_;
     return inner_->next_request_cycle(now);
   }
-  std::uint64_t pending_run_length(std::uint64_t now) const override {
-    ++*polls_;
-    return inner_->pending_run_length(now);
-  }
   Request make_request(std::uint64_t cycle) override {
     return inner_->make_request(cycle);
-  }
-  void notify_rejected(std::uint64_t cycle) override {
-    inner_->notify_rejected(cycle);
   }
   void notify_complete(const Request& req, std::uint64_t cycle) override {
     inner_->notify_complete(req, cycle);
