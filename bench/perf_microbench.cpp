@@ -496,16 +496,17 @@ void BM_SweepWarmStore(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepWarmStore)->Unit(benchmark::kMillisecond);
 
-// --- checkpoint-and-fan-out: before/after pair -----------------------------
-// The warm-up amortization shape: nine config variants share one channel
-// shape (process and logic_kgates move cost/area/power but not the
-// simulated DRAM), so their measured windows can all fan out from one
-// checkpointed warm state. "ColdWarmup" re-simulates the warm-up prefix
-// for every variant (checkpointing off: N x (W + M) cycles);
-// "CheckpointFanout" warms once, snapshots in-memory, and restores for
-// the other variants (W + N x M). Serial threads so the wall clock
-// measures the amortization, not pool scaling; identical metrics either
-// way (the differential fuzz enforces bit-identity).
+// --- one simulation per channel shape: before/after pair -------------------
+// The variant-sharing shape: nine config variants share one channel shape
+// (process and logic_kgates move cost/area/power but not the simulated
+// DRAM), so one simulated warm-up plus window serves them all.
+// "ColdWarmup" simulates every variant on its own (`set_checkpoint(false)`:
+// N x (W + M) cycles); "CheckpointFanout" simulates the shape once and
+// every variant computes its models from the shared statistics (W + M).
+// The names predate the shared window and are kept so stored snapshots
+// still compare. Serial threads so the wall clock measures the sharing,
+// not pool scaling; identical metrics either way (the differential fuzz
+// enforces bit-identity).
 
 constexpr std::uint64_t kFanoutWarmup = 200'000;
 constexpr std::uint64_t kFanoutMeasure = 50'000;
@@ -536,7 +537,7 @@ void run_fanout_sweep(benchmark::State& state, bool checkpoint) {
   w.warmup_cycles = kFanoutWarmup;
   w.sim_cycles = kFanoutMeasure;
   for (auto _ : state) {
-    // Fresh evaluator per iteration: each round pays its own warm-up(s).
+    // Fresh evaluator per iteration: each round pays its own simulation(s).
     core::Evaluator ev;
     ev.set_threads(1);
     ev.set_memoize(false);

@@ -74,15 +74,15 @@ int main(int argc, char** argv) {
   EvalWorkload w;
   w.demand_gbyte_s = 2.0;
   w.sim_cycles = 50'000;
-  // Warm the memory system before measuring; variants sharing a channel
-  // shape fan out from one checkpointed warm-up (visible in --cache-stats).
+  // Warm the memory system before measuring. Variants sharing a channel
+  // shape share one simulated warm-up plus window (visible in
+  // --cache-stats).
   w.warmup_cycles = 10'000;
 
   const std::vector<Metrics> metrics = ev.sweep(cfgs, w);
 
   // Re-score the same candidates, as a refinement loop would: every
-  // point is now a memo hit, and the workload arenas compiled above are
-  // shared rather than regenerated.
+  // point is now a memo hit, so no arena or channel is touched again.
   ev.sweep(cfgs, w);
   std::cout << "workload cache: " << ev.workload_cache().entries()
             << " arenas (" << ev.workload_cache().arena_bytes()
@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
             << " entries, " << ev.memo_hits() << " hits on re-sweep\n";
 
   // --cache-stats: the one-call counter snapshot across all four cache
-  // layers (workload arenas, evaluation memo, warm-up checkpoints, and
-  // the persistent result store when attached).
+  // layers (workload arenas, evaluation memo, simulated channel shapes,
+  // and the persistent result store when attached).
   if (args.has("cache-stats")) {
     const Evaluator::CacheStats cs = ev.cache_stats();
     Table ct({"cache", "hits", "misses", "entries", "bytes"});
@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
         .integer(static_cast<long long>(cs.memo_entries))
         .cell("-");
     ct.row()
-        .cell("warm-up checkpoints")
-        .integer(static_cast<long long>(cs.checkpoint_hits))
+        .cell("channel shapes")
+        .integer(static_cast<long long>(cs.shape_hits))
         .cell("-")
-        .integer(static_cast<long long>(cs.checkpoint_entries))
-        .integer(static_cast<long long>(cs.checkpoint_bytes));
+        .integer(static_cast<long long>(cs.shape_entries))
+        .cell("-");
     if (cs.store_attached) {
       ct.row()
           .cell("persistent store")

@@ -11,6 +11,11 @@
 # 9/10 of the pairs and its median is below A's by more than A's
 # interquartile range. A is the parent, B the change.
 #
+# Both trees must be configured alike: before timing anything it compares
+# CMAKE_BUILD_TYPE and every CMAKE_CXX_FLAGS* entry of the two
+# CMakeCache.txt files and exits 2, naming the field, if one differs (an
+# -O2 tree against an -O3 one reads as a speed change of the code).
+#
 # Usage: scripts/ab_pairs.sh <build-A> <build-B> [pairs=10] <binary>...
 #   e.g. scripts/ab_pairs.sh ../parent/build build 10 e4_sustained_bw a6_multichannel
 set -euo pipefail
@@ -27,6 +32,26 @@ if [[ "$1" =~ ^[0-9]+$ ]]; then
   shift
 fi
 [ "$#" -ge 1 ] || { echo "ab_pairs: no binary named" >&2; exit 2; }
+
+# build_settings <build>: the "NAME=value" lines of the settings that must
+# match, type suffix dropped, sorted by name.
+build_settings() {
+  [ -f "$1/CMakeCache.txt" ] || {
+    echo "ab_pairs: $1/CMakeCache.txt not found" >&2
+    exit 2
+  }
+  sed -nE 's/^(CMAKE_BUILD_TYPE|CMAKE_CXX_FLAGS[A-Z_]*):[A-Z]+=/\1=/p' \
+    "$1/CMakeCache.txt" | sort
+}
+settings_a=$(build_settings "$build_a")
+settings_b=$(build_settings "$build_b")
+if [ "$settings_a" != "$settings_b" ]; then
+  fields=$( (echo "$settings_a"; echo "$settings_b") | sort | uniq -u |
+    cut -d= -f1 | sort -u | tr '\n' ' ')
+  echo "ab_pairs: the builds are configured differently: ${fields% }" >&2
+  diff <(echo "$settings_a") <(echo "$settings_b") | grep '^[<>]' >&2 || true
+  exit 2
+fi
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

@@ -34,7 +34,7 @@ Monte-Carlo yield (thread pool)|BM_MonteCarloYield/1|BM_MonteCarloYield/0
 trace workload (shared arena replay)|BM_WorkloadRegenerate|BM_WorkloadArena
 repeated sweep (evaluation memoization)|BM_SweepCold|BM_SweepMemoized
 refresh path (uniform tREFI vs self-managed)|BM_RefreshBaseline|BM_SelfManagedMaintenance
-warm-up fan-out (checkpoint restore)|BM_SweepColdWarmup|BM_SweepCheckpointFanout
+variant sweep (one simulation per channel shape)|BM_SweepColdWarmup|BM_SweepCheckpointFanout
 cross-process sweep (persistent result store)|BM_SweepColdStore|BM_SweepWarmStore
 saturated stream (burst issue)|BM_SaturatedStreamBaseline|BM_SaturatedStreamBurst
 strided sweep (burst issue)|BM_StridedSweepBaseline|BM_StridedSweepBurst

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Build and test under AddressSanitizer + UndefinedBehaviorSanitizer.
-# Uses a separate build tree so the regular build stays untouched.
+# Build and test under AddressSanitizer + UndefinedBehaviorSanitizer, then
+# the threaded suites under ThreadSanitizer. Each uses its own build tree
+# (build-asan/, build-tsan/) so the regular build stays untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,3 +53,15 @@ build-asan/tests/edsim_queue_mask_tests
 # record envelopes, torn-tail truncation on open, failed-append rollback)
 # under ASan/UBSan.
 build-asan/tests/edsim_service_tests
+
+# ThreadSanitizer (it cannot share a tree with ASan). Sweep threads share
+# the compiled arenas, the one simulated channel per shape (a
+# shared_future that every variant of the shape reads its own copy of),
+# the memo and the result store; the yield trials and parallel_for share
+# the pool. The selected suites drive all of them at several thread
+# counts.
+cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-fsanitize=thread
+cmake --build build-tsan -j"$(nproc)"
+ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
+  -R 'DifferentialFuzz.Evaluator|Parallel|Sweep|Yield'

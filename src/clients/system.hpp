@@ -97,7 +97,7 @@ class MemorySystem {
   /// Start a fresh measurement window at the current cycle: controller
   /// stats, per-client stats and FIFO peaks/occupancy reset; simulation
   /// state (queues, in-flight requests, client cursors) is untouched.
-  /// The checkpoint-and-fan-out evaluator calls this after warm-up.
+  /// The evaluator calls this after warm-up.
   void reset_measurement();
 
  private:

@@ -1,7 +1,6 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -45,8 +44,7 @@ double logic_area(const SystemConfig& cfg) {
 /// Everything the simulated part of an evaluation is shaped by: the
 /// channel, the driven region, and the client pacing/budget derived from
 /// the workload. Two (config, workload) pairs with equal shapes build
-/// bit-identical memory systems, which is what the warm-up checkpoint
-/// key hashes over.
+/// bit-identical memory systems, which is what shape_key hashes over.
 struct SimShape {
   dram::DramConfig dcfg;
   std::uint64_t region = 0;
@@ -128,8 +126,8 @@ std::unique_ptr<clients::MemorySystem> build_eval_system(
   return sys;
 }
 
-/// The checkpoint-cache key for one simulation shape (channel config,
-/// driven region, arena mode, workload).
+/// The key of one simulated channel (channel config, driven region,
+/// arena mode, workload — sim_cycles, warm-up and seed included).
 std::uint64_t shape_key(const SimShape& sh, const EvalWorkload& w,
                         bool use_arena) {
   ContentHasher ck;
@@ -138,6 +136,22 @@ std::uint64_t shape_key(const SimShape& sh, const EvalWorkload& w,
       .mix(use_arena)
       .mix(w.content_hash());
   return ck.digest();
+}
+
+/// Build the shape's memory system, run the warm-up (when any), reset the
+/// measurement counters and run the measured window.
+dram::ControllerStats simulate_channel(const SimShape& sh,
+                                       const EvalWorkload& w, bool use_arena,
+                                       bool burst_issue,
+                                       clients::WorkloadCache& arenas) {
+  const auto sys = build_eval_system(sh, w, use_arena, arenas);
+  sys->set_burst_issue(burst_issue);
+  if (w.warmup_cycles > 0) {
+    sys->run(w.warmup_cycles);
+    sys->reset_measurement();
+  }
+  sys->run(w.sim_cycles);
+  return sys->controller().stats();
 }
 
 }  // namespace
@@ -211,14 +225,12 @@ std::shared_ptr<const std::vector<std::uint8_t>> Evaluator::warmup_checkpoint(
     const SystemConfig& cfg, const EvalWorkload& w) const {
   cfg.validate();
   if (w.warmup_cycles == 0) return nullptr;
-  const SimShape sh = make_shape(cfg, w);
-  return checkpoint_blob(shape_key(sh, w, use_arena_), [&] {
-    const auto warm = build_eval_system(sh, w, use_arena_, caches_->arenas);
-    warm->set_burst_issue(burst_issue_);
-    warm->run(w.warmup_cycles);
-    return std::make_shared<const std::vector<std::uint8_t>>(
-        warm->save_snapshot());
-  });
+  const auto warm =
+      build_eval_system(make_shape(cfg, w), w, use_arena_, caches_->arenas);
+  warm->set_burst_issue(burst_issue_);
+  warm->run(w.warmup_cycles);
+  return std::make_shared<const std::vector<std::uint8_t>>(
+      warm->save_snapshot());
 }
 
 void Evaluator::clear_caches() const {
@@ -228,9 +240,9 @@ void Evaluator::clear_caches() const {
     caches_->memo_hits = 0;
   }
   {
-    std::lock_guard<std::mutex> lock(caches_->ckpt_mu);
-    caches_->ckpt.clear();
-    caches_->ckpt_hits = 0;
+    std::lock_guard<std::mutex> lock(caches_->shape_mu);
+    caches_->shapes.clear();
+    caches_->shape_hits = 0;
   }
   caches_->arenas.clear();
 }
@@ -253,47 +265,40 @@ Evaluator::CacheStats Evaluator::cache_stats() const {
     s.store = store->stats();
   }
   {
-    std::lock_guard<std::mutex> lock(caches_->ckpt_mu);
-    s.checkpoint_hits = caches_->ckpt_hits;
-    s.checkpoint_entries = caches_->ckpt.size();
-    for (const auto& [key, fut] : caches_->ckpt) {
-      if (fut.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        if (const auto blob = fut.get()) s.checkpoint_bytes += blob->size();
-      }
-    }
+    std::lock_guard<std::mutex> lock(caches_->shape_mu);
+    s.shape_hits = caches_->shape_hits;
+    s.shape_entries = caches_->shapes.size();
   }
   return s;
 }
 
-std::shared_ptr<const std::vector<std::uint8_t>> Evaluator::checkpoint_blob(
+std::shared_ptr<const dram::ControllerStats> Evaluator::shared_channel(
     std::uint64_t key,
-    const std::function<std::shared_ptr<const std::vector<std::uint8_t>>()>&
-        warm) const {
-  std::promise<std::shared_ptr<const std::vector<std::uint8_t>>> promise;
-  std::shared_future<std::shared_ptr<const std::vector<std::uint8_t>>> fut;
+    const std::function<dram::ControllerStats()>& simulate) const {
+  std::promise<std::shared_ptr<const dram::ControllerStats>> promise;
+  std::shared_future<std::shared_ptr<const dram::ControllerStats>> fut;
   {
-    std::lock_guard<std::mutex> lock(caches_->ckpt_mu);
-    const auto it = caches_->ckpt.find(key);
-    if (it != caches_->ckpt.end()) {
-      ++caches_->ckpt_hits;
+    std::lock_guard<std::mutex> lock(caches_->shape_mu);
+    const auto it = caches_->shapes.find(key);
+    if (it != caches_->shapes.end()) {
+      ++caches_->shape_hits;
       fut = it->second;  // copy: wait outside the lock
     } else {
-      caches_->ckpt.emplace(key, promise.get_future().share());
+      caches_->shapes.emplace(key, promise.get_future().share());
     }
   }
   if (fut.valid()) return fut.get();
-  // This thread owns the warm-up; peers block on the shared future.
+  // This thread owns the simulation; peers block on the shared future.
   try {
-    auto blob = warm();
-    promise.set_value(blob);
-    return blob;
+    auto stats = std::make_shared<const dram::ControllerStats>(simulate());
+    promise.set_value(stats);
+    return stats;
   } catch (...) {
     promise.set_exception(std::current_exception());
     {
       // Drop the poisoned entry so a later call can retry.
-      std::lock_guard<std::mutex> lock(caches_->ckpt_mu);
-      caches_->ckpt.erase(key);
+      std::lock_guard<std::mutex> lock(caches_->shape_mu);
+      caches_->shapes.erase(key);
     }
     throw;
   }
@@ -327,32 +332,25 @@ Metrics Evaluator::evaluate_into(
   m.logic_speed = process_factors(cfg.process).logic_speed;
 
   // --- simulate the workload ------------------------------------------------
+  // Only the channel shape reaches the simulation: its first evaluation
+  // simulates it and every variant reads the statistics (off under
+  // set_checkpoint(false)). Each reads its own copy, because Accumulator's
+  // const getters flush a pending run through mutable members.
   const SimShape shape = make_shape(cfg, w);
   const dram::DramConfig& dcfg = shape.dcfg;
-
-  const std::unique_ptr<clients::MemorySystem> sys_ptr =
-      build_eval_system(shape, w, use_arena_, caches_->arenas);
-  clients::MemorySystem& sys = *sys_ptr;
-  sys.set_burst_issue(burst_issue_);
-
-  // Warm-up prefix. With checkpointing on, the first evaluation of this
-  // channel shape simulates it and seals a snapshot; every other variant
-  // (and every sweep thread) restores the bytes instead — bit-identical
-  // to warming in place, which set_checkpoint(false) falls back to.
-  if (w.warmup_cycles > 0) {
-    if (checkpoint_) {
-      sys.restore_snapshot(*warmup_checkpoint(cfg, w));
-    } else {
-      sys.run(w.warmup_cycles);
-    }
-    sys.reset_measurement();
-  }
-
-  sys.run(w.sim_cycles);
-  const auto& stats = sys.controller().stats();
-  m.sustained_gbyte_s = stats.sustained_bandwidth(dcfg.clock).as_gbyte_per_s();
-  m.peak_gbyte_s = dcfg.peak_bandwidth().as_gbyte_per_s();
-  m.bandwidth_efficiency = sys.bandwidth_efficiency();
+  const auto simulate = [&] {
+    return simulate_channel(shape, w, use_arena_, burst_issue_,
+                            caches_->arenas);
+  };
+  const dram::ControllerStats stats =
+      checkpoint_ ? *shared_channel(shape_key(shape, w, use_arena_), simulate)
+                  : simulate();
+  const Bandwidth sustained = stats.sustained_bandwidth(dcfg.clock);
+  const Bandwidth peak = dcfg.peak_bandwidth();
+  m.sustained_gbyte_s = sustained.as_gbyte_per_s();
+  m.peak_gbyte_s = peak.as_gbyte_per_s();
+  m.bandwidth_efficiency =
+      peak.bits_per_s > 0.0 ? sustained.bits_per_s / peak.bits_per_s : 0.0;
   m.avg_read_latency_ns = stats.read_latency.mean() * dcfg.clock.period_ns();
   m.worst_read_latency_ns = stats.read_latency.max() * dcfg.clock.period_ns();
 

@@ -16,6 +16,10 @@
 #include "core/system_config.hpp"
 #include "telemetry/metrics.hpp"
 
+namespace edsim::dram {
+struct ControllerStats;
+}
+
 namespace edsim::core {
 
 /// Workload used to score a configuration: a mix of streaming and random
@@ -27,9 +31,7 @@ struct EvalWorkload {
   std::uint64_t sim_cycles = 200'000;
   std::uint64_t seed = 17;
   /// Warm-up prefix simulated before the measured window (cache/bank
-  /// warm-up, client ramp). Measurement counters reset at the boundary;
-  /// with checkpointing enabled the warm state is snapshot once per
-  /// channel shape and restored for every config variant sharing it.
+  /// warm-up, client ramp). Measurement counters reset at the boundary.
   std::uint64_t warmup_cycles = 0;
   /// Power dissipated by the co-located logic (embedded designs heat the
   /// DRAM; §1's junction-temperature caveat). Watts.
@@ -123,12 +125,15 @@ class ResultStoreBase {
 /// Evaluates design points by simulation (bandwidth/latency), analytical
 /// models (area, power) and the cost model.
 ///
-/// Two caches accelerate repeated scoring (both on by default, both
+/// Three caches accelerate repeated scoring (all on by default, all
 /// bit-identical to the uncached path — enforced by the differential
 /// fuzz suite):
 ///  * a WorkloadCache of compiled client arenas keyed by (client params,
 ///    seed, budget), so sweep points sharing a workload shape replay one
 ///    immutable arena instead of regenerating clients per config/thread;
+///  * one simulated channel per channel shape, so configs that differ only
+///    in what the memory timing does not see (process, logic size, name)
+///    share one warm-up plus window and each score their own models;
 ///  * an evaluation-memoization map keyed by (SystemConfig::content_hash,
 ///    EvalWorkload::content_hash), so re-scoring an identical point
 ///    (design_explorer refinement passes, pareto re-runs) is a lookup.
@@ -178,13 +183,11 @@ class Evaluator {
   std::uint64_t result_key(const SystemConfig& cfg,
                            const EvalWorkload& w) const;
 
-  /// Checkpoint-and-fan-out (default on, inert while warmup_cycles == 0):
-  /// the warm-up prefix is simulated once per channel shape, snapshot
-  /// in-memory, and every config variant sharing that shape restores the
-  /// snapshot instead of re-running the warm-up — sweep threads block on
-  /// one warm-up computation and fan out from its bytes. Bit-identical to
-  /// the warm-every-point path (the differential reference under
-  /// `set_checkpoint(false)`).
+  /// Share one simulated channel per channel shape (default on): the
+  /// first evaluation of a shape simulates warm-up plus window, and every
+  /// config variant of that shape reads its statistics — sweep threads
+  /// block on the one simulation. Off, every point simulates its own
+  /// channel: the differential reference.
   void set_checkpoint(bool on) { checkpoint_ = on; }
   bool checkpoint() const { return checkpoint_; }
 
@@ -196,8 +199,8 @@ class Evaluator {
   void set_burst_issue(bool on) { burst_issue_ = on; }
   bool burst_issue() const { return burst_issue_; }
 
-  /// The sealed warm-up snapshot a (config, workload) pair restores from,
-  /// computed once per channel shape through the checkpoint cache;
+  /// The sealed snapshot of a (config, workload) pair's memory system at
+  /// the end of its warm-up, simulated afresh on every call (no cache);
   /// nullptr when warmup_cycles == 0.
   std::shared_ptr<const std::vector<std::uint8_t>> warmup_checkpoint(
       const SystemConfig& cfg, const EvalWorkload& w) const;
@@ -218,7 +221,7 @@ class Evaluator {
   void clear_caches() const;
 
   /// One-call counter snapshot across all four cache layers (workload
-  /// arenas, evaluation memoization, warm-up checkpoints, and — when
+  /// arenas, evaluation memoization, simulated channel shapes, and — when
   /// attached — the persistent result store).
   struct CacheStats {
     std::uint64_t arena_hits = 0;
@@ -227,9 +230,8 @@ class Evaluator {
     std::size_t arena_bytes = 0;
     std::uint64_t memo_hits = 0;
     std::size_t memo_entries = 0;
-    std::uint64_t checkpoint_hits = 0;
-    std::size_t checkpoint_entries = 0;
-    std::size_t checkpoint_bytes = 0;
+    std::uint64_t shape_hits = 0;     ///< evaluations that reused a channel
+    std::size_t shape_entries = 0;    ///< channels simulated (one per shape)
     bool store_attached = false;
     ResultStoreStats store;
   };
@@ -245,16 +247,15 @@ class Evaluator {
     mutable std::mutex memo_mu;
     std::unordered_map<std::uint64_t, Metrics> memo;
     std::uint64_t memo_hits = 0;
-    // Warm-up checkpoints: sealed MemorySystem snapshots keyed by the
-    // simulation-shape hash. Entries hold a shared_future so concurrent
-    // sweep threads block on the single warm-up computation instead of
-    // each re-warming.
-    mutable std::mutex ckpt_mu;
-    std::unordered_map<std::uint64_t,
-                       std::shared_future<
-                           std::shared_ptr<const std::vector<std::uint8_t>>>>
-        ckpt;
-    std::uint64_t ckpt_hits = 0;
+    // Simulated channel statistics (warm-up plus window) keyed by the
+    // channel-shape hash. Entries hold a shared_future so concurrent sweep
+    // threads block on the single simulation instead of each running it.
+    mutable std::mutex shape_mu;
+    std::unordered_map<
+        std::uint64_t,
+        std::shared_future<std::shared_ptr<const dram::ControllerStats>>>
+        shapes;
+    std::uint64_t shape_hits = 0;
     // Persistent tier behind the memo (guarded by memo_mu; the store
     // itself is thread-safe, the lock only covers the pointer).
     std::shared_ptr<ResultStoreBase> store;
@@ -273,12 +274,11 @@ class Evaluator {
   void preload_result(std::uint64_t key, const Metrics& m) const;
   /// Append a computed result to the store, when one is attached.
   void store_result(std::uint64_t key, const Metrics& m) const;
-  /// The warm snapshot for one simulation shape, computing it (once) via
-  /// `warm` on a miss.
-  std::shared_ptr<const std::vector<std::uint8_t>> checkpoint_blob(
+  /// The simulated statistics of one channel shape, computing them (once)
+  /// via `simulate` on a miss.
+  std::shared_ptr<const dram::ControllerStats> shared_channel(
       std::uint64_t key,
-      const std::function<std::shared_ptr<const std::vector<std::uint8_t>>()>&
-          warm) const;
+      const std::function<dram::ControllerStats()>& simulate) const;
 
   CostModel cost_;
   unsigned threads_ = 0;

@@ -83,7 +83,7 @@ struct DramConfig {
 
   /// Content hash over every field that can influence simulation
   /// behaviour. Two configs hash equal iff a simulation driven by them is
-  /// cycle-for-cycle identical; keys the evaluator's checkpoint cache.
+  /// cycle-for-cycle identical; keys the evaluator's shared channels.
   std::uint64_t content_hash() const;
 
   // --- derived quantities --------------------------------------------------

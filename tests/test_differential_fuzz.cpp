@@ -654,6 +654,13 @@ std::vector<core::ParetoPoint> project(const std::vector<core::Metrics>& ms) {
   return pts;
 }
 
+/// `kind,name,value` rows of a registry, for whole-export comparison.
+std::string registry_csv(const telemetry::MetricRegistry& reg) {
+  std::ostringstream out;
+  reg.write_csv(out);
+  return out.str();
+}
+
 TEST(DifferentialFuzz, EvaluatorArenaMemoBitIdenticalAcrossThreadCounts) {
   for (int trial = 0; trial < kEvaluatorTrials; ++trial) {
     const std::uint64_t seed =
@@ -667,92 +674,137 @@ TEST(DifferentialFuzz, EvaluatorArenaMemoBitIdenticalAcrossThreadCounts) {
     for (int i = 0; i < n_cfgs; ++i) {
       cfgs.push_back(random_system_config(rng, i));
     }
+    // Random configs rarely share a channel shape, so every trial appends
+    // a variant of one of them that differs only in what the simulation
+    // does not see: the sweep shares one simulated channel between two
+    // points, which must still match the reference's two simulations.
+    {
+      core::SystemConfig v =
+          cfgs[static_cast<std::size_t>(rng.next_below(cfgs.size()))];
+      const core::BaseProcess process = v.process;
+      while (v.process == process) {
+        v.process = pick(rng, {core::BaseProcess::kDramBased,
+                               core::BaseProcess::kLogicBased,
+                               core::BaseProcess::kMerged});
+      }
+      v.logic_kgates += 100.0 + static_cast<double>(rng.next_below(400));
+      v.name = "fuzz-variant";
+      cfgs.push_back(v);
+    }
     core::EvalWorkload w;
     w.demand_gbyte_s = 0.5 + rng.next_double() * 3.0;
     w.stream_clients = 1 + static_cast<unsigned>(rng.next_below(3));
     w.random_clients = 1 + static_cast<unsigned>(rng.next_below(3));
     w.sim_cycles = 20'000 + rng.next_below(20'000);
     w.seed = derive_seed(seed, 3);
-    // A third of the trials exercise the checkpoint-and-fan-out path: the
-    // reference warms every point in place, the candidates restore the
-    // shared warm snapshot — bit-identical by contract.
-    w.warmup_cycles = trial % 3 == 0 ? 4'000 + rng.next_below(8'000) : 0;
+    const std::uint64_t warmup = 4'000 + rng.next_below(8'000);
 
-    // Reference: regenerate clients per point, no memoization, no warm-up
-    // checkpointing, no dense stretch, serial. The candidate evaluators
-    // keep the dense stretch on (the default), so every sweep
-    // differentially checks the resident front end through the evaluator
-    // pipeline.
-    core::Evaluator ref;
-    ref.set_workload_arena(false);
-    ref.set_memoize(false);
-    ref.set_checkpoint(false);
-    ref.set_burst_issue(false);
-    ref.set_threads(1);
-    const std::vector<core::Metrics> want = ref.sweep(cfgs, w);
-    const std::vector<std::size_t> want_front = core::pareto_front(
-        project(want));
+    // Every trial runs without and with a warm-up prefix: the shared
+    // channel covers both, and the reference simulates (and warms) every
+    // point on its own.
+    for (const std::uint64_t warmup_cycles : {std::uint64_t{0}, warmup}) {
+      w.warmup_cycles = warmup_cycles;
+      SCOPED_TRACE("warmup_cycles=" + std::to_string(warmup_cycles));
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      core::Evaluator ev;  // arena + memo on by default
-      ev.set_threads(threads);
-      const std::vector<core::Metrics> cold = ev.sweep(cfgs, w);
-      ASSERT_EQ(cold.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i) + " (cold)");
-        expect_metrics_eq(want[i], cold[i]);
-      }
-      // Warm re-sweep: every point must come from the memo, unchanged.
-      const std::vector<core::Metrics> warm = ev.sweep(cfgs, w);
-      EXPECT_GE(ev.memo_hits(), cfgs.size());
-      // The arena cache populated during the cold sweep (hits only occur
-      // when configs share workload geometry, which random configs need
-      // not; the memo short-circuits the warm pass before arena lookup).
-      EXPECT_GT(ev.workload_cache().entries(), 0u);
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i) + " (warm)");
-        expect_metrics_eq(want[i], warm[i]);
-      }
-      EXPECT_EQ(core::pareto_front(project(cold)), want_front);
-      EXPECT_EQ(core::pareto_front(project(warm)), want_front);
-    }
+      // Reference: regenerate clients per point, no memoization, no shared
+      // channel, no dense stretch, serial. The candidate evaluators keep the
+      // dense stretch on (the default), so every sweep differentially checks
+      // the resident front end through the evaluator pipeline. Its registry
+      // tap changes nothing (the memo is off anyway) and records the export
+      // the tapped candidate below must reproduce.
+      telemetry::MetricRegistry want_reg;
+      core::Evaluator ref;
+      ref.set_workload_arena(false);
+      ref.set_memoize(false);
+      ref.set_checkpoint(false);
+      ref.set_burst_issue(false);
+      ref.set_threads(1);
+      ref.set_metrics(&want_reg);
+      const std::vector<core::Metrics> want = ref.sweep(cfgs, w);
+      EXPECT_EQ(ref.cache_stats().shape_entries, 0u);
+      const std::vector<std::size_t> want_front = core::pareto_front(
+          project(want));
 
-    // Persistent-store tier: a store-backed cold sweep must match the
-    // reference, and a fresh evaluator re-opening the same .edrs file
-    // ("new process") must serve every point from the store, bit-exact.
-    {
-      // Process-unique path: the quick and soak binaries run the same
-      // trial numbers concurrently under ctest -j and must not share a
-      // store file.
-      const std::string store_path =
-          (std::filesystem::temp_directory_path() /
-           ("fuzz_trial_" + std::to_string(::getpid()) + "_" +
-            std::to_string(trial) + ".edrs"))
-              .string();
-      std::filesystem::remove(store_path);
-      {
-        core::Evaluator ev;
-        ev.set_threads(1);
-        ev.set_result_store(
-            std::make_shared<service::ResultStore>(store_path));
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        core::Evaluator ev;  // arena + memo + shared channel on by default
+        ev.set_threads(threads);
         const std::vector<core::Metrics> cold = ev.sweep(cfgs, w);
+        ASSERT_EQ(cold.size(), want.size());
         for (std::size_t i = 0; i < want.size(); ++i) {
-          SCOPED_TRACE("config " + std::to_string(i) + " (store cold)");
+          SCOPED_TRACE("config " + std::to_string(i) + " (cold)");
           expect_metrics_eq(want[i], cold[i]);
         }
+        // The variant read its original's simulation.
+        EXPECT_GE(ev.cache_stats().shape_hits, 1u);
+        EXPECT_LT(ev.cache_stats().shape_entries, cfgs.size());
+        // Warm re-sweep: every point must come from the memo, unchanged.
+        const std::vector<core::Metrics> warm = ev.sweep(cfgs, w);
+        EXPECT_GE(ev.memo_hits(), cfgs.size());
+        // The arena cache populated during the cold sweep (hits only occur
+        // when configs share workload geometry, which random configs need
+        // not; the memo short-circuits the warm pass before arena lookup).
+        EXPECT_GT(ev.workload_cache().entries(), 0u);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          SCOPED_TRACE("config " + std::to_string(i) + " (warm)");
+          expect_metrics_eq(want[i], warm[i]);
+        }
+        EXPECT_EQ(core::pareto_front(project(cold)), want_front);
+        EXPECT_EQ(core::pareto_front(project(warm)), want_front);
       }
-      core::Evaluator fresh;
-      fresh.set_threads(1);
-      fresh.set_result_store(
-          std::make_shared<service::ResultStore>(store_path));
-      const std::vector<core::Metrics> replayed = fresh.sweep(cfgs, w);
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i) + " (store warm)");
-        expect_metrics_eq(want[i], replayed[i]);
+
+      // Registry-tapped sweep: the memo is bypassed but the channel is still
+      // shared, and the exported counters and gauges equal the reference's.
+      {
+        telemetry::MetricRegistry got_reg;
+        core::Evaluator tapped;
+        tapped.set_threads(2);
+        tapped.set_metrics(&got_reg);
+        const std::vector<core::Metrics> got = tapped.sweep(cfgs, w);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          SCOPED_TRACE("config " + std::to_string(i) + " (registry)");
+          expect_metrics_eq(want[i], got[i]);
+        }
+        EXPECT_GE(tapped.cache_stats().shape_hits, 1u);
+        EXPECT_EQ(registry_csv(got_reg), registry_csv(want_reg));
       }
-      EXPECT_EQ(fresh.cache_stats().store.hits, cfgs.size());
-      std::filesystem::remove(store_path);
+
+      // Persistent-store tier: a store-backed cold sweep must match the
+      // reference, and a fresh evaluator re-opening the same .edrs file
+      // ("new process") must serve every point from the store, bit-exact.
+      {
+        // Process-unique path: the quick and soak binaries run the same
+        // trial numbers concurrently under ctest -j and must not share a
+        // store file.
+        const std::string store_path =
+            (std::filesystem::temp_directory_path() /
+             ("fuzz_trial_" + std::to_string(::getpid()) + "_" +
+              std::to_string(trial) + ".edrs"))
+                .string();
+        std::filesystem::remove(store_path);
+        {
+          core::Evaluator ev;
+          ev.set_threads(1);
+          ev.set_result_store(
+              std::make_shared<service::ResultStore>(store_path));
+          const std::vector<core::Metrics> cold = ev.sweep(cfgs, w);
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            SCOPED_TRACE("config " + std::to_string(i) + " (store cold)");
+            expect_metrics_eq(want[i], cold[i]);
+          }
+        }
+        core::Evaluator fresh;
+        fresh.set_threads(1);
+        fresh.set_result_store(
+            std::make_shared<service::ResultStore>(store_path));
+        const std::vector<core::Metrics> replayed = fresh.sweep(cfgs, w);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          SCOPED_TRACE("config " + std::to_string(i) + " (store warm)");
+          expect_metrics_eq(want[i], replayed[i]);
+        }
+        EXPECT_EQ(fresh.cache_stats().store.hits, cfgs.size());
+        std::filesystem::remove(store_path);
+      }
     }
 
     // Yield trials ride the same thread-count contract (chunked per-trial

@@ -609,43 +609,71 @@ TEST(EvaluatorMemo, CacheStatsTracksAllThreeCaches) {
   cfg.name = "stats-test";
   core::EvalWorkload w;
   w.sim_cycles = 8'000;
-  w.warmup_cycles = 4'000;  // exercises the checkpoint cache too
+  w.warmup_cycles = 4'000;
 
   core::Evaluator ev;
-  ev.evaluate(cfg, w);
+  const core::Metrics base = ev.evaluate(cfg, w);
   core::Evaluator::CacheStats cs = ev.cache_stats();
-  // First evaluation: every arena and the warm-up checkpoint are misses.
+  // First evaluation: every arena and the channel shape are misses.
   EXPECT_EQ(cs.arena_hits, ev.workload_cache().hits());
   EXPECT_EQ(cs.arena_misses, ev.workload_cache().misses());
   EXPECT_GT(cs.arena_entries, 0u);
   EXPECT_GT(cs.arena_bytes, 0u);
   EXPECT_EQ(cs.memo_hits, 0u);
   EXPECT_EQ(cs.memo_entries, 1u);
-  EXPECT_EQ(cs.checkpoint_hits, 0u);
-  EXPECT_EQ(cs.checkpoint_entries, 1u);
-  EXPECT_GT(cs.checkpoint_bytes, 0u);
+  EXPECT_EQ(cs.shape_hits, 0u);
+  EXPECT_EQ(cs.shape_entries, 1u);
 
-  ev.evaluate(cfg, w);  // pure memo hit: no new arena/checkpoint traffic
+  ev.evaluate(cfg, w);  // pure memo hit: no new arena/shape traffic
   cs = ev.cache_stats();
   EXPECT_EQ(cs.memo_hits, 1u);
   EXPECT_EQ(cs.memo_entries, 1u);
-  EXPECT_EQ(cs.checkpoint_entries, 1u);
+  EXPECT_EQ(cs.shape_hits, 0u);
+  EXPECT_EQ(cs.shape_entries, 1u);
 
-  // A config variant sharing the channel shape hits the checkpoint.
+  // A variant with another process, logic size and name keeps the
+  // channel shape: it reads the shared simulation and computes its own
+  // area and cost from it.
   core::SystemConfig variant = cfg;
   variant.name = "stats-test-variant";
-  ev.evaluate(variant, w);
+  variant.process = core::BaseProcess::kMerged;
+  variant.logic_kgates = cfg.logic_kgates * 2.0;
+  const core::Metrics v = ev.evaluate(variant, w);
   cs = ev.cache_stats();
-  EXPECT_EQ(cs.checkpoint_hits, 1u);
-  EXPECT_EQ(cs.checkpoint_entries, 1u);
+  EXPECT_EQ(cs.shape_hits, 1u);
+  EXPECT_EQ(cs.shape_entries, 1u);
   EXPECT_EQ(cs.memo_entries, 2u);
+  EXPECT_EQ(v.sustained_gbyte_s, base.sustained_gbyte_s);
+  EXPECT_EQ(v.avg_read_latency_ns, base.avg_read_latency_ns);
+  EXPECT_NE(v.logic_area_mm2, base.logic_area_mm2);
+  EXPECT_NE(v.unit_cost_usd, base.unit_cost_usd);
+
+  // Another channel is one more entry per shape, not a hit.
+  core::SystemConfig wider = cfg;
+  wider.name = "stats-test-wider";
+  wider.interface_bits = cfg.interface_bits * 2;
+  ev.evaluate(wider, w);
+  cs = ev.cache_stats();
+  EXPECT_EQ(cs.shape_hits, 1u);
+  EXPECT_EQ(cs.shape_entries, 2u);
+  // So is another workload, down to the seed.
+  core::EvalWorkload reseeded = w;
+  reseeded.seed += 1;
+  ev.evaluate(cfg, reseeded);
+  cs = ev.cache_stats();
+  EXPECT_EQ(cs.shape_hits, 1u);
+  EXPECT_EQ(cs.shape_entries, 3u);
 
   ev.clear_caches();
   cs = ev.cache_stats();
   EXPECT_EQ(cs.arena_entries, 0u);
   EXPECT_EQ(cs.memo_entries, 0u);
-  EXPECT_EQ(cs.checkpoint_entries, 0u);
-  EXPECT_EQ(cs.checkpoint_bytes, 0u);
+  EXPECT_EQ(cs.shape_hits, 0u);
+  EXPECT_EQ(cs.shape_entries, 0u);
+  // Cleared means re-simulated: the variant misses again.
+  ev.evaluate(variant, w);
+  EXPECT_EQ(ev.cache_stats().shape_entries, 1u);
+  EXPECT_EQ(ev.cache_stats().shape_hits, 0u);
 }
 
 TEST(EvaluatorMemo, ContentHashesSeparateConfigsAndWorkloads) {
