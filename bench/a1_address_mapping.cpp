@@ -3,10 +3,15 @@
 // bandwidth." Same channel, same workloads; only the address-mapping
 // scheme changes.
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "clients/system.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "dram/presets.hpp"
 
@@ -15,8 +20,8 @@ namespace {
 using namespace edsim;
 
 struct Outcome {
-  double efficiency;
-  double read_latency;
+  double efficiency = 0.0;
+  double read_latency = 0.0;
 };
 
 Outcome run(dram::AddressMapping mapping, bool streaming) {
@@ -57,6 +62,10 @@ const char* name(dram::AddressMapping m) {
   return "?";
 }
 
+constexpr std::array<dram::AddressMapping, 4> kMappings = {
+    dram::AddressMapping::kRowBankCol, dram::AddressMapping::kBankRowCol,
+    dram::AddressMapping::kRowColBank, dram::AddressMapping::kPermutedBank};
+
 }  // namespace
 
 int main() {
@@ -64,13 +73,19 @@ int main() {
 
   Table t({"mapping", "stream eff", "stream lat", "strided eff",
            "strided lat"});
+  // Every (mapping, traffic) point is an independent memory system: run
+  // them as thread pool jobs into grid-ordered slots (streaming at 2k,
+  // strided at 2k + 1), then print in grid order, so the output does not
+  // depend on the thread count.
+  std::vector<Outcome> grid(2 * kMappings.size());
+  parallel_for(grid.size(), [&](std::size_t i) {
+    grid[i] = run(kMappings[i / 2], i % 2 == 0);
+  });
   double best_stream = 0.0, worst_stream = 1.0;
-  for (const auto m :
-       {dram::AddressMapping::kRowBankCol, dram::AddressMapping::kBankRowCol,
-        dram::AddressMapping::kRowColBank,
-        dram::AddressMapping::kPermutedBank}) {
-    const Outcome s = run(m, true);
-    const Outcome x = run(m, false);
+  for (std::size_t k = 0; k < kMappings.size(); ++k) {
+    const dram::AddressMapping m = kMappings[k];
+    const Outcome& s = grid[2 * k];
+    const Outcome& x = grid[2 * k + 1];
     best_stream = std::max(best_stream, s.efficiency);
     worst_stream = std::min(worst_stream, s.efficiency);
     t.row()

@@ -4,10 +4,14 @@
 // access locality.
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "clients/system.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "dram/presets.hpp"
 
@@ -15,9 +19,13 @@ namespace {
 
 using namespace edsim;
 
+struct Point {
+  double latency = 0.0;  ///< mean read latency, cycles
+  double hit_rate = 0.0;
+};
+
 /// A client mixing sequential (row-friendly) and random accesses.
-double run(dram::PagePolicy policy, double random_fraction,
-           double* hit_rate) {
+Point run(dram::PagePolicy policy, double random_fraction) {
   dram::DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
   cfg.page_policy = policy;
   clients::MemorySystem sys(cfg, clients::ArbiterKind::kRoundRobin);
@@ -42,9 +50,15 @@ double run(dram::PagePolicy policy, double random_fraction,
     sys.add_client(std::make_unique<clients::StreamClient>(id, "s", p));
   }
   sys.run(120'000);
-  *hit_rate = sys.controller().stats().row_hit_rate();
-  return sys.controller().stats().read_latency.mean();
+  return {sys.controller().stats().read_latency.mean(),
+          sys.controller().stats().row_hit_rate()};
 }
+
+constexpr std::array<double, 5> kRandomFractions = {0.0, 0.25, 0.5, 0.75,
+                                                    1.0};
+constexpr std::array<dram::PagePolicy, 3> kPolicies = {
+    dram::PagePolicy::kOpen, dram::PagePolicy::kClosed,
+    dram::PagePolicy::kTimeout};
 
 }  // namespace
 
@@ -54,16 +68,23 @@ int main() {
 
   Table t({"random clients of 4", "open lat", "open hit%", "closed lat",
            "closed hit%", "timeout lat"});
+  // Every (locality, policy) point is an independent memory system: run
+  // them as thread pool jobs into grid-ordered slots, then print in grid
+  // order, so the output does not depend on the thread count.
+  std::vector<Point> grid(kRandomFractions.size() * kPolicies.size());
+  parallel_for(grid.size(), [&](std::size_t i) {
+    grid[i] = run(kPolicies[i % kPolicies.size()],
+                  kRandomFractions[i / kPolicies.size()]);
+  });
+
   double open_wins_at_0 = 0.0, closed_gap_at_4 = 0.0;
   double timeout_worst_penalty = 0.0;
-  for (const double frac : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    double open_hit = 0.0, closed_hit = 0.0, timeout_hit = 0.0;
-    const double open_lat =
-        run(dram::PagePolicy::kOpen, frac, &open_hit);
-    const double closed_lat =
-        run(dram::PagePolicy::kClosed, frac, &closed_hit);
-    const double timeout_lat =
-        run(dram::PagePolicy::kTimeout, frac, &timeout_hit);
+  for (std::size_t f = 0; f < kRandomFractions.size(); ++f) {
+    const double frac = kRandomFractions[f];
+    const Point* row = &grid[f * kPolicies.size()];
+    const double open_lat = row[0].latency, open_hit = row[0].hit_rate;
+    const double closed_lat = row[1].latency, closed_hit = row[1].hit_rate;
+    const double timeout_lat = row[2].latency;
     if (frac == 0.0) open_wins_at_0 = closed_lat / open_lat;
     if (frac == 1.0) closed_gap_at_4 = closed_lat / open_lat;
     // The adaptive policy should track the better of the two extremes.

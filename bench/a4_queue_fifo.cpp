@@ -4,11 +4,15 @@
 //     giving FR-FCFS more reordering room;
 // (2) client burstiness, not mean rate, sizes the client-side FIFO.
 
+#include <array>
+#include <cstddef>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "clients/extra_clients.hpp"
 #include "clients/system.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "dram/presets.hpp"
 
@@ -61,16 +65,34 @@ std::uint64_t bursty_fifo(unsigned burst_len) {
   return sys.fifo(0).required_depth_bytes();
 }
 
+constexpr std::array<unsigned, 6> kQueueDepths = {2, 4, 8, 16, 32, 64};
+constexpr std::array<unsigned, 5> kBurstLengths = {2, 4, 8, 16, 32};
+
 }  // namespace
 
 int main() {
   print_banner(std::cout,
                "A4 (ablation): queue depth, burstiness, FIFO sizing (§3)");
 
+  // Both effects' points are independent memory systems: run them as one
+  // set of thread pool jobs (queue depths first, then burst lengths), each
+  // writing its own slot, then print in grid order, so the output does
+  // not depend on the thread count.
+  std::vector<double> effs(kQueueDepths.size());
+  std::vector<std::uint64_t> fifos(kBurstLengths.size());
+  parallel_for(effs.size() + fifos.size(), [&](std::size_t i) {
+    if (i < effs.size()) {
+      effs[i] = random_efficiency(kQueueDepths[i]);
+    } else {
+      fifos[i - effs.size()] = bursty_fifo(kBurstLengths[i - effs.size()]);
+    }
+  });
+
   Table t1({"controller queue depth", "sustained/peak (4 random clients)"});
   double eff_shallow = 0.0, eff_deep = 0.0;
-  for (const unsigned q : {2u, 4u, 8u, 16u, 32u, 64u}) {
-    const double eff = random_efficiency(q);
+  for (std::size_t k = 0; k < kQueueDepths.size(); ++k) {
+    const unsigned q = kQueueDepths[k];
+    const double eff = effs[k];
     if (q == 2) eff_shallow = eff;
     if (q == 64) eff_deep = eff;
     t1.row().integer(q).num(eff, 3);
@@ -79,8 +101,9 @@ int main() {
 
   Table t2({"burst length", "FIFO bytes needed"});
   std::uint64_t fifo_small = 0, fifo_big = 0;
-  for (const unsigned b : {2u, 4u, 8u, 16u, 32u}) {
-    const std::uint64_t f = bursty_fifo(b);
+  for (std::size_t k = 0; k < kBurstLengths.size(); ++k) {
+    const unsigned b = kBurstLengths[k];
+    const std::uint64_t f = fifos[k];
     if (b == 4) fifo_small = f;
     if (b == 32) fifo_big = f;
     t2.row().integer(b).integer(static_cast<long long>(f));

@@ -3,10 +3,14 @@
 // but cost activation energy proportional to the page (a whole row is
 // sensed and rewritten per ACT) and hurt random traffic.
 
+#include <array>
+#include <cstddef>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "clients/system.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "dram/presets.hpp"
 #include "phy/interface_model.hpp"
@@ -17,9 +21,9 @@ namespace {
 using namespace edsim;
 
 struct Out {
-  double hit_rate;
-  double efficiency;
-  double pj_per_bit;  ///< core+IO energy per transported bit
+  double hit_rate = 0.0;
+  double efficiency = 0.0;
+  double pj_per_bit = 0.0;  ///< core+IO energy per transported bit
 };
 
 Out run(unsigned page_bytes, bool streaming) {
@@ -61,6 +65,8 @@ Out run(unsigned page_bytes, bool streaming) {
           dynamic_mw * 1e-3 * seconds / bits * 1e12};
 }
 
+constexpr std::array<unsigned, 5> kPages = {512, 1024, 2048, 4096, 8192};
+
 }  // namespace
 
 int main() {
@@ -70,9 +76,18 @@ int main() {
            "random hit%", "random eff", "random pJ/bit"});
   double stream_hit_short = 0.0, stream_hit_long = 0.0;
   double rand_pj_short = 0.0, rand_pj_long = 0.0;
-  for (const unsigned page : {512u, 1024u, 2048u, 4096u, 8192u}) {
-    const Out s = run(page, true);
-    const Out r = run(page, false);
+  // Every (page, traffic) point is an independent memory system: run them
+  // as thread pool jobs into grid-ordered slots (streaming at 2k, random
+  // at 2k + 1), then print in grid order, so the output does not depend
+  // on the thread count.
+  std::vector<Out> grid(2 * kPages.size());
+  parallel_for(grid.size(), [&](std::size_t i) {
+    grid[i] = run(kPages[i / 2], i % 2 == 0);
+  });
+  for (std::size_t k = 0; k < kPages.size(); ++k) {
+    const unsigned page = kPages[k];
+    const Out& s = grid[2 * k];
+    const Out& r = grid[2 * k + 1];
     if (page == 512) {
       stream_hit_short = s.hit_rate;
       rand_pj_short = r.pj_per_bit;

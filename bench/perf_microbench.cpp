@@ -396,9 +396,9 @@ BENCHMARK(BM_WorkloadArena)->Unit(benchmark::kMillisecond);
 
 // --- evaluation memoization: before/after pair -----------------------------
 // The design_explorer re-score shape: the same candidate list is swept
-// repeatedly (refinement passes, pareto re-runs). "Cold" is the
-// regenerate-per-point path with both caches off; "Memoized" re-sweeps a
-// warmed evaluator, so every point is a content-hash lookup.
+// repeatedly (refinement passes, pareto re-runs). "Cold" re-sweeps with
+// the memo off; "Memoized" re-sweeps a warmed evaluator, so every point is
+// a content-hash lookup.
 
 void BM_SweepCold(benchmark::State& state) {
   const auto cfgs = sweep_candidates();
@@ -407,7 +407,6 @@ void BM_SweepCold(benchmark::State& state) {
   w.sim_cycles = 50'000;
   core::Evaluator ev;
   ev.set_threads(1);
-  ev.set_workload_arena(false);
   ev.set_memoize(false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ev.sweep(cfgs, w));
@@ -422,7 +421,7 @@ void BM_SweepMemoized(benchmark::State& state) {
   core::EvalWorkload w;
   w.demand_gbyte_s = 2.0;
   w.sim_cycles = 50'000;
-  core::Evaluator ev;  // arena + memo on by default
+  core::Evaluator ev;  // memo on by default
   ev.set_threads(1);
   benchmark::DoNotOptimize(ev.sweep(cfgs, w));  // warm the caches once
   for (auto _ : state) {

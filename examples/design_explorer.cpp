@@ -75,33 +75,24 @@ int main(int argc, char** argv) {
   w.demand_gbyte_s = 2.0;
   w.sim_cycles = 50'000;
   // Warm the memory system before measuring. Variants sharing a channel
-  // shape share one simulated warm-up plus window (visible in
-  // --cache-stats).
+  // shape share one simulated warm-up plus window, whose clients run live
+  // (visible in --cache-stats).
   w.warmup_cycles = 10'000;
 
   const std::vector<Metrics> metrics = ev.sweep(cfgs, w);
 
   // Re-score the same candidates, as a refinement loop would: every
-  // point is now a memo hit, so no arena or channel is touched again.
+  // point is now a memo hit, so no channel is simulated again.
   ev.sweep(cfgs, w);
-  std::cout << "workload cache: " << ev.workload_cache().entries()
-            << " arenas (" << ev.workload_cache().arena_bytes()
-            << " bytes), " << ev.workload_cache().hits()
-            << " hits\nevaluation memo: " << ev.memo_entries()
+  std::cout << "evaluation memo: " << ev.memo_entries()
             << " entries, " << ev.memo_hits() << " hits on re-sweep\n";
 
-  // --cache-stats: the one-call counter snapshot across all four cache
-  // layers (workload arenas, evaluation memo, simulated channel shapes,
-  // and the persistent result store when attached).
+  // --cache-stats: the one-call counter snapshot across the cache layers
+  // (evaluation memo, simulated channel shapes, and the persistent result
+  // store when attached).
   if (args.has("cache-stats")) {
     const Evaluator::CacheStats cs = ev.cache_stats();
     Table ct({"cache", "hits", "misses", "entries", "bytes"});
-    ct.row()
-        .cell("workload arenas")
-        .integer(static_cast<long long>(cs.arena_hits))
-        .integer(static_cast<long long>(cs.arena_misses))
-        .integer(static_cast<long long>(cs.arena_entries))
-        .integer(static_cast<long long>(cs.arena_bytes));
     ct.row()
         .cell("evaluation memo")
         .integer(static_cast<long long>(cs.memo_hits))

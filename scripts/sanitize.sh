@@ -55,13 +55,20 @@ build-asan/tests/edsim_queue_mask_tests
 build-asan/tests/edsim_service_tests
 
 # ThreadSanitizer (it cannot share a tree with ASan). Sweep threads share
-# the compiled arenas, the one simulated channel per shape (a
-# shared_future that every variant of the shape reads its own copy of),
-# the memo and the result store; the yield trials and parallel_for share
-# the pool. The selected suites drive all of them at several thread
-# counts.
+# the one simulated channel per shape (a shared_future that every variant
+# of the shape reads its own copy of), the memo and the result store; the
+# yield trials and parallel_for share the pool. The selected suites drive
+# all of them at several thread counts.
 cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS=-fsanitize=thread
 cmake --build build-tsan -j"$(nproc)"
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   -R 'DifferentialFuzz.Evaluator|Parallel|Sweep|Yield'
+
+# The harness grids that run their points as parallel_for jobs into
+# index-ordered slots: each job must touch only its own slot. TSan fails
+# the run (exit 66) on any report, and halt_on_error stops at the first.
+for exp in a1_address_mapping a2_page_policy a4_queue_fifo a7_page_length; do
+  EDSIM_THREADS=4 TSAN_OPTIONS=halt_on_error=1 "build-tsan/bench/$exp" \
+    >/dev/null
+done

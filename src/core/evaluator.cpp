@@ -70,81 +70,79 @@ SimShape make_shape(const SystemConfig& cfg, const EvalWorkload& w) {
       1,
       static_cast<unsigned>(static_cast<double>(s.burst) / bytes_per_cycle));
 
-  // Endless clients paced `period` apart issue at most cycles/period + 1
-  // requests inside the driven window (warm-up plus measurement); one
-  // extra record makes the compiled prefix provably inexhaustible, so
-  // replay is bit-identical to the live generators.
+  // Records per arena (warmup_checkpoint's roster): endless clients paced
+  // `period` apart issue at most cycles/period + 1 requests inside the
+  // driven window (warm-up plus measurement); one extra record makes the
+  // compiled prefix provably inexhaustible, so replay is bit-identical to
+  // the live generators.
   s.budget = (w.warmup_cycles + w.sim_cycles) / s.period + 2;
   return s;
 }
 
+/// One evaluation client: the live paced generator, or — with `arenas` —
+/// an ArenaReplayClient over the generator's arena compiled for `budget`
+/// records. Both issue the same requests.
+template <class Live, class Params, class Compile>
+std::unique_ptr<clients::Client> eval_client(unsigned id, std::string name,
+                                             const Params& p,
+                                             std::uint64_t budget,
+                                             clients::WorkloadCache* arenas,
+                                             Compile compile) {
+  if (arenas == nullptr) return std::make_unique<Live>(id, std::move(name), p);
+  auto arena = arenas->get_or_compile(clients::compile_key(p, budget),
+                                      [&] { return compile(p, budget); });
+  return std::make_unique<clients::ArenaReplayClient>(id, std::move(name),
+                                                      std::move(arena));
+}
+
+/// The shape's memory system with live clients, or with arena replay
+/// clients when `arenas` is given (only Evaluator::warmup_checkpoint).
 std::unique_ptr<clients::MemorySystem> build_eval_system(
-    const SimShape& sh, const EvalWorkload& w, bool use_arena,
-    clients::WorkloadCache& arenas) {
+    const SimShape& sh, const EvalWorkload& w,
+    clients::WorkloadCache* arenas = nullptr) {
   const unsigned n_clients = w.stream_clients + w.random_clients;
   auto sys = std::make_unique<clients::MemorySystem>(
       sh.dcfg, clients::ArbiterKind::kRoundRobin);
   unsigned id = 0;
-  for (unsigned i = 0; i < w.stream_clients; ++i) {
+  for (unsigned i = 0; i < w.stream_clients; ++i, ++id) {
     clients::StreamClient::Params p;
     p.base = sh.region / n_clients * id;
     p.length = sh.region / n_clients;
     p.burst_bytes = sh.burst;
     p.type = i % 2 == 0 ? dram::AccessType::kRead : dram::AccessType::kWrite;
     p.period_cycles = sh.period;
-    const std::string cname = "stream" + std::to_string(i);
-    if (use_arena) {
-      auto arena = arenas.get_or_compile(
-          clients::compile_key(p, sh.budget),
-          [&] { return clients::compile_stream(p, sh.budget); });
-      sys->add_client(std::make_unique<clients::ArenaReplayClient>(
-          id, cname, std::move(arena)));
-    } else {
-      sys->add_client(std::make_unique<clients::StreamClient>(id, cname, p));
-    }
-    ++id;
+    sys->add_client(eval_client<clients::StreamClient>(
+        id, "stream" + std::to_string(i), p, sh.budget, arenas,
+        clients::compile_stream));
   }
-  for (unsigned i = 0; i < w.random_clients; ++i) {
+  for (unsigned i = 0; i < w.random_clients; ++i, ++id) {
     clients::RandomClient::Params p;
     p.base = sh.region / n_clients * id;
     p.length = sh.region / n_clients;
     p.burst_bytes = sh.burst;
     p.period_cycles = sh.period;
     p.seed = w.seed + i;
-    const std::string cname = "random" + std::to_string(i);
-    if (use_arena) {
-      auto arena = arenas.get_or_compile(
-          clients::compile_key(p, sh.budget),
-          [&] { return clients::compile_random(p, sh.budget); });
-      sys->add_client(std::make_unique<clients::ArenaReplayClient>(
-          id, cname, std::move(arena)));
-    } else {
-      sys->add_client(std::make_unique<clients::RandomClient>(id, cname, p));
-    }
-    ++id;
+    sys->add_client(eval_client<clients::RandomClient>(
+        id, "random" + std::to_string(i), p, sh.budget, arenas,
+        clients::compile_random));
   }
   return sys;
 }
 
 /// The key of one simulated channel (channel config, driven region,
-/// arena mode, workload — sim_cycles, warm-up and seed included).
-std::uint64_t shape_key(const SimShape& sh, const EvalWorkload& w,
-                        bool use_arena) {
+/// workload — sim_cycles, warm-up and seed included).
+std::uint64_t shape_key(const SimShape& sh, const EvalWorkload& w) {
   ContentHasher ck;
-  ck.mix(sh.dcfg.content_hash())
-      .mix(sh.region)
-      .mix(use_arena)
-      .mix(w.content_hash());
+  ck.mix(sh.dcfg.content_hash()).mix(sh.region).mix(w.content_hash());
   return ck.digest();
 }
 
 /// Build the shape's memory system, run the warm-up (when any), reset the
 /// measurement counters and run the measured window.
 dram::ControllerStats simulate_channel(const SimShape& sh,
-                                       const EvalWorkload& w, bool use_arena,
-                                       bool burst_issue,
-                                       clients::WorkloadCache& arenas) {
-  const auto sys = build_eval_system(sh, w, use_arena, arenas);
+                                       const EvalWorkload& w,
+                                       bool burst_issue) {
+  const auto sys = build_eval_system(sh, w);
   sys->set_burst_issue(burst_issue);
   if (w.warmup_cycles > 0) {
     sys->run(w.warmup_cycles);
@@ -225,8 +223,9 @@ std::shared_ptr<const std::vector<std::uint8_t>> Evaluator::warmup_checkpoint(
     const SystemConfig& cfg, const EvalWorkload& w) const {
   cfg.validate();
   if (w.warmup_cycles == 0) return nullptr;
-  const auto warm =
-      build_eval_system(make_shape(cfg, w), w, use_arena_, caches_->arenas);
+  // Arena clients: perfbench's design_sweep probe compares this blob with
+  // an arena-built replica.
+  const auto warm = build_eval_system(make_shape(cfg, w), w, &caches_->arenas);
   warm->set_burst_issue(burst_issue_);
   warm->run(w.warmup_cycles);
   return std::make_shared<const std::vector<std::uint8_t>>(
@@ -249,10 +248,6 @@ void Evaluator::clear_caches() const {
 
 Evaluator::CacheStats Evaluator::cache_stats() const {
   CacheStats s;
-  s.arena_hits = caches_->arenas.hits();
-  s.arena_misses = caches_->arenas.misses();
-  s.arena_entries = caches_->arenas.entries();
-  s.arena_bytes = caches_->arenas.arena_bytes();
   std::shared_ptr<ResultStoreBase> store;
   {
     std::lock_guard<std::mutex> lock(caches_->memo_mu);
@@ -339,11 +334,10 @@ Metrics Evaluator::evaluate_into(
   const SimShape shape = make_shape(cfg, w);
   const dram::DramConfig& dcfg = shape.dcfg;
   const auto simulate = [&] {
-    return simulate_channel(shape, w, use_arena_, burst_issue_,
-                            caches_->arenas);
+    return simulate_channel(shape, w, burst_issue_);
   };
   const dram::ControllerStats stats =
-      checkpoint_ ? *shared_channel(shape_key(shape, w, use_arena_), simulate)
+      checkpoint_ ? *shared_channel(shape_key(shape, w), simulate)
                   : simulate();
   const Bandwidth sustained = stats.sustained_bandwidth(dcfg.clock);
   const Bandwidth peak = dcfg.peak_bandwidth();

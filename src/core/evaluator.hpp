@@ -37,9 +37,9 @@ struct EvalWorkload {
   /// DRAM; §1's junction-temperature caveat). Watts.
   double logic_power_w = 1.0;
 
-  /// Content hash over every field; keys workload arenas and the
-  /// evaluation-memoization map (seed and demand included, so any change
-  /// that could alter results invalidates both caches).
+  /// Content hash over every field; keys the simulated channel shapes and
+  /// the evaluation-memoization map (seed and demand included, so any
+  /// change that could alter results invalidates both caches).
   std::uint64_t content_hash() const {
     ContentHasher h;
     h.mix(demand_gbyte_s)
@@ -92,7 +92,7 @@ struct Metrics {
   double avg_read_latency_ns_ci = 0.0; ///< 95% CI half-width
 };
 
-/// Counter snapshot of a persistent result store (the fourth cache tier;
+/// Counter snapshot of a persistent result store (the third cache tier;
 /// see service::ResultStore for the on-disk implementation).
 struct ResultStoreStats {
   std::uint64_t hits = 0;
@@ -125,12 +125,9 @@ class ResultStoreBase {
 /// Evaluates design points by simulation (bandwidth/latency), analytical
 /// models (area, power) and the cost model.
 ///
-/// Three caches accelerate repeated scoring (all on by default, all
+/// Two caches accelerate repeated scoring (both on by default, both
 /// bit-identical to the uncached path — enforced by the differential
 /// fuzz suite):
-///  * a WorkloadCache of compiled client arenas keyed by (client params,
-///    seed, budget), so sweep points sharing a workload shape replay one
-///    immutable arena instead of regenerating clients per config/thread;
 ///  * one simulated channel per channel shape, so configs that differ only
 ///    in what the memory timing does not see (process, logic size, name)
 ///    share one warm-up plus window and each score their own models;
@@ -138,7 +135,10 @@ class ResultStoreBase {
 ///    EvalWorkload::content_hash), so re-scoring an identical point
 ///    (design_explorer refinement passes, pareto re-runs) is a lookup.
 /// Memoization is bypassed whenever a MetricRegistry is attached: a memo
-/// hit could not replay the per-evaluation telemetry export.
+/// hit could not replay the per-evaluation telemetry export. The channel
+/// is simulated once per shape, so its clients run live: a compiled
+/// arena would be built for one replay, and most of its records never
+/// issue once the channel back-pressures its clients.
 class Evaluator {
  public:
   explicit Evaluator(CostModel cost = CostModel{})
@@ -156,11 +156,9 @@ class Evaluator {
   /// per config and merging them in input order.
   void set_metrics(telemetry::MetricRegistry* reg) { metrics_ = reg; }
 
-  /// Replay evaluation clients from shared compiled arenas instead of
-  /// regenerating them per call (default on). Off = the reference
-  /// regenerate-per-point path, kept for differential testing.
-  void set_workload_arena(bool on) { use_arena_ = on; }
-  bool workload_arena() const { return use_arena_; }
+  /// No-op: evaluations always run live clients. Kept for perfbench's
+  /// reference path, which still calls it.
+  void set_workload_arena(bool) {}
 
   /// Memoize full evaluations by (config, workload) content hash
   /// (default on). Bypassed while a MetricRegistry is attached.
@@ -200,8 +198,10 @@ class Evaluator {
   bool burst_issue() const { return burst_issue_; }
 
   /// The sealed snapshot of a (config, workload) pair's memory system at
-  /// the end of its warm-up, simulated afresh on every call (no cache);
-  /// nullptr when warmup_cycles == 0.
+  /// the end of its warm-up, simulated afresh on every call; nullptr when
+  /// warmup_cycles == 0. Its clients replay arenas compiled (and kept in
+  /// workload_cache()) for the evaluation's budget, not the live clients
+  /// evaluate() runs: the snapshot bytes of the two differ.
   std::shared_ptr<const std::vector<std::uint8_t>> warmup_checkpoint(
       const SystemConfig& cfg, const EvalWorkload& w) const;
 
@@ -215,19 +215,17 @@ class Evaluator {
   /// Cache observability (shared across copies of this evaluator).
   std::uint64_t memo_hits() const;
   std::size_t memo_entries() const;
+  /// The arenas warmup_checkpoint compiled; evaluate() and sweep() leave
+  /// it empty.
   const clients::WorkloadCache& workload_cache() const {
     return caches_->arenas;
   }
   void clear_caches() const;
 
-  /// One-call counter snapshot across all four cache layers (workload
-  /// arenas, evaluation memoization, simulated channel shapes, and — when
-  /// attached — the persistent result store).
+  /// One-call counter snapshot across the cache layers (evaluation
+  /// memoization, simulated channel shapes, and — when attached — the
+  /// persistent result store).
   struct CacheStats {
-    std::uint64_t arena_hits = 0;
-    std::uint64_t arena_misses = 0;
-    std::size_t arena_entries = 0;
-    std::size_t arena_bytes = 0;
     std::uint64_t memo_hits = 0;
     std::size_t memo_entries = 0;
     std::uint64_t shape_hits = 0;     ///< evaluations that reused a channel
@@ -283,7 +281,6 @@ class Evaluator {
   CostModel cost_;
   unsigned threads_ = 0;
   telemetry::MetricRegistry* metrics_ = nullptr;
-  bool use_arena_ = true;
   bool memoize_ = true;
   bool checkpoint_ = true;
   bool burst_issue_ = true;

@@ -10,9 +10,12 @@
 #include <memory>
 #include <string>
 
+#include "bist/redundancy.hpp"
 #include "clients/system.hpp"
+#include "dram/command_log.hpp"
 #include "dram/controller.hpp"
 #include "dram/presets.hpp"
+#include "reliability/manager.hpp"
 #include "scheduled_locks.hpp"
 
 namespace edsim::dram {
@@ -379,6 +382,83 @@ TEST_P(DeviceSweep, PowerDownResidencyMatchesIdleGaps) {
     }
     EXPECT_NEAR(static_cast<double>(residency) / static_cast<double>(gaps),
                 static_cast<double>(expected), 0.5);
+  }
+}
+
+TEST_P(DeviceSweep, MaintenanceDutyOnIdleChannelMatchesFormula) {
+  // Self-managed maintenance on an idle channel: bin i sweeps its rows_i
+  // rows once per window_i = base_window_cycles << i, in
+  // ceil(rows_i / rows_per_op) ops that each lock the bank for
+  // rows_per_op x op_cycles_per_row cycles (the sweep pointer wraps, so a
+  // partial last op still takes rows_per_op rows). The lock cycles per
+  // bank per top-bin window W are therefore
+  //   sum_i ceil(rows_i / rows_per_op) x rows_per_op x op_cycles_per_row
+  //         x W / window_i.
+  // A quarter of every bank's rows (every fourth row) holds one weak cell
+  // whose retention puts it in bin 1; the variant shortens that retention
+  // so the same rows land in bin 0. base is a multiple of every bin's op
+  // count, so each op cadence divides its window, and the schedule repeats
+  // every W: any W-long stretch after the first window holds exactly one
+  // window's locks, wherever a claim waited on another bin's lock.
+  const DeviceCase dc = devices()[GetParam()];
+  const DramConfig& cfg = dc.cfg;
+  const unsigned rows = cfg.rows_per_bank;
+  const unsigned weak_rows = rows / 4;
+  const unsigned rows_per_op = 8;
+  const unsigned op_cycles = cfg.timing.tRC;
+  const std::uint64_t base = 6ull * rows * op_cycles;
+  const unsigned bins = 3;
+  const std::uint64_t top_window = base << (bins - 1);
+  ASSERT_EQ(rows % (4 * rows_per_op), 0u) << dc.name;  // whole op counts
+
+  for (const unsigned weak_bin : {1u, 0u}) {
+    SCOPED_TRACE(std::string(dc.name) + " weak rows in bin " +
+                 std::to_string(weak_bin));
+    reliability::ReliabilityConfig rc;  // no injected faults by default
+    rc.scrub_enabled = false;
+    rc.remap_enabled = false;
+    rc.retire_enabled = false;
+    rc.maintenance.enabled = true;
+    rc.maintenance.bins = bins;
+    rc.maintenance.base_window_cycles = base;
+    rc.maintenance.rows_per_op = rows_per_op;
+    rc.maintenance.op_cycles_per_row = op_cycles;
+    reliability::ReliabilityManager mgr(cfg, rc);
+    // Retention 4 x base bins a row into bin 1 (2 x base <= 80% of it <
+    // 4 x base); 2 x base bins it into bin 0. Either way the row's sweep
+    // comes round before its cells decay.
+    const double retention = static_cast<double>(weak_bin == 1 ? 4 * base
+                                                               : 2 * base);
+    bist::FailBitmap weak;
+    for (unsigned r = 0; r < rows; r += 4) weak.fails.push_back({r, 0});
+    for (unsigned b = 0; b < cfg.banks; ++b) {
+      mgr.import_fault_map(weak, b,
+                           retention / mgr.injector().retention_cycles());
+    }
+
+    std::uint64_t expected = 0;
+    for (unsigned i = 0; i < bins; ++i) {
+      const std::uint64_t rows_i = i == weak_bin      ? weak_rows
+                                   : i == bins - 1 ? rows - weak_rows
+                                                   : 0;
+      const std::uint64_t ops = (rows_i + rows_per_op - 1) / rows_per_op;
+      expected += ops * rows_per_op * op_cycles * (top_window / (base << i));
+    }
+
+    Controller ctl(cfg);
+    CommandLog log;
+    ctl.attach_command_log(&log);
+    ctl.attach_reliability(&mgr);
+    ctl.tick_until(2 * top_window);
+    std::vector<std::uint64_t> locked(cfg.banks, 0);
+    for (const CommandRecord& r : log.records()) {
+      if (r.cmd == Command::kMaintStart && r.cycle >= top_window) {
+        locked[r.bank] += r.row;  // kMaintStart carries the lock duration
+      }
+    }
+    for (unsigned b = 0; b < cfg.banks; ++b) {
+      EXPECT_EQ(locked[b], expected) << "bank " << b;
+    }
   }
 }
 

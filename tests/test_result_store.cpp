@@ -389,7 +389,7 @@ TEST(ResultStore, EvaluatorWarmStartsAcrossProcessesBitExact) {
   }
 
   // "Fresh process": new evaluator, reopened store — every point must be
-  // a store hit (no simulation: the workload cache stays empty).
+  // a store hit (no simulation: no channel shape is entered).
   core::Evaluator warm;
   warm.set_threads(1);
   warm.set_result_store(std::make_shared<service::ResultStore>(path));
@@ -400,7 +400,7 @@ TEST(ResultStore, EvaluatorWarmStartsAcrossProcessesBitExact) {
   const auto cs = warm.cache_stats();
   EXPECT_EQ(cs.store.hits, cfgs.size());
   EXPECT_EQ(cs.store.misses, 0u);
-  EXPECT_EQ(cs.arena_entries, 0u) << "store hits must not compile workloads";
+  EXPECT_EQ(cs.shape_entries, 0u) << "store hits must not simulate channels";
   fs::remove(path);
 }
 

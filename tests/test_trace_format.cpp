@@ -4,10 +4,12 @@
 // ArenaReplayClient and the live generating clients — bit-identical
 // controller stats in both per-cycle and fast-forward runs — plus the
 // WorkloadCache that shares compiled arenas, whose hit/miss counters must
-// not depend on thread timing.
+// not depend on thread timing, and the arena roster behind the Evaluator's
+// warm-up checkpoint.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <latch>
@@ -599,6 +601,9 @@ TEST(EvaluatorMemo, SecondEvaluationIsAMemoHit) {
   EXPECT_EQ(ev.memo_hits(), 1u);
   EXPECT_EQ(ev.memo_entries(), 2u);
 
+  // Evaluations run live clients: no arena is compiled.
+  EXPECT_EQ(ev.workload_cache().misses(), 0u);
+
   ev.clear_caches();
   EXPECT_EQ(ev.memo_entries(), 0u);
   EXPECT_EQ(ev.workload_cache().entries(), 0u);
@@ -614,17 +619,15 @@ TEST(EvaluatorMemo, CacheStatsTracksAllThreeCaches) {
   core::Evaluator ev;
   const core::Metrics base = ev.evaluate(cfg, w);
   core::Evaluator::CacheStats cs = ev.cache_stats();
-  // First evaluation: every arena and the channel shape are misses.
-  EXPECT_EQ(cs.arena_hits, ev.workload_cache().hits());
-  EXPECT_EQ(cs.arena_misses, ev.workload_cache().misses());
-  EXPECT_GT(cs.arena_entries, 0u);
-  EXPECT_GT(cs.arena_bytes, 0u);
+  // First evaluation: the channel shape is a miss, simulated with live
+  // clients (no arena is compiled).
+  EXPECT_EQ(ev.workload_cache().misses(), 0u);
   EXPECT_EQ(cs.memo_hits, 0u);
   EXPECT_EQ(cs.memo_entries, 1u);
   EXPECT_EQ(cs.shape_hits, 0u);
   EXPECT_EQ(cs.shape_entries, 1u);
 
-  ev.evaluate(cfg, w);  // pure memo hit: no new arena/shape traffic
+  ev.evaluate(cfg, w);  // pure memo hit: no new shape traffic
   cs = ev.cache_stats();
   EXPECT_EQ(cs.memo_hits, 1u);
   EXPECT_EQ(cs.memo_entries, 1u);
@@ -664,9 +667,10 @@ TEST(EvaluatorMemo, CacheStatsTracksAllThreeCaches) {
   EXPECT_EQ(cs.shape_hits, 1u);
   EXPECT_EQ(cs.shape_entries, 3u);
 
+  EXPECT_EQ(ev.workload_cache().entries(), 0u);
+
   ev.clear_caches();
   cs = ev.cache_stats();
-  EXPECT_EQ(cs.arena_entries, 0u);
   EXPECT_EQ(cs.memo_entries, 0u);
   EXPECT_EQ(cs.shape_hits, 0u);
   EXPECT_EQ(cs.shape_entries, 0u);
@@ -674,6 +678,87 @@ TEST(EvaluatorMemo, CacheStatsTracksAllThreeCaches) {
   ev.evaluate(variant, w);
   EXPECT_EQ(ev.cache_stats().shape_entries, 1u);
   EXPECT_EQ(ev.cache_stats().shape_hits, 0u);
+}
+
+// --- Evaluator warm-up checkpoint ----------------------------------------
+// perfbench's design_sweep probe rebuilds the Evaluator's roster by hand
+// from its public inputs (arena replay clients, the Evaluator's pacing and
+// budget) and requires the replica's warm-up snapshot to equal
+// warmup_checkpoint byte for byte. This is that replica: a change to the
+// Evaluator's roster, pacing or arena budget fails here first.
+
+std::vector<std::uint8_t> hand_built_warmup_snapshot(
+    const core::SystemConfig& c, const core::EvalWorkload& w) {
+  const dram::DramConfig cfg = c.dram_config();
+  const unsigned burst = cfg.bytes_per_access();
+  const std::uint64_t region =
+      std::min<std::uint64_t>(c.installed_memory().byte_count(), 8u << 20);
+  const unsigned n = w.stream_clients + w.random_clients;
+  const double bytes_per_cycle =
+      w.demand_gbyte_s * 1e9 / static_cast<double>(n) / cfg.clock.hz();
+  const unsigned period = std::max<unsigned>(
+      1, static_cast<unsigned>(static_cast<double>(burst) / bytes_per_cycle));
+  const std::uint64_t budget = (w.warmup_cycles + w.sim_cycles) / period + 2;
+
+  clients::MemorySystem sys(cfg, clients::ArbiterKind::kRoundRobin);
+  unsigned id = 0;
+  for (unsigned i = 0; i < w.stream_clients; ++i, ++id) {
+    clients::StreamClient::Params p;
+    p.base = region / n * id;
+    p.length = region / n;
+    p.burst_bytes = burst;
+    p.type = i % 2 == 0 ? dram::AccessType::kRead : dram::AccessType::kWrite;
+    p.period_cycles = period;
+    sys.add_client(std::make_unique<ArenaReplayClient>(
+        id, "stream" + std::to_string(i), clients::compile_stream(p, budget)));
+  }
+  for (unsigned i = 0; i < w.random_clients; ++i, ++id) {
+    clients::RandomClient::Params p;
+    p.base = region / n * id;
+    p.length = region / n;
+    p.burst_bytes = burst;
+    p.period_cycles = period;
+    p.seed = w.seed + i;
+    sys.add_client(std::make_unique<ArenaReplayClient>(
+        id, "random" + std::to_string(i), clients::compile_random(p, budget)));
+  }
+  sys.run(w.warmup_cycles);
+  return sys.save_snapshot();
+}
+
+TEST(EvaluatorCheckpoint, WarmupCheckpointMatchesHandBuiltArenaReplica) {
+  core::SystemConfig embedded;
+  embedded.name = "dram-based/64b";
+  embedded.interface_bits = 64;
+  embedded.banks = 4;
+  embedded.page_bytes = 2048;
+  core::SystemConfig discrete;
+  discrete.name = "discrete/16b";
+  discrete.integration = core::Integration::kDiscrete;
+  discrete.interface_bits = 16;
+  core::EvalWorkload w;  // design_explorer's workload, shorter window
+  w.demand_gbyte_s = 2.0;
+  w.sim_cycles = 20'000;
+  w.warmup_cycles = 5'000;
+
+  for (const core::SystemConfig& c : {embedded, discrete}) {
+    SCOPED_TRACE(c.name);
+    core::Evaluator ev;
+    const auto checkpoint = ev.warmup_checkpoint(c, w);
+    ASSERT_NE(checkpoint, nullptr);
+    EXPECT_EQ(*checkpoint, hand_built_warmup_snapshot(c, w));
+    // The checkpoint's arenas are the only ones the Evaluator compiles:
+    // an evaluation runs live clients and never looks an arena up.
+    const clients::WorkloadCache& arenas = ev.workload_cache();
+    const unsigned n = w.stream_clients + w.random_clients;
+    EXPECT_EQ(arenas.entries(), n);
+    ev.evaluate(c, w);
+    EXPECT_EQ(arenas.hits() + arenas.misses(), n);
+  }
+
+  core::EvalWorkload cold = w;
+  cold.warmup_cycles = 0;
+  EXPECT_EQ(core::Evaluator{}.warmup_checkpoint(embedded, cold), nullptr);
 }
 
 TEST(EvaluatorMemo, ContentHashesSeparateConfigsAndWorkloads) {
