@@ -396,19 +396,21 @@ BENCHMARK(BM_WorkloadArena)->Unit(benchmark::kMillisecond);
 
 // --- evaluation memoization: before/after pair -----------------------------
 // The design_explorer re-score shape: the same candidate list is swept
-// repeatedly (refinement passes, pareto re-runs). "Cold" re-sweeps with
-// the memo off; "Memoized" re-sweeps a warmed evaluator, so every point is
-// a content-hash lookup.
+// repeatedly (refinement passes, pareto re-runs). "Cold" sweeps in a
+// fresh evaluator with the memo off; "Memoized" re-sweeps a warmed
+// evaluator, so every point is a content-hash lookup.
 
 void BM_SweepCold(benchmark::State& state) {
   const auto cfgs = sweep_candidates();
   core::EvalWorkload w;
   w.demand_gbyte_s = 2.0;
   w.sim_cycles = 50'000;
-  core::Evaluator ev;
-  ev.set_threads(1);
-  ev.set_memoize(false);
   for (auto _ : state) {
+    // A fresh Evaluator each time: a reused one would serve every channel
+    // shape from its shared-channel cache and simulate nothing.
+    core::Evaluator ev;
+    ev.set_threads(1);
+    ev.set_memoize(false);
     benchmark::DoNotOptimize(ev.sweep(cfgs, w));
   }
   state.SetItemsProcessed(

@@ -43,10 +43,6 @@ PacedClient::PacedClient(unsigned id, std::string name, unsigned period_cycles,
       total_(total_requests),
       next_allowed_(start_cycle) {}
 
-bool PacedClient::has_request(std::uint64_t cycle) const {
-  return !finished() && cycle >= next_allowed_;
-}
-
 std::uint64_t PacedClient::next_request_cycle(std::uint64_t now) const {
   if (finished()) return dram::kNeverCycle;
   return std::max(now, next_allowed_);
@@ -166,10 +162,6 @@ TraceClient::TraceClient(unsigned id, std::string name,
     require(trace_[i].cycle >= trace_[i - 1].cycle,
             "trace client: records must be cycle-ordered");
   }
-}
-
-bool TraceClient::has_request(std::uint64_t cycle) const {
-  return pos_ < trace_.size() && cycle >= trace_[pos_].cycle;
 }
 
 std::uint64_t TraceClient::next_request_cycle(std::uint64_t now) const {

@@ -45,22 +45,23 @@ class Client {
   unsigned id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  /// Does the client want to issue a request at this cycle?
+  /// Earliest cycle >= `now` at which the client can issue without any
+  /// completion arriving first, or dram::kNeverCycle when it never will
+  /// (finished, or blocked until a completion that the memory system
+  /// tracks as a separate event). The one readiness query every client
+  /// answers: the client is ready at `now` exactly when this returns
+  /// `now`, and a wake-up past `now` promises no readiness before it.
   ///
-  /// The readiness rule every client keeps: once has_request is true it
-  /// stays true, at that and every later cycle, until the client is
-  /// granted (make_request) or receives a completion (notify_complete).
-  /// The memory system counts on it to credit a full-queue stretch as
-  /// stalls without polling every cycle.
-  virtual bool has_request(std::uint64_t cycle) const = 0;
+  /// The readiness rule every client keeps: once ready it stays ready, at
+  /// that and every later cycle, until it is granted (make_request) or
+  /// receives a completion (notify_complete). The memory system counts on
+  /// it to credit a full-queue stretch as stalls without polling every
+  /// cycle, and on the wake-up to leap over pacing gaps.
+  virtual std::uint64_t next_request_cycle(std::uint64_t now) const = 0;
 
-  /// Earliest cycle >= `now` at which has_request can become true without
-  /// any completion arriving first, or dram::kNeverCycle when it never
-  /// will (finished, or blocked until a completion that the memory system
-  /// tracks as a separate event). Used by the fast-forward path to leap
-  /// over pacing gaps; the conservative default disables skipping.
-  virtual std::uint64_t next_request_cycle(std::uint64_t now) const {
-    return now;
+  /// Does the client want to issue a request at this cycle?
+  bool has_request(std::uint64_t cycle) const {
+    return next_request_cycle(cycle) == cycle;
   }
 
   /// Produce the request (only call when has_request is true). The front
@@ -100,7 +101,6 @@ inline std::uint64_t align_down(std::uint64_t v, std::uint64_t a) {
 /// lets compile_paced capture it into an arena.
 class PacedClient : public Client {
  public:
-  bool has_request(std::uint64_t cycle) const final;
   std::uint64_t next_request_cycle(std::uint64_t now) const final;
   dram::Request make_request(std::uint64_t cycle) final {
     dram::Request r = next_access();
@@ -225,7 +225,6 @@ class TraceClient final : public Client {
   TraceClient(unsigned id, std::string name, std::vector<TraceRecord> trace,
               unsigned burst_bytes);
 
-  bool has_request(std::uint64_t cycle) const override;
   std::uint64_t next_request_cycle(std::uint64_t now) const override;
   dram::Request make_request(std::uint64_t cycle) override;
   bool finished() const override;

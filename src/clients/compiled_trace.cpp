@@ -194,18 +194,6 @@ ArenaReplayClient::ArenaReplayClient(unsigned id, std::string name,
                *trace_)),
       gate_(trace_->start_gate()) {}
 
-bool ArenaReplayClient::has_request(std::uint64_t cycle) const {
-  if (cursor_.at_end()) return false;
-  const CompiledRecord& r = cursor_.record();
-  switch (r.pacing) {
-    case PacingKind::kAtCycle: return cycle >= r.param;
-    case PacingKind::kAfterAccept: return cycle >= gate_;
-    case PacingKind::kPacedClock: return cycle >= pclock_;
-    case PacingKind::kImmediate: return true;
-  }
-  return false;
-}
-
 std::uint64_t ArenaReplayClient::next_request_cycle(std::uint64_t now) const {
   if (cursor_.at_end()) return dram::kNeverCycle;
   const CompiledRecord& r = cursor_.record();

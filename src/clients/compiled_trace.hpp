@@ -215,7 +215,6 @@ class ArenaReplayClient : public Client {
   ArenaReplayClient(unsigned id, std::string name,
                     std::shared_ptr<const CompiledTrace> trace);
 
-  bool has_request(std::uint64_t cycle) const override;
   std::uint64_t next_request_cycle(std::uint64_t now) const override;
   dram::Request make_request(std::uint64_t cycle) override;
   bool finished() const override;

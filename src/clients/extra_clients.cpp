@@ -16,10 +16,6 @@ PointerChaseClient::PointerChaseClient(unsigned id, std::string name,
           "pointer chase: region shorter than one access");
 }
 
-bool PointerChaseClient::has_request(std::uint64_t cycle) const {
-  return !finished() && !outstanding_ && cycle >= ready_at_;
-}
-
 std::uint64_t PointerChaseClient::next_request_cycle(std::uint64_t now) const {
   // While a load is outstanding the client is completion-blocked; the
   // memory system bounds that skip by the controller's in-flight events,
@@ -70,10 +66,6 @@ BurstyClient::BurstyClient(unsigned id, std::string name, const Params& p)
   require(p_.burst_bytes > 0, "bursty: burst_bytes must be > 0");
   require(p_.length >= p_.burst_bytes, "bursty: region too small");
   require(p_.on_requests >= 1, "bursty: on_requests must be >= 1");
-}
-
-bool BurstyClient::has_request(std::uint64_t cycle) const {
-  return !finished() && cycle >= next_burst_at_;
 }
 
 std::uint64_t BurstyClient::next_request_cycle(std::uint64_t now) const {

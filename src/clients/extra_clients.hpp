@@ -21,7 +21,6 @@ class PointerChaseClient final : public Client {
 
   PointerChaseClient(unsigned id, std::string name, const Params& p);
 
-  bool has_request(std::uint64_t cycle) const override;
   std::uint64_t next_request_cycle(std::uint64_t now) const override;
   dram::Request make_request(std::uint64_t cycle) override;
   void notify_complete(const dram::Request& req,
@@ -58,7 +57,6 @@ class BurstyClient final : public Client {
 
   BurstyClient(unsigned id, std::string name, const Params& p);
 
-  bool has_request(std::uint64_t cycle) const override;
   std::uint64_t next_request_cycle(std::uint64_t now) const override;
   dram::Request make_request(std::uint64_t cycle) override;
   bool finished() const override;

@@ -99,8 +99,8 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
   // the controller run event to event until the next front-end-visible
   // event, bulk-crediting the sample/stall-only cycles in between. The
   // loop hands the cycle back to per-cycle step() only when it cannot
-  // prove the shape: a conservative client or a grant that leaves the
-  // queue short.
+  // prove the shape: ready clients facing a queue that this cycle's grant
+  // leaves short.
   while (true) {
     const std::uint64_t now = controller_.cycle();
     if (now >= end) return;
@@ -121,9 +121,7 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
     if (controller_.has_completions()) deliver_completions(now);
     // Scan after the delivery so notify_complete-driven state is visible,
     // as in step(). `wake` is the demand horizon: the first cycle a
-    // client that is not ready now may become ready. A wake-up past `now`
-    // already proves the client idle, so has_request is asked only of
-    // the others.
+    // client that is not ready now may become ready.
     ready_.assign(clients_.size(), false);
     std::uint64_t wake = end;
     bool any_ready = false;
@@ -131,11 +129,9 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
       const std::uint64_t w = clients_[i]->next_request_cycle(now);
       if (w > now) {
         wake = std::min(wake, w);
-      } else if (clients_[i]->has_request(now)) {
+      } else {
         ready_[i] = true;
         any_ready = true;
-      } else {
-        return;  // conservative client: no claim either way
       }
     }
 
@@ -173,8 +169,8 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
       return;
     }
     // No grant or delivery happens inside the stretch, so by the
-    // readiness rule (Client::has_request) every ready client stays ready
-    // across it.
+    // readiness rule (Client::next_request_cycle) every ready client stays
+    // ready across it.
     std::size_t win = Arbiter::kNone;
     if (!full) {
       // Execute cycle `now`'s arbitration exactly as step() would. With
@@ -186,9 +182,9 @@ void MemorySystem::stretch(std::uint64_t end, bool stop_when_done) {
       // The grant ends the winner's readiness: ready again at now + 1
       // means ready across the stretch (the stall credit below counts on
       // it); otherwise its wake-up bounds the stretch.
-      if (!clients_[win]->has_request(now + 1)) {
-        const std::uint64_t w = clients_[win]->next_request_cycle(now + 1);
-        wake = std::min(wake, std::max(w, now + 1));
+      const std::uint64_t w = clients_[win]->next_request_cycle(now + 1);
+      if (w > now + 1) {
+        wake = std::min(wake, w);
         ready_[win] = false;
       }
     }

@@ -43,19 +43,20 @@ class MemorySystem {
 
   /// Disable/enable the event-driven fast path for quiet stretches (on by
   /// default; the quiet half of stretch()). While no client is ready, the
-  /// front end stops only at its own events — a client wake-up or a
-  /// retirement to deliver — and the controller runs event to event in
-  /// between. Bit-identical to per-cycle stepping; turning it off exists
-  /// for the equivalence tests and for debugging with per-cycle traces.
+  /// front end stops only at its own events — the earliest client wake-up
+  /// (Client::next_request_cycle) or a retirement to deliver — and the
+  /// controller runs event to event in between. Bit-identical to per-cycle
+  /// stepping; turning it off exists for the equivalence tests and for
+  /// debugging with per-cycle traces.
   void set_fast_forward(bool on) { fast_forward_ = on; }
 
   /// Disable/enable the resident front end for dense traffic (on by
   /// default; the dense half of stretch()). When the controller queue is
   /// full, front-end steps between controller events are pure
-  /// stall/sample bookkeeping — by the readiness rule (Client::has_request)
-  /// a ready client stays ready until a grant or a delivery — so they are
-  /// credited in bulk while the controller runs event to event through
-  /// Controller::dense_advance.
+  /// stall/sample bookkeeping — by the readiness rule
+  /// (Client::next_request_cycle) a ready client stays ready until a grant
+  /// or a delivery — so they are credited in bulk while the controller
+  /// runs event to event through Controller::dense_advance.
   /// Bit-identical to per-cycle stepping; off is the differential
   /// reference for the equivalence and fuzz suites.
   void set_burst_issue(bool on) { burst_issue_ = on; }
@@ -111,8 +112,9 @@ class MemorySystem {
   bool all_done() const;
   /// The front end between its own events (bit-identical to per-cycle
   /// stepping). Each pass executes one boundary cycle inline — delivery,
-  /// the client scan, at most one grant — then runs the controller event
-  /// to event (Controller::dense_advance) and bulk-credits the covered
+  /// the client scan (one next_request_cycle per client: ready now, or
+  /// its wake-up), at most one grant — then runs the controller event to
+  /// event (Controller::dense_advance) and bulk-credits the covered
   /// sample/stall-only cycles:
   ///  - quiet (no client ready; gated by set_fast_forward): up to the
   ///    first client wake or retirement — controller events in between
@@ -120,11 +122,11 @@ class MemorySystem {
   ///    not stop it;
   ///  - dense (ready clients and a full or topped-off queue; gated by
   ///    set_burst_issue): up to the first freed slot or retirement.
-  /// Returns to step() for anything else: a conservative client (not
-  /// ready, with no wake-up past now), a grant that leaves the queue short,
-  /// `end`, or — with `stop_when_done` — a finished system, whose last
-  /// step run_to_completion executes itself, or an idle channel with a
-  /// delivery pending, which may finish it (step() delivers it).
+  /// Returns to step() for anything else: ready clients facing a queue
+  /// that a grant leaves short, `end`, or — with `stop_when_done` — a
+  /// finished system, whose last step run_to_completion executes itself,
+  /// or an idle channel with a delivery pending, which may finish it
+  /// (step() delivers it).
   void stretch(std::uint64_t end, bool stop_when_done);
 
   dram::Controller controller_;

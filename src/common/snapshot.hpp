@@ -9,7 +9,7 @@ namespace edsim {
 /// Version byte of the snapshot envelope. Bump on any layout change; the
 /// reader rejects mismatches with Error{kSnapshotFormat} instead of
 /// misinterpreting bytes.
-inline constexpr std::uint8_t kSnapshotVersion = 1;
+inline constexpr std::uint8_t kSnapshotVersion = 2;
 
 /// Append-only encoder for simulator-state snapshots. Integers are LEB128
 /// varints (the `.edtrc` idiom from common/varint.hpp); doubles are their

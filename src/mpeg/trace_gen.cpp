@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/snapshot.hpp"
 
 namespace edsim::mpeg {
 
@@ -31,9 +32,10 @@ void McClient::start_block() {
   ++blocks_;
 }
 
-bool McClient::has_request(std::uint64_t cycle) const {
-  if (block_active_) return true;  // finish the current block back-to-back
-  return !finished() && cycle >= next_block_cycle_;
+std::uint64_t McClient::next_request_cycle(std::uint64_t now) const {
+  if (block_active_) return now;  // finish the current block back-to-back
+  if (finished()) return dram::kNeverCycle;
+  return std::max(now, next_block_cycle_);
 }
 
 dram::Request McClient::make_request(std::uint64_t cycle) {
@@ -55,6 +57,24 @@ dram::Request McClient::make_request(std::uint64_t cycle) {
 
 bool McClient::finished() const {
   return p_.total_blocks != 0 && blocks_ >= p_.total_blocks && !block_active_;
+}
+
+void McClient::save_state(SnapshotWriter& w) const {
+  rng_.save(w);
+  w.u64(block_base_);
+  w.u32(row_in_block_);
+  w.boolean(block_active_);
+  w.u64(next_block_cycle_);
+  w.u64(blocks_);
+}
+
+void McClient::load_state(SnapshotReader& r) {
+  rng_.load(r);
+  block_base_ = r.u64();
+  row_in_block_ = r.u32();
+  block_active_ = r.boolean();
+  next_block_cycle_ = r.u64();
+  blocks_ = r.u64();
 }
 
 namespace {

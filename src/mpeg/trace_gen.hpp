@@ -31,9 +31,14 @@ class McClient final : public clients::Client {
 
   McClient(unsigned id, const Params& p);
 
-  bool has_request(std::uint64_t cycle) const override;
+  /// `now` while a block is active (its rows issue back to back), else
+  /// the paced start of the next block, or kNeverCycle once finished.
+  std::uint64_t next_request_cycle(std::uint64_t now) const override;
   dram::Request make_request(std::uint64_t cycle) override;
   bool finished() const override;
+  /// The block registers and the motion-vector RNG stream.
+  void save_state(SnapshotWriter& w) const override;
+  void load_state(SnapshotReader& r) override;
 
   std::uint64_t blocks_issued() const { return blocks_; }
 

@@ -10,10 +10,10 @@
 namespace edsim::service {
 
 /// Version byte of the `EDRS` store envelope. Bump on any change to the
-/// record payload layout (it covers the wire.hpp Metrics encoding); the
-/// reader rejects mismatches with Error{kStoreFormat} instead of
-/// misinterpreting bytes.
-inline constexpr std::uint8_t kResultStoreVersion = 2;
+/// record layout (it covers the wire.hpp Metrics encoding and the
+/// kSnapshotVersion each record is sealed with); the reader rejects
+/// mismatches with Error{kStoreFormat} instead of misinterpreting bytes.
+inline constexpr std::uint8_t kResultStoreVersion = 3;
 
 /// Content-addressed, on-disk evaluation cache: an append log of
 /// (result_key, Metrics) records behind the in-memory memo, so design

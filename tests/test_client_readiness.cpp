@@ -1,8 +1,8 @@
-// The readiness rule every memory client keeps (Client::has_request):
-// once has_request is true it stays true until the client is granted
-// (make_request) or receives a completion (notify_complete), and a
-// wake-up w = next_request_cycle(now) > now promises no readiness on
-// [now, w). The memory system's dense stretch credits full-queue
+// The readiness rule every memory client keeps
+// (Client::next_request_cycle, from which has_request derives): once
+// ready it stays ready until the client is granted (make_request) or
+// receives a completion (notify_complete), and a wake-up
+// w = next_request_cycle(now) > now promises no readiness on [now, w). The memory system's dense stretch credits full-queue
 // stretches as stalls on the strength of the first half and its quiet
 // stretch leaps to the wake-up on the strength of the second, so every
 // client in the tree is walked here through seeded cycle walks with

@@ -187,23 +187,19 @@ std::string describe_trial(int trial, std::uint64_t seed,
 
 /// Client kinds add_random_clients draws from, in roster order: the four
 /// period-paced generators, then the pointer chase, bursty and MC
-/// clients. The McClient keeps no snapshot state, so snapshot trials draw
-/// from all but the last.
+/// clients.
 constexpr std::uint64_t kPeriodPacedKinds = 4;
 constexpr std::uint64_t kRosterKinds = 7;
-constexpr std::uint64_t kSnapshotRosterKinds = kRosterKinds - 1;
 
 /// Random paced client mix over [0, span). Paced mixes draw only the
-/// period-paced kinds; high-demand mixes draw from the first `kinds`
-/// roster entries. Burst size always matches the controller access
-/// granularity; pacing keeps idle stretches in the run so the fast path
-/// actually skips. Returns the client set as the WCET analysis sees it,
+/// period-paced kinds; high-demand mixes draw from the whole roster.
+/// Burst size always matches the controller access granularity; pacing
+/// keeps idle stretches in the run so the fast path actually skips. Returns the client set as the WCET analysis sees it,
 /// so trials can assert `simulated <= analytical bound`.
 std::vector<core::WcetClient> add_random_clients(clients::MemorySystem& sys,
                                                  const DramConfig& cfg,
                                                  std::uint64_t span,
-                                                 std::uint64_t seed,
-                                                 std::uint64_t kinds) {
+                                                 std::uint64_t seed) {
   Rng rng(seed);
   std::vector<core::WcetClient> wclients;
   // ~35% of mixes are high-demand: near-zero pacing, thousands of
@@ -230,7 +226,7 @@ std::vector<core::WcetClient> add_random_clients(clients::MemorySystem& sys,
     // the front end's one grant per cycle, and draw their own idle gap so
     // their readiness comes and goes inside the dense traffic.
     const std::uint64_t kind =
-        rng.next_below(dense ? kinds : kPeriodPacedKinds);
+        rng.next_below(dense ? kRosterKinds : kPeriodPacedKinds);
     wclients.push_back(core::WcetClient{
         i, kind < kPeriodPacedKinds ? std::max(period, 1u) : 1u, total});
     const unsigned gap = kind < kPeriodPacedKinds
@@ -382,8 +378,7 @@ struct SystemRun {
 
   SystemRun(const DramConfig& cfg, std::uint64_t client_seed,
             std::uint64_t span, bool with_reliability, std::uint64_t rel_seed,
-            bool fast_forward, bool burst, std::uint64_t window,
-            std::uint64_t kinds = kRosterKinds)
+            bool fast_forward, bool burst, std::uint64_t window)
       : sys(cfg, clients::ArbiterKind::kRoundRobin), intervals(512) {
     sys.set_fast_forward(fast_forward);
     sys.set_burst_issue(burst);
@@ -394,7 +389,7 @@ struct SystemRun {
           cfg, random_reliability(rel_seed));
       sys.controller().attach_reliability(rel.get());
     }
-    wclients = add_random_clients(sys, cfg, span, client_seed, kinds);
+    wclients = add_random_clients(sys, cfg, span, client_seed);
     sys.run(window);
     intervals.finish();
   }
@@ -425,7 +420,7 @@ struct SnapshotRun {
       s->set_burst_issue(burst);
       s->controller().attach_command_log(&log);
       s->attach_telemetry(&intervals);
-      add_random_clients(*s, cfg, span, client_seed, kSnapshotRosterKinds);
+      add_random_clients(*s, cfg, span, client_seed);
       return s;
     };
     sys = build();
@@ -562,8 +557,7 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     const std::uint64_t rel_seed = derive_seed(seed, 2);
 
     const SystemRun straight(cfg, client_seed, span, with_rel, rel_seed,
-                             /*fast_forward=*/true, burst, window,
-                             kSnapshotRosterKinds);
+                             /*fast_forward=*/true, burst, window);
     const SnapshotRun resumed(cfg, client_seed, span, with_rel, rel_seed,
                               burst, cut, window);
     expect_system_runs_eq(straight, resumed);

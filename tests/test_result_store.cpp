@@ -21,6 +21,7 @@
 
 #include "common/error.hpp"
 #include "common/snapshot.hpp"
+#include "common/varint.hpp"
 #include "core/evaluator.hpp"
 #include "service/result_store.hpp"
 #include "service/wire.hpp"
@@ -224,6 +225,42 @@ TEST(ResultStore, RejectsForeignAndVersionSkewedFiles) {
   // Too short to even hold the header.
   write_file(path, {'E', 'D'});
   EXPECT_THROW(service::ResultStore{path}, Error);
+  fs::remove(path);
+}
+
+TEST(ResultStore, RefusesStoresOfThePreviousRecordFormat) {
+  // A store written before the snapshot envelope moved to version 2: an
+  // EDRS version-2 header over records sealed as snapshot version 1. It is
+  // refused whole, with one record as with several — never mistaken for a
+  // torn tail and truncated.
+  const std::string path = temp_store_path("rs_previous_format");
+  for (const int records : {1, 3}) {
+    SCOPED_TRACE(std::to_string(records) + " records");
+    fs::remove(path);
+    {
+      service::ResultStore store(path);
+      for (int i = 0; i < records; ++i) {
+        store.put(static_cast<std::uint64_t>(i), sample_metrics(i));
+      }
+    }
+    std::vector<std::uint8_t> old = read_file(path);
+    old[4] = 2;
+    for (std::size_t off = 5; off < old.size();) {
+      std::uint64_t len = 0;
+      std::size_t cursor = off;
+      ASSERT_TRUE(decode_varint(old.data(), old.size(), cursor, len));
+      old[cursor + 4] = 1;  // the record blob's snapshot version byte
+      off = cursor + static_cast<std::size_t>(len);
+    }
+    write_file(path, old);
+    try {
+      service::ResultStore store(path);
+      FAIL() << "previous-format store accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kStoreFormat);
+    }
+    EXPECT_EQ(read_file(path), old) << "a refused store must stay untouched";
+  }
   fs::remove(path);
 }
 

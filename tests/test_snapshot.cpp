@@ -370,13 +370,19 @@ TEST(SnapshotCorruption, EveryByteFlipRejected) {
 TEST(SnapshotCorruption, VersionMismatchRejected) {
   SnapshotWriter w;
   w.u64(1234);
-  std::vector<std::uint8_t> blob = w.seal();
-  blob[4] ^= 0x10;  // version byte sits after the 4-byte magic
-  try {
-    SnapshotReader r(blob);
-    FAIL() << "future-version snapshot accepted";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat);
+  // Every earlier layout (version 1 stored no MC-client state) and a
+  // future one; the version byte sits after the 4-byte magic and is not
+  // covered by the payload checksum.
+  for (std::uint8_t version = 1; version <= kSnapshotVersion + 1; ++version) {
+    if (version == kSnapshotVersion) continue;
+    std::vector<std::uint8_t> blob = w.seal();
+    blob[4] = version;
+    try {
+      SnapshotReader r(blob);
+      FAIL() << "version-" << int{version} << " snapshot accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat) << int{version};
+    }
   }
 }
 
