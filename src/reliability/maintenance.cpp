@@ -126,6 +126,7 @@ MaintenanceEngine::MaintenanceEngine(const dram::DramConfig& dram_cfg,
 }
 
 void MaintenanceEngine::rebuild_bins(const FaultInjector& injector) {
+  invalidate();
   // Rows without a weak cell need only the most relaxed sweep; weak rows
   // drop to the largest bin whose window still undercuts their weakest
   // cell's retention by the 80% margin (bin 0 catches the rest).
@@ -179,47 +180,49 @@ void MaintenanceEngine::set_due(unsigned bank, std::uint64_t due) {
   min_due_ = *std::min_element(due_.begin(), due_.end());
 }
 
-dram::MaintenanceBanks MaintenanceEngine::banks(std::uint64_t cycle) const {
-  dram::MaintenanceBanks m;
-  // Nothing queued and nothing due: no bank is pending, so none is urgent.
-  if (neighbor_banks_ == 0 && min_due_ > cycle) return m;
-  for (unsigned b = 0; b < banks_; ++b) {
-    if (pending(b, cycle)) m.pending |= std::uint64_t{1} << b;
-    if (urgent(b, cycle)) m.urgent |= std::uint64_t{1} << b;
+const MaintenanceEngine::Window& MaintenanceEngine::window(
+    std::uint64_t cycle) const {
+  if (cycle >= window_.from && cycle < window_.until) return window_;
+  Window w;
+  w.from = cycle;
+  w.until = dram::kNeverCycle;
+  // Nothing queued and nothing due: no bank is pending, so none is urgent,
+  // and the schedule next changes at the earliest due cycle.
+  if (neighbor_banks_ == 0 && min_due_ > cycle) {
+    w.next = w.until = min_due_;
+    window_ = w;
+    return window_;
   }
-  return m;
-}
-
-std::uint64_t MaintenanceEngine::next_cycle(std::uint64_t now) const {
-  if (neighbor_banks_ != 0) return now;
-  // Nothing due yet: the schedule next changes at the earliest due cycle.
-  if (min_due_ > now) return min_due_;
-  std::uint64_t ne = dram::kNeverCycle;
   for (unsigned b = 0; b < banks_; ++b) {
+    if (pending(b, cycle)) w.banks.pending |= std::uint64_t{1} << b;
+    if (urgent(b, cycle)) w.banks.urgent |= std::uint64_t{1} << b;
     // Nothing due yet (or nothing scheduled): the bank's schedule changes
     // at its earliest due cycle.
-    if (due_[b] > now) {
-      ne = std::min(ne, due_[b]);
+    if (due_[b] > cycle) {
+      w.next = std::min(w.next, due_[b]);
+      w.until = std::min(w.until, due_[b]);
       continue;
     }
     for (unsigned i = 0; i < cfg_.bins; ++i) {
-      const BinState& st = bin_state_[bin_index(b, i)];
-      if (st.next_due == dram::kNeverCycle) continue;
+      const std::uint64_t due = bin_state_[bin_index(b, i)].next_due;
+      if (due == dram::kNeverCycle) continue;
       // Future due: the schedule changes at the due cycle. Already due:
-      // the next intrinsic change is the deadline (urgency flip).
-      const std::uint64_t at = st.next_due > now
-                                   ? st.next_due
-                                   : std::max(now, st.next_due + slack_);
-      ne = std::min(ne, at);
+      // the next intrinsic change is the deadline (urgency flip), which
+      // next_cycle() clamps to the query cycle once it has passed.
+      const std::uint64_t at = due > cycle ? due : due + slack_;
+      w.next = std::min(w.next, at);
+      if (at > cycle) w.until = std::min(w.until, at);
     }
   }
-  return ne;
+  window_ = w;
+  return window_;
 }
 
 MaintenanceEngine::Claim MaintenanceEngine::claim(unsigned bank,
                                                   std::uint64_t cycle) {
   Claim c;
   if (bank_dropped_[bank]) return c;
+  invalidate();
 
   if (!neighbor_q_[bank].empty()) {
     const unsigned agg = neighbor_q_[bank].front();
@@ -278,6 +281,7 @@ void MaintenanceEngine::record_activation(unsigned bank, unsigned row,
     queued_[bank][row] = true;
     neighbor_q_[bank].push_back(row);
     neighbor_banks_ |= std::uint64_t{1} << bank;
+    invalidate();
   }
 }
 
@@ -302,6 +306,7 @@ void MaintenanceEngine::save(SnapshotWriter& w) const {
 }
 
 void MaintenanceEngine::load(SnapshotReader& r) {
+  invalidate();
   if (r.u64() != row_bin_.size()) {
     r.fail("maintenance snapshot row-bin table size mismatch");
   }
@@ -367,6 +372,7 @@ void MaintenanceEngine::load(SnapshotReader& r) {
 }
 
 void MaintenanceEngine::drop_bank(unsigned bank) {
+  invalidate();
   bank_dropped_[bank] = true;
   neighbor_q_[bank].clear();
   neighbor_banks_ &= ~(std::uint64_t{1} << bank);
