@@ -10,6 +10,7 @@
 //   --cache-stats    print the counters of every cache tier
 //   --wcet           print the analytical worst-case bounds per candidate
 
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -28,7 +29,7 @@ constexpr const char* kUsage =
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace edsim;
   using namespace edsim::core;
 
@@ -198,4 +199,9 @@ int main(int argc, char** argv) {
   }
   adv.print(std::cout, "Rules-of-thumb advisor (§2 markets)");
   return 0;
+} catch (const std::exception& e) {
+  // A corrupt or foreign result store (or any other failure) is reported,
+  // not an abort.
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -10,17 +10,22 @@
 //   --interval-cycles N    interval length in DRAM cycles (default 10000)
 //   --arena                compile the four decoder clients once into
 //                          shared immutable arenas and replay them
-//                          (bit-identical stats, no per-run generators)
+//                          (bit-identical stats, no per-run generators).
+//                          The arenas hold one window from cycle 0, so
+//                          --arena cannot be combined with --snapshot or
+//                          --restore (a usage error).
 //   --snapshot PATH        after the run, serialize the full simulator
 //                          state (versioned, checksummed) to PATH
 //   --restore PATH         before the run, restore state from PATH and
 //                          continue — a restored run is bit-identical to
-//                          one long uninterrupted run. Build the same
-//                          roster both times (pass --arena to both runs
-//                          or to neither).
+//                          one long uninterrupted run.
+//
+// A snapshot that cannot be read (corrupt, truncated, another version)
+// prints "error: ..." to stderr and exits 1.
 
 #include <cstdint>
 #include <fstream>
+#include <exception>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -46,7 +51,7 @@ constexpr const char* kUsage =
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace edsim;
 
   const std::optional<Args> parsed = parse_command_line(
@@ -56,6 +61,14 @@ int main(int argc, char** argv) {
       {"trace-csv", "arena"});
   if (!parsed) return 2;
   const Args& args = *parsed;
+  if (args.has("arena") && (args.has("snapshot") || args.has("restore"))) {
+    // The arenas are budgeted for one window from cycle 0: a run that
+    // continues past it would replay exhausted clients.
+    std::cerr << "mpeg2_decoder: --arena cannot be combined with "
+                 "--snapshot or --restore\n"
+              << kUsage;
+    return 2;
+  }
 
   for (const mpeg::FrameFormat& fmt : {mpeg::pal(), mpeg::ntsc()}) {
     mpeg::DecoderConfig dc;
@@ -181,4 +194,7 @@ int main(int argc, char** argv) {
             << " of " << to_string(cfg.peak_bandwidth()) << " peak ("
             << Table::fmt(sys.bandwidth_efficiency() * 100.0, 1) << "%)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }
