@@ -52,11 +52,23 @@ class Client {
   /// answers: the client is ready at `now` exactly when this returns
   /// `now`, and a wake-up past `now` promises no readiness before it.
   ///
-  /// The readiness rule every client keeps: once ready it stays ready, at
-  /// that and every later cycle, until it is granted (make_request) or
-  /// receives a completion (notify_complete). The memory system counts on
-  /// it to credit a full-queue stretch as stalls without polling every
-  /// cycle, and on the wake-up to leap over pacing gaps.
+  /// The readiness rules every client keeps:
+  ///  - once ready it stays ready, at that and every later cycle, until it
+  ///    is granted (make_request) or receives a completion
+  ///    (notify_complete);
+  ///  - a wake-up is exact: the client is ready at the returned cycle
+  ///    unless a grant or a completion comes first;
+  ///  - a completion can make ready only a client that reported
+  ///    kNeverCycle (completion-blocked: it has requests in flight and is
+  ///    not finished); every other client answers the same after a
+  ///    completion as before it.
+  /// The memory system counts on the first to credit a full-queue stretch
+  /// as stalls without polling every cycle, on the second to cache each
+  /// answer until the client's next grant or completion and leap over
+  /// pacing gaps, and on the third to deliver completions at the next
+  /// stretch boundary, each credited at its own cycle, instead of stopping
+  /// at every retirement. PointerChaseClient is the client that relies on
+  /// the completion-blocked case.
   virtual std::uint64_t next_request_cycle(std::uint64_t now) const = 0;
 
   /// Does the client want to issue a request at this cycle?

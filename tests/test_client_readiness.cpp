@@ -1,12 +1,16 @@
 // The readiness rule every memory client keeps
 // (Client::next_request_cycle, from which has_request derives): once
 // ready it stays ready until the client is granted (make_request) or
-// receives a completion (notify_complete), and a wake-up
-// w = next_request_cycle(now) > now promises no readiness on [now, w). The memory system's dense stretch credits full-queue
-// stretches as stalls on the strength of the first half and its quiet
-// stretch leaps to the wake-up on the strength of the second, so every
-// client in the tree is walked here through seeded cycle walks with
-// random grants and completions.
+// receives a completion (notify_complete); a wake-up
+// w = next_request_cycle(now) > now promises no readiness on [now, w)
+// and readiness at w itself; and a completion changes the answer only of
+// a client that reported kNeverCycle (completion-blocked). The memory
+// system's dense stretch credits full-queue stretches as stalls on the
+// strength of the first rule, its quiet stretch leaps to the wake-up and
+// its client scan reads a cached answer on the strength of the second,
+// and deliveries wait for the next stretch boundary on the strength of
+// the third, so every client in the tree is walked here through seeded
+// cycle walks with random grants and completions.
 
 #include <gtest/gtest.h>
 
@@ -202,7 +206,13 @@ void walk(Client& c, Rng& rng) {
     if (!outstanding.empty() && rng.next_bool(0.5)) {
       const std::size_t k = rng.next_below(outstanding.size());
       if (outstanding[k].second <= t) {
+        const std::uint64_t before = c.next_request_cycle(t);
         c.notify_complete(outstanding[k].first, t);
+        if (before != dram::kNeverCycle) {
+          ASSERT_EQ(c.next_request_cycle(t), before)
+              << "a completion at cycle " << t
+              << " moved the readiness of a client that was not blocked";
+        }
         outstanding.erase(outstanding.begin() +
                           static_cast<std::ptrdiff_t>(k));
         was_ready = false;
@@ -228,6 +238,10 @@ void walk(Client& c, Rng& rng) {
         ASSERT_FALSE(c.has_request(u))
             << "ready at " << u << " before the wake-up " << w
             << " claimed at " << t;
+      }
+      if (w != dram::kNeverCycle) {
+        ASSERT_TRUE(c.has_request(w))
+            << "not ready at the wake-up " << w << " claimed at " << t;
       }
     }
 
