@@ -23,13 +23,9 @@ class FifoTracker {
   void on_complete() {
     if (outstanding_ >= burst_bytes_) outstanding_ -= burst_bytes_;
   }
-  void sample() {
-    if (outstanding_ > peak_) peak_ = outstanding_;
-    occupancy_.add(static_cast<double>(outstanding_));
-  }
-
-  /// Bulk credit for `k` cycles in which outstanding_ did not change —
-  /// bit-identical to calling sample() k times (fast-forward path).
+  /// Sample `k` consecutive cycles in which outstanding_ did not change
+  /// (the memory system credits each client's cycles in bulk, at its own
+  /// events); bit-identical to sampling each cycle on its own.
   void sample_repeated(std::uint64_t k) {
     if (k == 0) return;
     if (outstanding_ > peak_) peak_ = outstanding_;

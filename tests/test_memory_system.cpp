@@ -168,10 +168,10 @@ TEST(FifoTracker, DepthArithmetic) {
   FifoTracker f(64);
   f.on_issue();
   f.on_issue();
-  f.sample();
+  f.sample_repeated(1);
   EXPECT_EQ(f.outstanding_bytes(), 128u);
   f.on_complete();
-  f.sample();
+  f.sample_repeated(1);
   EXPECT_EQ(f.outstanding_bytes(), 64u);
   EXPECT_EQ(f.required_depth_bytes(), 128u + 64u);
 }
