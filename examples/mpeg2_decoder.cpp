@@ -8,12 +8,6 @@
 //   --trace-csv            write the trace as flat CSV instead of JSON
 //   --intervals PATH       per-interval bandwidth/page-hit time series CSV
 //   --interval-cycles N    interval length in DRAM cycles (default 10000)
-//   --arena                compile the four decoder clients once into
-//                          shared immutable arenas and replay them
-//                          (bit-identical stats, no per-run generators).
-//                          The arenas hold one window from cycle 0, so
-//                          --arena cannot be combined with --snapshot or
-//                          --restore (a usage error).
 //   --snapshot PATH        after the run, serialize the full simulator
 //                          state (versioned, checksummed) to PATH
 //   --restore PATH         before the run, restore state from PATH and
@@ -46,7 +40,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: mpeg2_decoder [--trace <path>] [--trace-csv] [--intervals <path>]\n"
-    "                     [--interval-cycles <n>] [--arena]\n"
+    "                     [--interval-cycles <n>]\n"
     "                     [--snapshot <path>] [--restore <path>]\n";
 
 }  // namespace
@@ -56,19 +50,11 @@ int main(int argc, char** argv) try {
 
   const std::optional<Args> parsed = parse_command_line(
       argc, argv, "mpeg2_decoder", kUsage,
-      {"trace", "trace-csv", "intervals", "interval-cycles", "arena",
-       "snapshot", "restore"},
-      {"trace-csv", "arena"});
+      {"trace", "trace-csv", "intervals", "interval-cycles", "snapshot",
+       "restore"},
+      {"trace-csv"});
   if (!parsed) return 2;
   const Args& args = *parsed;
-  if (args.has("arena") && (args.has("snapshot") || args.has("restore"))) {
-    // The arenas are budgeted for one window from cycle 0: a run that
-    // continues past it would replay exhausted clients.
-    std::cerr << "mpeg2_decoder: --arena cannot be combined with "
-                 "--snapshot or --restore\n"
-              << kUsage;
-    return 2;
-  }
 
   for (const mpeg::FrameFormat& fmt : {mpeg::pal(), mpeg::ntsc()}) {
     mpeg::DecoderConfig dc;
@@ -104,12 +90,7 @@ int main(int argc, char** argv) try {
   clients::MemorySystem sys(cfg, clients::ArbiterKind::kRoundRobin);
   const mpeg::MemoryMap map = std_model.build_memory_map();
   constexpr std::uint64_t kWindow = 1'000'000;  // ~7 ms of decode time
-  if (args.has("arena")) {
-    mpeg::add_compiled_decoder_clients(sys, std_model, map, kWindow);
-    std::cout << "replaying precompiled client arenas\n\n";
-  } else {
-    mpeg::add_decoder_clients(sys, std_model, map);
-  }
+  mpeg::add_decoder_clients(sys, std_model, map);
 
   // Optional observability taps, fanned into the single controller probe.
   std::ofstream trace_out;

@@ -17,6 +17,8 @@
 // auto-detects by magic. `--binary out.edtrc` converts the input and
 // replays from the converted file, so the round trip is exercised in
 // the same run. Without a file argument a built-in demo trace runs.
+// An input that cannot be read prints "error: ..." to stderr and exits 1;
+// a usage error exits 2.
 
 #include <fstream>
 #include <iostream>
@@ -97,8 +99,10 @@ int main(int argc, char** argv) try {
       std::cout << "converted " << path << " -> " << out << " (.edtrc)\n";
       path = out;
     }
-    client = std::make_unique<clients::TraceFileClient>(
-        0, "trace", path, cfg.bytes_per_access());
+    client = std::make_unique<clients::ArenaReplayClient>(
+        0, "trace",
+        clients::compile_trace_records(clients::load_trace_auto(path),
+                                       cfg.bytes_per_access()));
     std::cout << "loaded " << client->trace()->size() << " records from "
               << path << (clients::is_binary_trace_file(path) ? " (binary)"
                                                               : " (text)")
@@ -141,5 +145,5 @@ int main(int argc, char** argv) try {
   return violations.empty() ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";
-  return 2;
+  return 1;
 }

@@ -114,9 +114,9 @@ awk -v experiments="$experiments" '
     exit bad > 0
   }' bench_output.txt
 
-# Determinism gate: every experiment binary and example must print
-# byte-identical stdout across repeated runs, EDSIM_THREADS=1 vs 4, and
-# concurrent machine load.
+# Determinism gate: every experiment binary and example must print its
+# recorded stdout (tests/golden_stdout.sha256) at EDSIM_THREADS=1 and 4
+# under concurrent machine load.
 echo
 echo "determinism:"
 scripts/determinism.sh build

@@ -243,8 +243,6 @@ class TraceClient final : public Client {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
-  std::size_t position() const { return pos_; }
-
  private:
   std::vector<TraceRecord> trace_;
   unsigned burst_bytes_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "clients/trace_io.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/snapshot.hpp"
@@ -128,11 +127,6 @@ std::shared_ptr<const CompiledTrace> compile_stream(
   return compile_paced<StreamClient>(p, max_requests);
 }
 
-std::shared_ptr<const CompiledTrace> compile_strided(
-    const StridedClient::Params& p, std::uint64_t max_requests) {
-  return compile_paced<StridedClient>(p, max_requests);
-}
-
 std::shared_ptr<const CompiledTrace> compile_random(
     const RandomClient::Params& p, std::uint64_t max_requests) {
   return compile_paced<RandomClient>(p, max_requests);
@@ -149,21 +143,6 @@ std::uint64_t compile_key(const StreamClient::Params& p,
       .mix(p.period_cycles)
       .mix(p.total_requests)
       .mix(p.start_cycle)
-      .mix(max_requests);
-  return h.digest();
-}
-
-std::uint64_t compile_key(const StridedClient::Params& p,
-                          std::uint64_t max_requests) {
-  ContentHasher h;
-  h.mix(static_cast<std::uint64_t>(CompileKind::kStrided))
-      .mix(p.base)
-      .mix(p.length)
-      .mix(p.burst_bytes)
-      .mix(p.stride_bytes)
-      .mix(p.type == dram::AccessType::kWrite)
-      .mix(p.period_cycles)
-      .mix(p.total_requests)
       .mix(max_requests);
   return h.digest();
 }
@@ -229,12 +208,6 @@ dram::Request ArenaReplayClient::make_request(std::uint64_t cycle) {
 
 bool ArenaReplayClient::finished() const { return cursor_.at_end(); }
 
-void ArenaReplayClient::reset() {
-  cursor_.rewind();
-  gate_ = trace_->start_gate();
-  pclock_ = 0;
-}
-
 void ArenaReplayClient::save_state(SnapshotWriter& w) const {
   w.u64(trace_->content_hash());
   w.u64(cursor_.index());
@@ -253,17 +226,5 @@ void ArenaReplayClient::load_state(SnapshotReader& r) {
   gate_ = r.u64();
   pclock_ = r.u64();
 }
-
-// --- TraceFileClient --------------------------------------------------------
-
-TraceFileClient::TraceFileClient(unsigned id, std::string name,
-                                 const std::string& path, unsigned burst_bytes)
-    : ArenaReplayClient(id, std::move(name),
-                        compile_trace_records(load_trace_auto(path),
-                                              burst_bytes)) {}
-
-TraceFileClient::TraceFileClient(unsigned id, std::string name,
-                                 std::shared_ptr<const CompiledTrace> trace)
-    : ArenaReplayClient(id, std::move(name), std::move(trace)) {}
 
 }  // namespace edsim::clients

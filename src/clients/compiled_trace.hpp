@@ -181,26 +181,21 @@ std::shared_ptr<const CompiledTrace> compile_paced(
 /// compile_paced over each paced generator.
 std::shared_ptr<const CompiledTrace> compile_stream(
     const StreamClient::Params& p, std::uint64_t max_requests = 0);
-std::shared_ptr<const CompiledTrace> compile_strided(
-    const StridedClient::Params& p, std::uint64_t max_requests = 0);
 std::shared_ptr<const CompiledTrace> compile_random(
     const RandomClient::Params& p, std::uint64_t max_requests = 0);
 
 /// Client-kind discriminator mixed first into every compile_key, so two
-/// client kinds never share a WorkloadCache key.
+/// client kinds never share a WorkloadCache key. The values are part of
+/// the keys, so they stay fixed.
 enum class CompileKind : std::uint64_t {
   kStream = 1,
-  kStrided = 2,
   kRandom = 3,
   kMc = 4,
-  kSimdStrided = 5,
 };
 
 /// Content-hash keys for the compile results above (used by
 /// WorkloadCache callers): two equal keys compile to identical arenas.
 std::uint64_t compile_key(const StreamClient::Params& p,
-                          std::uint64_t max_requests);
-std::uint64_t compile_key(const StridedClient::Params& p,
                           std::uint64_t max_requests);
 std::uint64_t compile_key(const RandomClient::Params& p,
                           std::uint64_t max_requests);
@@ -210,7 +205,7 @@ std::uint64_t compile_key(const RandomClient::Params& p,
 /// one immutable arena; per-client state is just a cursor plus two
 /// pacing registers. Replay is bit-identical to the generating client
 /// under any backpressure and in both per-cycle and fast-forward runs.
-class ArenaReplayClient : public Client {
+class ArenaReplayClient final : public Client {
  public:
   ArenaReplayClient(unsigned id, std::string name,
                     std::shared_ptr<const CompiledTrace> trace);
@@ -218,10 +213,6 @@ class ArenaReplayClient : public Client {
   std::uint64_t next_request_cycle(std::uint64_t now) const override;
   dram::Request make_request(std::uint64_t cycle) override;
   bool finished() const override;
-
-  /// Rewind to the first record and reset the pacing registers — the
-  /// arena itself is immutable and stays shared.
-  void reset();
 
   /// Snapshot state: the arena content hash (validated on load — the
   /// restore recipe must hand the client the same compiled workload),
@@ -231,30 +222,12 @@ class ArenaReplayClient : public Client {
   void load_state(SnapshotReader& r) override;
 
   const std::shared_ptr<const CompiledTrace>& trace() const { return trace_; }
-  std::size_t position() const { return cursor_.index(); }
 
  private:
   std::shared_ptr<const CompiledTrace> trace_;
   CompiledTrace::Cursor cursor_;
   std::uint64_t gate_ = 0;    // kAfterAccept state
   std::uint64_t pclock_ = 0;  // kPacedClock state
-};
-
-/// File-backed trace client. The backing file is parsed and compiled
-/// exactly once, in the constructor; every "copy" (the sharing
-/// constructor) reuses the same immutable arena and `reset()` just
-/// rewinds the cursor — no re-parse, no re-read, ever. Text and binary
-/// (`.edtrc`) files are auto-detected by magic.
-class TraceFileClient final : public ArenaReplayClient {
- public:
-  /// Parse + compile `path` once. Addresses are aligned down to
-  /// `burst_bytes` at compile time (the TraceClient contract).
-  TraceFileClient(unsigned id, std::string name, const std::string& path,
-                  unsigned burst_bytes);
-
-  /// Share an already-compiled arena (the "copy" path: zero parse cost).
-  TraceFileClient(unsigned id, std::string name,
-                  std::shared_ptr<const CompiledTrace> trace);
 };
 
 }  // namespace edsim::clients

@@ -1,7 +1,6 @@
 #include "clients/strided_gen.hpp"
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
 
 namespace edsim::clients {
 
@@ -76,30 +75,6 @@ dram::Request SimdStridedClient::next_access() {
   r.type = p_.type;
   r.addr = address_of(issued());
   return r;
-}
-
-std::shared_ptr<const CompiledTrace> compile_simd_strided(
-    const SimdStridedClient::Params& p, std::uint64_t max_requests) {
-  return compile_paced<SimdStridedClient>(p, max_requests);
-}
-
-std::uint64_t compile_key(const SimdStridedClient::Params& p,
-                          std::uint64_t max_requests) {
-  ContentHasher h;
-  h.mix(static_cast<std::uint64_t>(CompileKind::kSimdStrided))
-      .mix(p.base)
-      .mix(p.width_bytes)
-      .mix(p.height)
-      .mix(p.pitch_bytes)
-      .mix(p.burst_bytes)
-      .mix(p.tile_width_bytes)
-      .mix(p.tile_height)
-      .mix(static_cast<unsigned>(p.pattern))
-      .mix(p.type == dram::AccessType::kWrite)
-      .mix(p.period_cycles)
-      .mix(p.total_requests)
-      .mix(max_requests);
-  return h.digest();
 }
 
 }  // namespace edsim::clients

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "clients/client.hpp"
-#include "clients/compiled_trace.hpp"
 
 namespace edsim::clients {
 
@@ -23,8 +21,9 @@ const char* to_string(StridePattern p);
 
 /// GPU/DSP workgroup access generator over a pitched 2-D surface.
 /// The address sequence is a pure function of the issue index (never of
-/// issue cycles), which is what makes the client compilable into a PR 5
-/// arena with bit-identical replay under any backpressure.
+/// issue cycles), which is what makes the client compilable into an
+/// arena (`compile_paced`) with bit-identical replay under any
+/// backpressure.
 class SimdStridedClient final : public PacedClient {
  public:
   struct Params {
@@ -55,14 +54,5 @@ class SimdStridedClient final : public PacedClient {
   Params p_;
   std::uint64_t per_pass_ = 0;
 };
-
-/// Compile a strided sweep into a shared arena (compile_paced, the
-/// compile_stream/compile_random recipe).
-std::shared_ptr<const CompiledTrace> compile_simd_strided(
-    const SimdStridedClient::Params& p, std::uint64_t max_requests = 0);
-
-/// Content-hash cache key for compile_simd_strided (WorkloadCache).
-std::uint64_t compile_key(const SimdStridedClient::Params& p,
-                          std::uint64_t max_requests);
 
 }  // namespace edsim::clients

@@ -26,13 +26,6 @@ std::shared_ptr<const CompiledTrace> WorkloadCache::get_or_compile(
   return built;
 }
 
-std::shared_ptr<const CompiledTrace> WorkloadCache::find(
-    std::uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  return it == map_.end() ? nullptr : it->second;
-}
-
 std::uint64_t WorkloadCache::hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return hits_;

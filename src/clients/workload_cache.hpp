@@ -28,9 +28,6 @@ class WorkloadCache {
   std::shared_ptr<const CompiledTrace> get_or_compile(std::uint64_t key,
                                                       const CompileFn& compile);
 
-  /// Lookup without compiling (nullptr on miss). Does not bump counters.
-  std::shared_ptr<const CompiledTrace> find(std::uint64_t key) const;
-
   std::uint64_t hits() const;
   std::uint64_t misses() const;
   std::size_t entries() const;

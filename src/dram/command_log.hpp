@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,62 +31,18 @@ struct CommandRecord {
   }
 };
 
-/// Capture buffer the controller can be pointed at. Append-only by
-/// default (tests and the protocol checker want the complete trace);
-/// `set_capacity(n)` switches to a ring of the most recent n records so
-/// long soak runs can keep command capture on without unbounded memory.
+/// Capture buffer the controller can be pointed at: an append-only,
+/// complete command trace (the protocol checker and the tests read it).
 class CommandLog {
  public:
-  void record(const CommandRecord& r) {
-    if (capacity_ != 0 && records_.size() == capacity_) {
-      records_[head_] = r;              // overwrite the oldest slot
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-      return;
-    }
-    records_.push_back(r);
-  }
-
-  /// Records in chronological order. In ring mode the storage is rotated
-  /// into place on demand (logically const: the capture is unchanged).
-  const std::vector<CommandRecord>& records() const {
-    if (head_ != 0) {
-      std::rotate(records_.begin(),
-                  records_.begin() + static_cast<std::ptrdiff_t>(head_),
-                  records_.end());
-      head_ = 0;
-    }
-    return records_;
-  }
-
-  /// 0 (default) = unbounded append-only capture; n > 0 keeps only the
-  /// most recent n records. Shrinking drops the oldest surplus.
-  void set_capacity(std::size_t n) {
-    records();  // linearize before changing shape
-    capacity_ = n;
-    if (n != 0 && records_.size() > n) {
-      dropped_ += records_.size() - n;
-      records_.erase(records_.begin(),
-                     records_.end() - static_cast<std::ptrdiff_t>(n));
-    }
-  }
-  std::size_t capacity() const { return capacity_; }
-
-  /// Records overwritten (or trimmed) since the last clear().
-  std::uint64_t dropped() const { return dropped_; }
-
-  void clear() {
-    records_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
+  void record(const CommandRecord& r) { records_.push_back(r); }
+  /// Records in chronological order.
+  const std::vector<CommandRecord>& records() const { return records_; }
+  void clear() { records_.clear(); }
   std::size_t size() const { return records_.size(); }
 
  private:
-  mutable std::vector<CommandRecord> records_;
-  mutable std::size_t head_ = 0;  ///< oldest slot when wrapped
-  std::size_t capacity_ = 0;
-  std::uint64_t dropped_ = 0;
+  std::vector<CommandRecord> records_;
 };
 
 }  // namespace edsim::dram

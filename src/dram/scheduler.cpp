@@ -5,8 +5,8 @@
 
 namespace edsim::dram {
 
-std::unique_ptr<Scheduler> Scheduler::make(SchedulerKind kind) {
-  switch (kind) {
+std::unique_ptr<Scheduler> Scheduler::make(const DramConfig& cfg) {
+  switch (cfg.scheduler) {
     case SchedulerKind::kFcfs:
       return std::make_unique<FcfsScheduler>();
     case SchedulerKind::kFcfsPerBank:
@@ -16,17 +16,10 @@ std::unique_ptr<Scheduler> Scheduler::make(SchedulerKind kind) {
     case SchedulerKind::kReadFirst:
       return std::make_unique<ReadFirstScheduler>();
     case SchedulerKind::kTdm:
-      return std::make_unique<TdmScheduler>(64, 4);
+      return std::make_unique<TdmScheduler>(cfg.tdm_slot_cycles,
+                                            cfg.tdm_clients);
   }
   return std::make_unique<FrFcfsScheduler>();
-}
-
-std::unique_ptr<Scheduler> Scheduler::make(const DramConfig& cfg) {
-  if (cfg.scheduler == SchedulerKind::kTdm) {
-    return std::make_unique<TdmScheduler>(cfg.tdm_slot_cycles,
-                                          cfg.tdm_clients);
-  }
-  return make(cfg.scheduler);
 }
 
 ReadFirstScheduler::ReadFirstScheduler(unsigned high_watermark,

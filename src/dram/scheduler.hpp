@@ -59,8 +59,8 @@ class Scheduler {
   virtual void save(SnapshotWriter& /*w*/) const {}
   virtual void load(SnapshotReader& /*r*/) {}
 
-  static std::unique_ptr<Scheduler> make(SchedulerKind kind);
-  /// Config-aware factory: kTdm reads its slot geometry from `cfg`.
+  /// The policy `cfg.scheduler` names; kTdm reads its slot geometry
+  /// from `cfg`.
   static std::unique_ptr<Scheduler> make(const DramConfig& cfg);
 };
 

@@ -348,7 +348,7 @@ void ReliabilityManager::on_activate(unsigned bank, unsigned row,
       }
     }
   }
-  if (engine_ && self_managed_) engine_->record_activation(bank, row, cycle);
+  if (engine_) engine_->record_activation(bank, row, cycle);
 }
 
 unsigned ReliabilityManager::maintenance_claim(unsigned bank,

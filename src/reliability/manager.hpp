@@ -99,9 +99,7 @@ class ReliabilityManager final : public dram::ReliabilityHooks {
   const dram::ReliabilityCounters& counters() const override {
     return counters_;
   }
-  bool self_managed() const override {
-    return engine_ != nullptr && self_managed_;
-  }
+  bool self_managed() const override { return engine_ != nullptr; }
   /// Retired banks are dropped from the engine, so its masks exclude them.
   dram::MaintenanceBanks maintenance_banks(
       std::uint64_t cycle) const override {
@@ -111,12 +109,6 @@ class ReliabilityManager final : public dram::ReliabilityHooks {
   std::uint64_t next_maintenance_cycle(std::uint64_t now) const override {
     return self_managed() ? engine_->next_cycle(now) : dram::kNeverCycle;
   }
-
-  /// Differential baseline switch: false reverts to the PR-1
-  /// controller-REF path (the engine's schedule freezes but keeps its
-  /// state). Toggle *before* attaching to a controller — the controller
-  /// samples the flag at attach time.
-  void set_self_managed(bool on) { self_managed_ = on; }
 
   // --- direct manipulation (tests, imported fault maps) --------------------
   /// Force one fault bit into the array (counted as injected).
@@ -222,7 +214,6 @@ class ReliabilityManager final : public dram::ReliabilityHooks {
 
   // Self-managed maintenance + RowHammer attack state.
   std::unique_ptr<MaintenanceEngine> engine_;
-  bool self_managed_ = true;  ///< effective only with an engine
   std::unordered_map<std::uint64_t, std::uint32_t> disturb_;  ///< by row key
   std::uint32_t max_disturb_ = 0;
 

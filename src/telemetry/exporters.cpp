@@ -1,34 +1,8 @@
 #include "telemetry/exporters.hpp"
 
-#include "dram/command_log.hpp"
 #include "telemetry/interval.hpp"
-#include "telemetry/trace.hpp"
 
 namespace edsim::telemetry {
-
-namespace {
-constexpr unsigned kCommandTrack = 0;
-}  // namespace
-
-void export_command_log(const dram::CommandLog& log, TraceSink& sink,
-                        unsigned process) {
-  sink.set_track_name(process, kCommandTrack, "command bus");
-  for (const dram::CommandRecord& rec : log.records()) {
-    TraceEvent ev;
-    ev.phase = TraceEvent::Phase::kInstant;
-    ev.category = "command";
-    ev.process = process;
-    ev.track = kCommandTrack;
-    ev.name = dram::to_string(rec.cmd);
-    ev.cycle = rec.cycle;
-    ev.args = {arg_u64("bank", rec.bank)};
-    if (rec.cmd == dram::Command::kActivate) {
-      ev.args.push_back(arg_u64("row", rec.row));
-    }
-    if (rec.auto_precharge) ev.args.push_back(arg_str("ap", "1"));
-    sink.emit(ev);
-  }
-}
 
 std::function<void(const reliability::ReliabilityEvent&)>
 make_interval_observer(IntervalReporter& reporter) {

@@ -42,8 +42,8 @@ struct TraceEvent {
 };
 
 /// Where trace events go. Implementations stream — events are rendered
-/// as they arrive, so a capped CommandLog or a long soak never has to
-/// buffer the whole trace in memory.
+/// as they arrive, so a long soak never has to buffer the whole trace in
+/// memory.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

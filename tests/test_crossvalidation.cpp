@@ -462,6 +462,81 @@ TEST_P(DeviceSweep, MaintenanceDutyOnIdleChannelMatchesFormula) {
   }
 }
 
+TEST_P(DeviceSweep, SingleAggressorNeighborRefreshEveryThresholdActs) {
+  // RowHammer defense cadence. One aggressor row is activated N times,
+  // each ACT a closed-page read followed by an idle gap. The tracker's
+  // Misra-Gries estimate never undercounts a row, and with one row in the
+  // table it is exact, so the aggressor's estimate reaches the threshold T
+  // at ACTs T, 2T, 3T, ... (each neighbor refresh drops it back to 0).
+  // The queued refresh is urgent and claims the next idle slot, so the
+  // k-th refresh lands inside the defense interval after ACT kT: after
+  // that ACT, before ACT kT + 1. N ACTs buy floor(N / T) refreshes, each
+  // restoring both neighbor rows.
+  const DeviceCase dc = devices()[GetParam()];
+  SCOPED_TRACE(dc.name);
+  DramConfig cfg = dc.cfg;
+  cfg.page_policy = PagePolicy::kClosed;  // every read is its own ACT
+  const unsigned threshold = 16;
+  const unsigned acts = 10 * threshold + threshold / 2;
+  const unsigned bank = 0;
+  const unsigned row = cfg.rows_per_bank / 2;
+
+  reliability::ReliabilityConfig rc;  // no injected faults by default
+  rc.scrub_enabled = false;
+  rc.remap_enabled = false;
+  rc.retire_enabled = false;
+  rc.maintenance.enabled = true;
+  rc.maintenance.base_window_cycles = 1ull << 40;  // no bin sweep in frame
+  rc.maintenance.hammer_threshold = threshold;
+  rc.maintenance.hammer_reset_window = 1ull << 40;  // one tracker epoch
+  reliability::ReliabilityManager mgr(cfg, rc);
+  Controller ctl(cfg);
+  CommandLog log;
+  ctl.attach_command_log(&log);
+  ctl.attach_reliability(&mgr);
+
+  // One access, its auto-precharge and a two-row neighbor lock fit in
+  // the gap with room to spare.
+  const std::uint64_t gap = 8ull * cfg.timing.tRC;
+  Request r;
+  r.addr = ctl.mapper().encode(Coordinates{bank, row, 0});
+  for (unsigned i = 0; i < acts; ++i) {
+    ASSERT_TRUE(ctl.enqueue(r));
+    ctl.tick_until(ctl.cycle() + gap);
+    ctl.drain_completed();
+  }
+
+  std::vector<std::uint64_t> act_cycles;
+  for (const CommandRecord& rec : log.records()) {
+    if (rec.cmd != Command::kActivate) continue;
+    ASSERT_EQ(rec.bank, bank);
+    ASSERT_EQ(rec.row, row);
+    act_cycles.push_back(rec.cycle);
+  }
+  ASSERT_EQ(act_cycles.size(), acts);
+  // One claim refreshes both neighbors on one cycle. (The bin sweeps each
+  // bank starts with are not neighbor refreshes.)
+  std::vector<std::uint64_t> refresh_cycles;
+  for (const reliability::ReliabilityEvent& e : mgr.event_log()) {
+    if (e.kind != reliability::EventKind::kNeighborRefresh) continue;
+    ASSERT_EQ(e.bank, bank);
+    ASSERT_TRUE(e.row == row - 1 || e.row == row + 1) << e.row;
+    if (refresh_cycles.empty() || refresh_cycles.back() != e.cycle) {
+      refresh_cycles.push_back(e.cycle);
+    }
+  }
+  ASSERT_EQ(refresh_cycles.size(), acts / threshold);
+  for (std::size_t k = 0; k < refresh_cycles.size(); ++k) {
+    const auto acts_before = std::upper_bound(act_cycles.begin(),
+                                              act_cycles.end(),
+                                              refresh_cycles[k]) -
+                             act_cycles.begin();
+    EXPECT_EQ(static_cast<std::size_t>(acts_before), (k + 1) * threshold)
+        << "refresh " << k;
+  }
+  EXPECT_EQ(mgr.counters().neighbor_rows, 2u * (acts / threshold));
+}
+
 INSTANTIATE_TEST_SUITE_P(Presets, DeviceSweep,
                          ::testing::Range<std::size_t>(0, 5));
 

@@ -42,17 +42,17 @@ using dram::DramConfig;
 /// Every client class in the tree.
 enum class Kind {
   kStream,
-  kStrided,
+  kStride,
   kRandom,
-  kSimdStrided,
+  kSimd,
   kTrace,
   kArena,
   kPointerChase,
   kBursty,
   kMc,
 };
-constexpr Kind kKinds[] = {Kind::kStream,       Kind::kStrided,
-                           Kind::kRandom,       Kind::kSimdStrided,
+constexpr Kind kKinds[] = {Kind::kStream,       Kind::kStride,
+                           Kind::kRandom,       Kind::kSimd,
                            Kind::kTrace,        Kind::kArena,
                            Kind::kPointerChase, Kind::kBursty,
                            Kind::kMc};
@@ -61,9 +61,9 @@ constexpr std::size_t kKindCount = sizeof(kKinds) / sizeof(kKinds[0]);
 const char* name_of(Kind k) {
   switch (k) {
     case Kind::kStream: return "stream";
-    case Kind::kStrided: return "strided";
+    case Kind::kStride: return "strided";
     case Kind::kRandom: return "random";
-    case Kind::kSimdStrided: return "simd";
+    case Kind::kSimd: return "simd";
     case Kind::kTrace: return "trace";
     case Kind::kArena: return "arena";
     case Kind::kPointerChase: return "chase";
@@ -123,7 +123,7 @@ std::unique_ptr<clients::Client> make_client(Kind kind, unsigned id,
       p.start_cycle = rng.next_below(500);
       return std::make_unique<clients::StreamClient>(id, name, p);
     }
-    case Kind::kStrided: {
+    case Kind::kStride: {
       clients::StridedClient::Params p;
       p.base = base;
       p.length = length;
@@ -143,7 +143,7 @@ std::unique_ptr<clients::Client> make_client(Kind kind, unsigned id,
       p.seed = rng.next_below(1'000);
       return std::make_unique<clients::RandomClient>(id, name, p);
     }
-    case Kind::kSimdStrided: {
+    case Kind::kSimd: {
       clients::SimdStridedClient::Params p;
       p.base = base;
       p.width_bytes = cfg.page_bytes;

@@ -657,20 +657,6 @@ TEST(RetentionBins, BinnedSweepHoldsLeakyCellsUniformSweepDoesNot) {
   EXPECT_TRUE(mgr.counters().balanced());
 }
 
-TEST(RetentionBins, SelfManagedSwitchRevertsToControllerRefresh) {
-  const DramConfig cfg = small_cfg();
-  Controller ctl(cfg);
-  ReliabilityManager mgr(cfg, leaky_reliability(true));
-  mgr.set_self_managed(false);  // engine exists but stands down
-  ctl.attach_reliability(&mgr);
-  ctl.tick_until(100'000);
-  EXPECT_GT(ctl.stats().refreshes, 0u);
-  EXPECT_EQ(ctl.stats().maintenance_ops, 0u);
-  EXPECT_EQ(mgr.counters().maint_ops, 0u);
-  ASSERT_NE(mgr.maintenance_engine(), nullptr);
-  EXPECT_FALSE(mgr.self_managed());
-}
-
 TEST(RetentionBins, IdleSweepIsBitIdenticalUnderFastForward) {
   const DramConfig cfg = small_cfg();
   const std::uint64_t horizon = 200'000;

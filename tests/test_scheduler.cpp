@@ -95,17 +95,23 @@ TEST(FrFcfs, StarvationGuardRevertsToAgeOrder) {
 }
 
 TEST(SchedulerFactory, MakesRequestedKind) {
-  EXPECT_NE(dynamic_cast<FcfsScheduler*>(
-                Scheduler::make(SchedulerKind::kFcfs).get()),
+  const auto policy = [](SchedulerKind kind) {
+    DramConfig cfg;
+    cfg.scheduler = kind;
+    return Scheduler::make(cfg);
+  };
+  EXPECT_NE(dynamic_cast<FcfsScheduler*>(policy(SchedulerKind::kFcfs).get()),
             nullptr);
   EXPECT_NE(dynamic_cast<FcfsPerBankScheduler*>(
-                Scheduler::make(SchedulerKind::kFcfsPerBank).get()),
+                policy(SchedulerKind::kFcfsPerBank).get()),
             nullptr);
-  EXPECT_NE(dynamic_cast<FrFcfsScheduler*>(
-                Scheduler::make(SchedulerKind::kFrFcfs).get()),
+  EXPECT_NE(
+      dynamic_cast<FrFcfsScheduler*>(policy(SchedulerKind::kFrFcfs).get()),
+      nullptr);
+  EXPECT_NE(dynamic_cast<ReadFirstScheduler*>(
+                policy(SchedulerKind::kReadFirst).get()),
             nullptr);
-  EXPECT_NE(dynamic_cast<TdmScheduler*>(
-                Scheduler::make(SchedulerKind::kTdm).get()),
+  EXPECT_NE(dynamic_cast<TdmScheduler*>(policy(SchedulerKind::kTdm).get()),
             nullptr);
 }
 

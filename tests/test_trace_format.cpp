@@ -38,7 +38,6 @@ using clients::CompiledRecord;
 using clients::CompiledTrace;
 using clients::CompiledTraceBuilder;
 using clients::PacingKind;
-using clients::TraceFileClient;
 using clients::TraceRecord;
 
 std::vector<TraceRecord> sample_records() {
@@ -376,7 +375,7 @@ TEST(ArenaReplayGolden, StridedClientBitIdentical) {
   p.stride_bytes = 4096;
   p.period_cycles = 11;
   p.total_requests = 600;
-  const auto arena = clients::compile_strided(p);
+  const auto arena = clients::compile_paced<clients::StridedClient>(p, 0);
   for (const bool ff : {false, true}) {
     SCOPED_TRACE(ff ? "fast-forward" : "per-cycle");
     const auto live = run_system(
@@ -478,46 +477,6 @@ TEST(ArenaReplayGolden, CompiledDecoderMatchesLiveDecoderClients) {
   }
 }
 
-// --- TraceFileClient: parse once, share, rewind -----------------------------
-
-TEST(TraceFileClient, ParsesOnceSharesArenaAndRewindsWithoutReparse) {
-  const auto records = sample_records();
-  const std::string path = ::testing::TempDir() + "edsim_tfc.trace";
-  {
-    std::ofstream f(path);
-    clients::write_trace(f, records);
-  }
-  auto first = std::make_unique<TraceFileClient>(0, "tf", path, 32u);
-  EXPECT_EQ(first->trace()->size(), records.size());
-
-  // "Copies" share the immutable arena: no second parse of the file.
-  auto second = std::make_unique<TraceFileClient>(1, "tf2", first->trace());
-  EXPECT_EQ(second->trace().get(), first->trace().get());
-
-  // Delete the backing file: reset() and sharing must keep working,
-  // proving no path re-reads the file.
-  std::remove(path.c_str());
-  while (!first->finished()) first->make_request(first->next_request_cycle(0));
-  EXPECT_EQ(first->position(), records.size());
-  first->reset();
-  EXPECT_EQ(first->position(), 0u);
-  EXPECT_FALSE(first->finished());
-  const dram::Request again = first->make_request(records.front().cycle);
-  EXPECT_EQ(again.addr, records.front().addr - records.front().addr % 32);
-
-  auto third = std::make_unique<TraceFileClient>(2, "tf3", first->trace());
-  EXPECT_EQ(third->trace()->size(), records.size());
-}
-
-TEST(TraceFileClient, LoadsBinaryTracesByMagic) {
-  const auto records = sample_records();
-  const std::string path = ::testing::TempDir() + "edsim_tfc_bin.edtrc";
-  clients::save_trace_file_binary(path, records);
-  TraceFileClient c(0, "tfb", path, 32u);
-  EXPECT_EQ(c.trace()->size(), records.size());
-  std::remove(path.c_str());
-}
-
 // --- WorkloadCache ----------------------------------------------------------
 
 TEST(WorkloadCache, HitsMissesAndSharing) {
@@ -540,11 +499,16 @@ TEST(WorkloadCache, HitsMissesAndSharing) {
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.arena_bytes(), a->arena_bytes());
-  EXPECT_EQ(cache.find(key).get(), a.get());
-  EXPECT_EQ(cache.find(key + 1), nullptr);
 
-  p.total_requests = 60;  // different params -> different key
-  EXPECT_NE(clients::compile_key(p, 0), key);
+  p.total_requests = 60;  // different params -> different key, own arena
+  const std::uint64_t other = clients::compile_key(p, 0);
+  EXPECT_NE(other, key);
+  const auto c = cache.get_or_compile(other, compile);
+  EXPECT_EQ(compiles, 2);
+  EXPECT_NE(c.get(), a.get());
+  EXPECT_EQ(c->size(), 60u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.entries(), 2u);
   cache.clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.hits(), 0u);

@@ -130,7 +130,7 @@ struct ParityRun {
     sys.controller().attach_command_log(&log);
     if (arena) {
       sys.add_client(std::make_unique<clients::ArenaReplayClient>(
-          0, "arena", clients::compile_simd_strided(p)));
+          0, "arena", clients::compile_paced<SimdStridedClient>(p, 0)));
     } else {
       sys.add_client(std::make_unique<SimdStridedClient>(0, "live", p));
     }
