@@ -27,14 +27,85 @@ class Bank {
 
   /// Is `cmd` legal on this bank at `cycle` given per-bank constraints?
   /// (Cross-bank constraints — tRRD, tFAW, data-bus — live in the channel.)
-  bool can_issue(Command cmd, std::uint64_t cycle) const;
+  bool can_issue(Command cmd, std::uint64_t cycle) const {
+    switch (cmd) {
+      case Command::kActivate:
+        return state_ == State::kIdle && cycle >= next_act_;
+      case Command::kPrecharge:
+        return state_ == State::kActive && cycle >= next_pre_;
+      case Command::kRead:
+      case Command::kWrite:
+        return state_ == State::kActive && cycle >= next_col_;
+      case Command::kRefresh:
+      case Command::kMaintStart:
+        // Refresh is issued channel-wide; per-bank requirement is "idle
+        // and past tRP", i.e. the same window as an ACT. A maintenance
+        // lock has the identical entry condition on its one bank.
+        return state_ == State::kIdle && cycle >= next_act_;
+      case Command::kMaintEnd:
+        return true;  // lock release, no timing of its own
+    }
+    return false;
+  }
 
   /// Apply `cmd` at `cycle`. Caller must have checked can_issue.
   /// For kActivate, `row` selects the row to open.
-  void issue(Command cmd, unsigned row, std::uint64_t cycle);
+  void issue(Command cmd, unsigned row, std::uint64_t cycle) {
+    switch (cmd) {
+      case Command::kActivate:
+        state_ = State::kActive;
+        open_row_ = row;
+        ++acts_;
+        next_col_ = cycle + t_->tRCD;
+        next_pre_ = cycle + t_->tRAS;
+        next_act_ = cycle + t_->tRC;
+        break;
+      case Command::kPrecharge:
+        state_ = State::kIdle;
+        ++pres_;
+        next_act_ = std::max(next_act_, cycle + t_->tRP);
+        break;
+      case Command::kRead:
+        // Column commands push back the earliest precharge so the burst
+        // can drain: PRE no earlier than RD + BL (read-to-precharge).
+        next_col_ = cycle + t_->tCCD;
+        next_pre_ = std::max<std::uint64_t>(next_pre_,
+                                            cycle + t_->burst_length);
+        break;
+      case Command::kWrite:
+        next_col_ = cycle + t_->tCCD;
+        // Write recovery: PRE must wait until data written plus tWR.
+        next_pre_ = std::max<std::uint64_t>(
+            next_pre_, cycle + t_->tWL + t_->burst_length + t_->tWR);
+        break;
+      case Command::kRefresh:
+        // Channel-level refresh holds every bank for tRFC.
+        state_ = State::kIdle;
+        next_act_ = cycle + t_->tRFC;
+        break;
+      case Command::kMaintStart:
+      case Command::kMaintEnd:
+        break;  // lock bookkeeping is block_until / controller state
+    }
+  }
 
   /// Cycle at which the earliest future issue of `cmd` becomes legal.
-  std::uint64_t earliest(Command cmd) const;
+  std::uint64_t earliest(Command cmd) const {
+    switch (cmd) {
+      case Command::kActivate:
+      case Command::kRefresh:
+      case Command::kMaintStart:
+        return next_act_;
+      case Command::kPrecharge:
+        return next_pre_;
+      case Command::kRead:
+      case Command::kWrite:
+        return next_col_;
+      case Command::kMaintEnd:
+        break;
+    }
+    return 0;
+  }
 
   /// Self-managed maintenance lock: the device works on this bank until
   /// `cycle`; no command may start before then. Raises every release
