@@ -18,6 +18,9 @@ struct Coordinates {
 /// scheme. Data mapping is one of the three system-level optimization
 /// problems the paper names in §3 ("optimizing the mapping of the data into
 /// memory such that the sustainable bandwidth approaches the peak").
+/// DramConfig::validate makes banks, rows, page bytes and beat width
+/// powers of two, so every field is a shift and a mask; only kRowColBank
+/// divides, by the burst length, which need not be a power of two.
 class AddressMapper {
  public:
   explicit AddressMapper(const DramConfig& cfg);
@@ -30,11 +33,12 @@ class AddressMapper {
 
  private:
   AddressMapping scheme_;
-  unsigned banks_;
-  unsigned rows_;
-  unsigned cols_;          // columns per row, in beats
-  unsigned beat_bytes_;
-  unsigned burst_beats_;   // beats per access (for kRowColBank interleave)
+  unsigned bank_bits_;       // log2 banks
+  unsigned row_bits_;        // log2 rows per bank
+  unsigned col_bits_;        // log2 columns per row (in beats)
+  unsigned beat_bits_;       // log2 bytes per beat
+  unsigned burst_beats_;     // beats per access (for kRowColBank interleave)
+  unsigned bursts_per_row_;  // whole bursts in one bank's row
   std::uint64_t capacity_bytes_;
 };
 

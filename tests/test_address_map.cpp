@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dram/presets.hpp"
@@ -17,34 +20,60 @@ DramConfig small_config(AddressMapping m) {
   return c;
 }
 
+/// The geometries every scheme's bijection is checked on: the two 16-bit
+/// discrete parts, a wide many-bank embedded module, and a burst length
+/// of 3, which divides no (power-of-two) row, so kRowColBank's burst
+/// division and the columns left over past the last whole burst are
+/// exercised too.
+std::vector<std::pair<std::string, DramConfig>> geometries(AddressMapping m) {
+  DramConfig bl3 = presets::edram_module(16, 64, 8, 2048);
+  bl3.timing.burst_length = 3;
+  std::vector<std::pair<std::string, DramConfig>> out = {
+      {"sdram_pc100_4mbit", presets::sdram_pc100_4mbit()},
+      {"sdram_pc100_64mbit", presets::sdram_pc100_64mbit()},
+      {"edram 64 Mbit, 512-bit, 64 banks",
+       presets::edram_module(64, 512, 64, 2048)},
+      {"edram 16 Mbit, 64-bit, 8 banks, burst length 3", bl3},
+  };
+  for (auto& [name, cfg] : out) {
+    cfg.mapping = m;
+    cfg.validate();
+  }
+  return out;
+}
+
 class MappingBijection : public ::testing::TestWithParam<AddressMapping> {};
 
 TEST_P(MappingBijection, DecodeEncodeRoundTripsRandomAddresses) {
-  const DramConfig cfg = small_config(GetParam());
-  const AddressMapper map(cfg);
-  Rng rng(5);
-  const unsigned beat = cfg.bytes_per_beat();
-  for (int i = 0; i < 20'000; ++i) {
-    const std::uint64_t addr =
-        rng.next_below(map.capacity_bytes() / beat) * beat;
-    const Coordinates c = map.decode(addr);
-    EXPECT_LT(c.bank, cfg.banks);
-    EXPECT_LT(c.row, cfg.rows_per_bank);
-    EXPECT_LT(c.column, cfg.columns_per_row());
-    EXPECT_EQ(map.encode(c), addr);
+  for (const auto& [name, cfg] : geometries(GetParam())) {
+    SCOPED_TRACE(name);
+    const AddressMapper map(cfg);
+    Rng rng(5);
+    const unsigned beat = cfg.bytes_per_beat();
+    for (int i = 0; i < 20'000; ++i) {
+      const std::uint64_t addr =
+          rng.next_below(map.capacity_bytes() / beat) * beat;
+      const Coordinates c = map.decode(addr);
+      ASSERT_LT(c.bank, cfg.banks) << "addr " << addr;
+      ASSERT_LT(c.row, cfg.rows_per_bank) << "addr " << addr;
+      ASSERT_LT(c.column, cfg.columns_per_row()) << "addr " << addr;
+      ASSERT_EQ(map.encode(c), addr);
+    }
   }
 }
 
 TEST_P(MappingBijection, DistinctCoordinatesForDistinctBeats) {
   // Walk an exhaustive window and ensure no two beats collide.
-  const DramConfig cfg = small_config(GetParam());
-  const AddressMapper map(cfg);
-  const unsigned beat = cfg.bytes_per_beat();
-  std::set<std::tuple<unsigned, unsigned, unsigned>> seen;
-  for (std::uint64_t a = 0; a < 4096; ++a) {
-    const Coordinates c = map.decode(a * beat);
-    EXPECT_TRUE(seen.insert({c.bank, c.row, c.column}).second)
-        << "collision at beat " << a;
+  for (const auto& [name, cfg] : geometries(GetParam())) {
+    SCOPED_TRACE(name);
+    const AddressMapper map(cfg);
+    const unsigned beat = cfg.bytes_per_beat();
+    std::set<std::tuple<unsigned, unsigned, unsigned>> seen;
+    for (std::uint64_t a = 0; a < 4096; ++a) {
+      const Coordinates c = map.decode(a * beat);
+      ASSERT_TRUE(seen.insert({c.bank, c.row, c.column}).second)
+          << "collision at beat " << a;
+    }
   }
 }
 
