@@ -8,8 +8,8 @@
 //     --mbit N                 capacity in Mbit      (edram preset only)
 //     --width BITS             interface width       (edram preset only)
 //     --banks N --page BYTES   organization          (edram preset only)
-//     --scheduler fcfs|frfcfs|readfirst
-//     --policy open|closed
+//     --scheduler fcfs|frfcfs|readfirst|tdm   (default frfcfs)
+//     --policy open|closed                   (default open)
 //     --binary PATH            also save the trace as binary .edtrc
 //
 // Input may be the text format (one record per line, `<cycle> <R|W>
@@ -18,11 +18,15 @@
 // replays from the converted file, so the round trip is exercised in
 // the same run. Without a file argument a built-in demo trace runs.
 // An input that cannot be read prints "error: ..." to stderr and exits 1;
-// a usage error exits 2.
+// a usage error (an unknown option, or a value of --preset, --scheduler
+// or --policy outside its list) exits 2.
 
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "clients/compiled_trace.hpp"
 #include "clients/system.hpp"
@@ -58,6 +62,21 @@ constexpr const char* kDemoTrace = R"(# demo: a scanout burst, a copy loop, then
 260  R 0x05A80
 )";
 
+/// The value `--key` names among `choices` (the first is the default), or
+/// nullopt after printing a usage error that names the value.
+template <typename T>
+std::optional<T> choose(
+    const edsim::Args& args, const char* key,
+    std::initializer_list<std::pair<const char*, T>> choices) {
+  const std::string v = args.get(key, choices.begin()->first);
+  for (const auto& [name, value] : choices) {
+    if (v == name) return value;
+  }
+  std::cerr << "trace_replay: unknown --" << key << " value '" << v << "'\n"
+            << kUsage;
+  return std::nullopt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -70,8 +89,22 @@ int main(int argc, char** argv) try {
   if (!parsed) return 2;
   const Args& args = *parsed;
 
+  const auto sdram =
+      choose<bool>(args, "preset", {{"edram", false}, {"sdram", true}});
+  const auto scheduler = choose<dram::SchedulerKind>(
+      args, "scheduler",
+      {{"frfcfs", dram::SchedulerKind::kFrFcfs},
+       {"fcfs", dram::SchedulerKind::kFcfs},
+       {"readfirst", dram::SchedulerKind::kReadFirst},
+       {"tdm", dram::SchedulerKind::kTdm}});
+  const auto policy = choose<dram::PagePolicy>(
+      args, "policy",
+      {{"open", dram::PagePolicy::kOpen},
+       {"closed", dram::PagePolicy::kClosed}});
+  if (!sdram || !scheduler || !policy) return 2;
+
   dram::DramConfig cfg;
-  if (args.get("preset", "edram") == "sdram") {
+  if (*sdram) {
     cfg = dram::presets::sdram_pc100_64mbit();
   } else {
     cfg = dram::presets::edram_module(
@@ -80,14 +113,8 @@ int main(int argc, char** argv) try {
         static_cast<unsigned>(args.get_u64("banks", 4)),
         static_cast<unsigned>(args.get_u64("page", 2048)));
   }
-  const std::string sched = args.get("scheduler", "frfcfs");
-  cfg.scheduler = sched == "fcfs" ? dram::SchedulerKind::kFcfs
-                  : sched == "readfirst" ? dram::SchedulerKind::kReadFirst
-                  : sched == "tdm"       ? dram::SchedulerKind::kTdm
-                                         : dram::SchedulerKind::kFrFcfs;
-  cfg.page_policy = args.get("policy", "open") == "closed"
-                        ? dram::PagePolicy::kClosed
-                        : dram::PagePolicy::kOpen;
+  cfg.scheduler = *scheduler;
+  cfg.page_policy = *policy;
   // Parse + compile the workload once into a shared immutable arena; the
   // replay client walks it zero-copy. Text or .edtrc input both work.
   std::unique_ptr<clients::ArenaReplayClient> client;

@@ -7,8 +7,15 @@
 
 namespace edsim {
 
+namespace {
+bool contains(const std::vector<std::string>& list, const std::string& s) {
+  return std::find(list.begin(), list.end(), s) != list.end();
+}
+}  // namespace
+
 Args::Args(int argc, const char* const* argv,
-           const std::vector<std::string>& boolean_flags) {
+           const std::vector<std::string>& boolean_flags,
+           const std::vector<std::string>& known) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -18,26 +25,19 @@ Args::Args(int argc, const char* const* argv,
     const std::string key = arg.substr(2);
     require(!key.empty(), "args: bare '--' is not a valid option");
     const std::size_t eq = key.find('=');
+    const std::string name = key.substr(0, eq);
+    require(known.empty() || contains(known, name),
+            "args: unknown option --" + name);
     if (eq != std::string::npos) {
-      values_[key.substr(0, eq)] = key.substr(eq + 1);
+      values_[name] = key.substr(eq + 1);
       continue;
     }
-    const bool is_bool =
-        std::find(boolean_flags.begin(), boolean_flags.end(), key) !=
-        boolean_flags.end();
-    if (is_bool) {
+    if (contains(boolean_flags, key)) {
       values_[key] = "1";
     } else {
       require(i + 1 < argc, "args: option --" + key + " needs a value");
       values_[key] = argv[++i];
     }
-  }
-}
-
-void Args::require_known(const std::vector<std::string>& known) const {
-  for (const auto& [key, value] : values_) {
-    require(std::find(known.begin(), known.end(), key) != known.end(),
-            "args: unknown option --" + key);
   }
 }
 
@@ -47,8 +47,7 @@ std::optional<Args> parse_command_line(
     const std::vector<std::string>& boolean_flags,
     std::size_t max_positional) {
   try {
-    Args args(argc, argv, boolean_flags);
-    args.require_known(known);
+    Args args(argc, argv, boolean_flags, known);
     if (args.positional().size() > max_positional) {
       throw ConfigError("unexpected argument '" +
                         args.positional()[max_positional] + "'");

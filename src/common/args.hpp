@@ -12,9 +12,15 @@ namespace edsim {
 /// and tool binaries. Positional arguments are collected in order.
 class Args {
  public:
-  /// `boolean_flags` lists options that take no value.
+  /// `boolean_flags` lists options that take no value. A non-empty
+  /// `known` lists every option the tool reads: any other throws
+  /// ConfigError naming it where it appears, before a value is looked
+  /// for, so a typo or a removed flag is an error rather than a silent
+  /// no-op, and a trailing unknown option is not misread as one missing
+  /// its value.
   Args(int argc, const char* const* argv,
-       const std::vector<std::string>& boolean_flags = {});
+       const std::vector<std::string>& boolean_flags = {},
+       const std::vector<std::string>& known = {});
 
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
@@ -24,10 +30,6 @@ class Args {
   double get_double(const std::string& key, double fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Throws ConfigError naming the first option not in `known`, so a typo
-  /// or a removed flag is an error rather than a silent no-op.
-  void require_known(const std::vector<std::string>& known) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -8,9 +8,10 @@ namespace edsim {
 namespace {
 
 Args make(std::vector<const char*> argv,
-          std::vector<std::string> bools = {}) {
+          std::vector<std::string> bools = {},
+          std::vector<std::string> known = {}) {
   argv.insert(argv.begin(), "prog");
-  return Args(static_cast<int>(argv.size()), argv.data(), bools);
+  return Args(static_cast<int>(argv.size()), argv.data(), bools, known);
 }
 
 TEST(Args, KeyValuePairs) {
@@ -54,16 +55,32 @@ TEST(Args, Errors) {
 }
 
 TEST(Args, RequireKnownRejectsUnknownOptions) {
-  const Args a = make({"--store", "x.edrs", "--wcet"}, {"wcet"});
-  EXPECT_NO_THROW(a.require_known({"store", "wcet", "cache-stats"}));
-  try {
-    make({"--workers", "4"}).require_known({"store", "wcet"});
-    FAIL() << "an unknown option must throw";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("--workers"), std::string::npos);
+  const std::vector<std::string> known = {"store", "wcet", "cache-stats"};
+  EXPECT_NO_THROW(make({"--store", "x.edrs", "--wcet"}, {"wcet"}, known));
+  // An unknown option is named whether it takes a value, ends the
+  // command line with none, or uses the `--key=value` spelling.
+  for (const std::vector<const char*>& argv :
+       {std::vector<const char*>{"--workers", "4"},
+        std::vector<const char*>{"--store", "x.edrs", "--workers"},
+        std::vector<const char*>{"--workers=4"}}) {
+    try {
+      make(argv, {"wcet"}, known);
+      FAIL() << "an unknown option must throw";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown option --workers"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  // The `--key=value` spelling is checked the same way.
-  EXPECT_THROW(make({"--stor=x.edrs"}).require_known({"store"}), ConfigError);
+  // A known option without its value is still reported as such.
+  try {
+    make({"--store"}, {"wcet"}, known);
+    FAIL() << "a missing value must throw";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--store needs a value"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Args, ParseCommandLineReportsUsageErrors) {
