@@ -47,7 +47,7 @@ double MemoryBackend::probe_latency_ns(unsigned line_bytes) {
   // region — address 0 after a long idle with closed rows is equivalent
   // for a probe. To be deterministic we measure a never-touched address.)
   static constexpr std::uint64_t kFarAddr = 0;
-  for (int i = 0; i < 1000; ++i) controller_.tick();
+  controller_.tick_until(controller_.cycle() + 1000);
   return access_ns(kFarAddr, /*write=*/false, line_bytes);
 }
 
