@@ -150,7 +150,7 @@ void BM_IdleHeavyPerCycle(benchmark::State& state) {
     benchmark::DoNotOptimize(run_idle_heavy(false));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kIdleWindow));
+      state.iterations() * static_cast<std::int64_t>(kIdleWindow));
 }
 BENCHMARK(BM_IdleHeavyPerCycle)->Unit(benchmark::kMillisecond);
 
@@ -159,7 +159,7 @@ void BM_IdleHeavyFastForward(benchmark::State& state) {
     benchmark::DoNotOptimize(run_idle_heavy(true));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kIdleWindow));
+      state.iterations() * static_cast<std::int64_t>(kIdleWindow));
 }
 BENCHMARK(BM_IdleHeavyFastForward)->Unit(benchmark::kMillisecond);
 
@@ -194,7 +194,7 @@ void BM_SaturatedStreamBaseline(benchmark::State& state) {
     benchmark::DoNotOptimize(run_saturated_stream(false));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kDenseWindow));
+      state.iterations() * static_cast<std::int64_t>(kDenseWindow));
 }
 BENCHMARK(BM_SaturatedStreamBaseline)->Unit(benchmark::kMillisecond);
 
@@ -203,7 +203,7 @@ void BM_SaturatedStreamBurst(benchmark::State& state) {
     benchmark::DoNotOptimize(run_saturated_stream(true));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kDenseWindow));
+      state.iterations() * static_cast<std::int64_t>(kDenseWindow));
 }
 BENCHMARK(BM_SaturatedStreamBurst)->Unit(benchmark::kMillisecond);
 
@@ -231,7 +231,7 @@ void BM_StridedSweepBaseline(benchmark::State& state) {
     benchmark::DoNotOptimize(run_strided_sweep(false));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kDenseWindow));
+      state.iterations() * static_cast<std::int64_t>(kDenseWindow));
 }
 BENCHMARK(BM_StridedSweepBaseline)->Unit(benchmark::kMillisecond);
 
@@ -240,7 +240,7 @@ void BM_StridedSweepBurst(benchmark::State& state) {
     benchmark::DoNotOptimize(run_strided_sweep(true));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kDenseWindow));
+      state.iterations() * static_cast<std::int64_t>(kDenseWindow));
 }
 BENCHMARK(BM_StridedSweepBurst)->Unit(benchmark::kMillisecond);
 
@@ -278,7 +278,7 @@ void BM_RefreshBaseline(benchmark::State& state) {
     benchmark::DoNotOptimize(run_maintained(false));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kMaintWindow));
+      state.iterations() * static_cast<std::int64_t>(kMaintWindow));
 }
 BENCHMARK(BM_RefreshBaseline)->Unit(benchmark::kMillisecond);
 
@@ -287,7 +287,7 @@ void BM_SelfManagedMaintenance(benchmark::State& state) {
     benchmark::DoNotOptimize(run_maintained(true));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kMaintWindow));
+      state.iterations() * static_cast<std::int64_t>(kMaintWindow));
 }
 BENCHMARK(BM_SelfManagedMaintenance)->Unit(benchmark::kMillisecond);
 
@@ -329,7 +329,7 @@ void BM_DesignSpaceSweep(benchmark::State& state) {
     benchmark::DoNotOptimize(ev.sweep(cfgs, w));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfgs.size()));
+      state.iterations() * static_cast<std::int64_t>(cfgs.size()));
 }
 BENCHMARK(BM_DesignSpaceSweep)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
@@ -414,7 +414,7 @@ void BM_SweepCold(benchmark::State& state) {
     benchmark::DoNotOptimize(ev.sweep(cfgs, w));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfgs.size()));
+      state.iterations() * static_cast<std::int64_t>(cfgs.size()));
 }
 BENCHMARK(BM_SweepCold)->Unit(benchmark::kMillisecond);
 
@@ -430,7 +430,7 @@ void BM_SweepMemoized(benchmark::State& state) {
     benchmark::DoNotOptimize(ev.sweep(cfgs, w));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfgs.size()));
+      state.iterations() * static_cast<std::int64_t>(cfgs.size()));
 }
 BENCHMARK(BM_SweepMemoized)->Unit(benchmark::kMillisecond);
 
@@ -466,7 +466,7 @@ void BM_SweepColdStore(benchmark::State& state) {
     benchmark::DoNotOptimize(ev.sweep(cfgs, w));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfgs.size()));
+      state.iterations() * static_cast<std::int64_t>(cfgs.size()));
 }
 BENCHMARK(BM_SweepColdStore)->Unit(benchmark::kMillisecond);
 
@@ -493,7 +493,7 @@ void BM_SweepWarmStore(benchmark::State& state) {
   }
   std::filesystem::remove(bench_store_path());
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfgs.size()));
+      state.iterations() * static_cast<std::int64_t>(cfgs.size()));
 }
 BENCHMARK(BM_SweepWarmStore)->Unit(benchmark::kMillisecond);
 
@@ -546,7 +546,7 @@ void run_fanout_sweep(benchmark::State& state, bool checkpoint) {
     benchmark::DoNotOptimize(ev.sweep(cfgs, w));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfgs.size()));
+      state.iterations() * static_cast<std::int64_t>(cfgs.size()));
 }
 
 void BM_SweepColdWarmup(benchmark::State& state) {
@@ -740,7 +740,7 @@ void BM_SchedulerPolicyWcet(benchmark::State& state) {
   state.counters["sim_worst_ns"] = worst_cycles * cfg.clock.period_ns();
   state.counters["bound_ns"] = wa.latency_bounded ? wa.latency_ns : 0.0;
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kWcetWindow));
+      state.iterations() * static_cast<std::int64_t>(kWcetWindow));
 }
 BENCHMARK(BM_SchedulerPolicyWcet)
     ->Arg(0)

@@ -84,7 +84,7 @@ SnapshotReader::SnapshotReader(const std::uint8_t* data, std::size_t n)
   off_ = sizeof kMagic + 1;
   end_ = n - kChecksumBytes;
   std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 8; ++i) {
     stored |= static_cast<std::uint64_t>(data[end_ + i]) << (i * 8);
   }
   const std::uint64_t computed = payload_checksum(data + off_, end_ - off_);
@@ -110,7 +110,7 @@ std::uint32_t SnapshotReader::u32() {
 double SnapshotReader::f64() {
   if (end_ - off_ < 8) throw_format("snapshot double truncated");
   std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 8; ++i) {
     bits |= static_cast<std::uint64_t>(data_[off_ + i]) << (i * 8);
   }
   off_ += 8;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "dram/scheduler.hpp"
+
 namespace edsim::core {
 
 namespace {
@@ -104,11 +106,11 @@ WcetAnalysis analyze_wcet(const dram::DramConfig& cfg,
       rate = arrival_rate(clients, false, 1, 0);
       break;
     case dram::SchedulerKind::kFrFcfs:
-      base += 256.0;  // FrFcfsScheduler default starvation cap
+      base += static_cast<double>(dram::kFrFcfsStarvationCap);
       rate = arrival_rate(clients, false, 1, 0);
       break;
     case dram::SchedulerKind::kReadFirst:
-      base += 512.0;  // ReadFirstScheduler default starvation cap
+      base += static_cast<double>(dram::kReadFirstStarvationCap);
       rate = arrival_rate(clients, false, 1, 0);
       break;
     case dram::SchedulerKind::kTdm: {

@@ -50,7 +50,6 @@ void squeeze(std::uint64_t* m, std::size_t words, std::size_t pos) {
 Controller::Controller(const DramConfig& cfg)
     : cfg_(cfg),
       mapper_(cfg),
-      scheduler_(Scheduler::make(cfg)),
       refresh_(cfg_.timing, cfg.refresh_enabled, cfg.refresh_burst) {
   cfg_.validate();
   banks_.reserve(cfg_.banks);
@@ -546,27 +545,20 @@ void Controller::retire_due_inflight(std::uint64_t upto) {
 }
 
 std::size_t Controller::dispatch_pick(const QueueMasks& m,
-                                      std::uint64_t oldest_wait) const {
-  // Every policy class is final: the static type makes each call below a
-  // direct (inlinable) call instead of a per-round virtual dispatch.
+                                      std::uint64_t oldest_wait) {
   switch (cfg_.scheduler) {
     case SchedulerKind::kFcfs:
-      return static_cast<const FcfsScheduler&>(*scheduler_)
-          .pick(m, cycle_, oldest_wait);
+      return pick_fcfs(m);
     case SchedulerKind::kFcfsPerBank:
-      return static_cast<const FcfsPerBankScheduler&>(*scheduler_)
-          .pick(m, cycle_, oldest_wait);
+      return pick_fcfs_per_bank(m);
     case SchedulerKind::kFrFcfs:
-      return static_cast<const FrFcfsScheduler&>(*scheduler_)
-          .pick(m, cycle_, oldest_wait);
+      return pick_frfcfs(m, oldest_wait);
     case SchedulerKind::kReadFirst:
-      return static_cast<const ReadFirstScheduler&>(*scheduler_)
-          .pick(m, cycle_, oldest_wait);
+      return pick_read_first(m, oldest_wait, read_first_draining_);
     case SchedulerKind::kTdm:
       break;
   }
-  return static_cast<const TdmScheduler&>(*scheduler_)
-      .pick(m, cycle_, oldest_wait);
+  return pick_tdm(m, cycle_, cfg_.tdm_slot_cycles, cfg_.tdm_clients);
 }
 
 bool Controller::tick() {
@@ -657,23 +649,20 @@ bool Controller::tick() {
     const QueueMasks masks = build_candidates();
     const std::uint64_t oldest_wait =
         queue_.empty() ? 0 : cycle_ - queue_.front().req.arrival_cycle;
-    std::size_t pick;
-    if (cfg_.watchdog_enabled && !queue_.empty() &&
-        queue_.front().wd_retries > 0 &&
-        cfg_.scheduler != SchedulerKind::kTdm) {
-      // An escalated request owns the command slot until it completes:
-      // positions are age-ordered, so it is position 0. Under TDM
-      // the escalation still routes through the scheduler — slot ownership
-      // is inviolate (that isolation is the policy's entire guarantee), and
-      // the rotation itself bounds how long the front entry can wait.
-      pick = (masks.issuable[0] & 1) != 0 ? 0 : Scheduler::kNone;
-    } else {
-      pick = dispatch_pick(masks, oldest_wait);
-    }
-    if (pick == Scheduler::kNone &&
-        cfg_.page_policy == PagePolicy::kTimeout) {
+    // An escalated request owns the command slot until it completes:
+    // positions are age-ordered, so it is position 0 and strict FCFS
+    // serves it. Under TDM the escalation still routes through the
+    // scheduler — slot ownership is inviolate (that isolation is the
+    // policy's entire guarantee), and the rotation itself bounds how long
+    // the front entry can wait.
+    const bool escalated = cfg_.watchdog_enabled && !queue_.empty() &&
+                           queue_.front().wd_retries > 0 &&
+                           cfg_.scheduler != SchedulerKind::kTdm;
+    const std::size_t pick =
+        escalated ? pick_fcfs(masks) : dispatch_pick(masks, oldest_wait);
+    if (pick == kNoPick && cfg_.page_policy == PagePolicy::kTimeout) {
       // Idle command slot: close any row that has been open and unused
-      // past the timeout. Never preempts real work (pick was kNone).
+      // past the timeout. Never preempts real work (pick was kNoPick).
       for (unsigned b = 0; b < cfg_.banks; ++b) {
         if (banks_[b].has_open_row() &&
             cycle_ >= last_col_cycle_[b] + cfg_.page_timeout_cycles &&
@@ -685,7 +674,7 @@ bool Controller::tick() {
         }
       }
     }
-    if (pick != Scheduler::kNone) {
+    if (pick != kNoPick) {
       issued = true;
       QueueEntry& e = queue_[pick];
       const unsigned b = e.coord.bank;
@@ -1028,7 +1017,10 @@ void Controller::save(SnapshotWriter& w) const {
     w.boolean((autopre_banks_ >> b & 1) != 0);
   }
   for (const std::uint64_t c : last_col_cycle_) w.u64(c);
-  scheduler_->save(w);
+  // Of the policies only ReadFirst carries state across rounds.
+  if (cfg_.scheduler == SchedulerKind::kReadFirst) {
+    w.boolean(read_first_draining_);
+  }
   refresh_.save(w);
 
   w.u64(queue_.size());
@@ -1085,7 +1077,9 @@ void Controller::load(SnapshotReader& r) {
     if (r.boolean()) autopre_banks_ |= std::uint64_t{1} << b;
   }
   for (std::uint64_t& c : last_col_cycle_) c = r.u64();
-  scheduler_->load(r);
+  if (cfg_.scheduler == SchedulerKind::kReadFirst) {
+    read_first_draining_ = r.boolean();
+  }
   refresh_.load(r);
 
   queue_.clear();

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -270,11 +269,9 @@ class Controller {
   /// row hits, the writes, and the bank heads or TDM owner slots when the
   /// configured policy reads them. Valid until the queue or a bank changes.
   QueueMasks build_candidates();
-  /// Devirtualized scheduler dispatch: every policy class is final, so a
-  /// switch on the configured kind lets the compiler inline the policy's
-  /// pick body over the masks into the issue path.
-  std::size_t dispatch_pick(const QueueMasks& m,
-                            std::uint64_t oldest_wait) const;
+  /// The configured policy's pick over this round's masks: the one switch
+  /// on the SchedulerKind, over inlinable policy functions.
+  std::size_t dispatch_pick(const QueueMasks& m, std::uint64_t oldest_wait);
 
   /// Set queue_[pos]'s bits in the position masks (enqueue and load).
   void mark_queued(std::size_t pos);
@@ -301,8 +298,8 @@ class Controller {
   std::vector<Bank> banks_;
   std::uint64_t autopre_banks_ = 0;  // bit b: bank b awaits auto-precharge
   std::vector<std::uint64_t> last_col_cycle_;  // kTimeout bookkeeping
-  std::unique_ptr<Scheduler> scheduler_;
   RefreshEngine refresh_;
+  bool read_first_draining_ = false;  // ReadFirst write-drain hysteresis
 
   std::vector<QueueEntry> queue_;  // age-ordered
   std::vector<InFlight> inflight_;

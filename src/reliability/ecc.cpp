@@ -60,7 +60,8 @@ DecodeResult SecDed::decode(const CodeWord& w) const {
 
   unsigned syndrome = 0;
   for (unsigned j = 0; j < hamming_bits_; ++j) {
-    unsigned p = std::popcount(w.data & parity_mask_[j]) & 1u;
+    unsigned p =
+        static_cast<unsigned>(std::popcount(w.data & parity_mask_[j])) & 1u;
     p ^= (w.check >> j) & 1u;
     syndrome |= p << j;
   }

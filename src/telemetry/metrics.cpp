@@ -131,11 +131,24 @@ void export_controller_stats(const dram::ControllerStats& stats,
   scope.counter("powerdown_cycles").add(stats.powerdown_cycles);
   scope.counter("redirected_requests").add(stats.redirected_requests);
   scope.counter("watchdog_retries").add(stats.watchdog_retries);
+  scope.counter("maintenance_ops").add(stats.maintenance_ops);
   const MetricScope rel = scope.scope("reliability");
-  rel.counter("injected").add(stats.reliability.injected);
-  rel.counter("corrected").add(stats.reliability.corrected);
-  rel.counter("uncorrected").add(stats.reliability.uncorrected);
-  rel.counter("remapped").add(stats.reliability.remapped);
+  const dram::ReliabilityCounters& r = stats.reliability;
+  rel.counter("injected").add(r.injected);
+  rel.counter("corrected").add(r.corrected);
+  rel.counter("uncorrected").add(r.uncorrected);
+  rel.counter("remapped").add(r.remapped);
+  rel.counter("demand_corrections").add(r.demand_corrections);
+  rel.counter("scrub_corrections").add(r.scrub_corrections);
+  rel.counter("write_repairs").add(r.write_repairs);
+  rel.counter("uncorrectable_events").add(r.uncorrectable_events);
+  rel.counter("rows_remapped").add(r.rows_remapped);
+  rel.counter("banks_retired").add(r.banks_retired);
+  rel.counter("scrubbed_rows").add(r.scrubbed_rows);
+  rel.counter("maint_ops").add(r.maint_ops);
+  rel.counter("maint_rows").add(r.maint_rows);
+  rel.counter("neighbor_rows").add(r.neighbor_rows);
+  rel.counter("disturb_flips").add(r.disturb_flips);
   scope.gauge("row_hit_rate").set(stats.row_hit_rate());
   scope.gauge("data_bus_utilization").set(stats.data_bus_utilization());
   scope.gauge("powerdown_fraction").set(stats.powerdown_fraction());

@@ -2,12 +2,13 @@
 
 // Scheduler policies pick from queue-position bitmasks (dram::QueueMasks).
 // Tests write the queue out as a list of candidates instead, one per
-// queued request in age order, and build the masks from it here.
+// queued request in age order, and build the masks from it here:
+// `pick_fcfs(masks_of(cs).view())`.
 
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
+#include "dram/request.hpp"
 #include "dram/scheduler.hpp"
 
 namespace edsim::dram {
@@ -63,17 +64,6 @@ inline ListMasks masks_of(const std::vector<Candidate>& cs,
     l.owners[(c.client_id % slots) * l.words + w] |= bit;
   }
   return l;
-}
-
-/// `policy`'s pick from the masks of `cs` (TDM gets its own slot count).
-template <class Policy>
-std::size_t pick_from(const Policy& policy, const std::vector<Candidate>& cs,
-                      std::uint64_t cycle, std::uint64_t oldest_wait) {
-  unsigned slots = 1;
-  if constexpr (std::is_same_v<Policy, TdmScheduler>) {
-    slots = policy.num_slots();
-  }
-  return policy.pick(masks_of(cs, slots).view(), cycle, oldest_wait);
 }
 
 }  // namespace edsim::dram

@@ -12,6 +12,7 @@
 
 #include "bist/redundancy.hpp"
 #include "clients/system.hpp"
+#include "cpu/memory_backend.hpp"
 #include "dram/command_log.hpp"
 #include "dram/controller.hpp"
 #include "dram/presets.hpp"
@@ -593,6 +594,28 @@ TEST(CrossValidation, RefreshTaxMatchesPerRefreshGap) {
     EXPECT_NEAR(lost, static_cast<double>(refs) * gap, 1.0)
         << "lost per refresh " << lost / static_cast<double>(refs)
         << ", closed form " << gap;
+  }
+}
+
+// The §4.2 backends' idle-latency probe: a line of n = ceil(line / burst
+// bytes) reads to one closed row costs ACT-to-column, CAS latency, n - 1
+// column slots and the last burst's data, plus the path overhead.
+TEST(MemoryBackend, ProbeLatencyMatchesDatasheetClosedForm) {
+  for (const cpu::MemoryBackend::Params& p :
+       {cpu::off_chip_backend_params(), cpu::merged_edram_backend_params()}) {
+    const DramConfig& cfg = p.dram;
+    const TimingParams& t = cfg.timing;
+    const unsigned d = cfg.data_cycles_per_access();
+    for (const unsigned line : {32u, 64u, 128u, 256u}) {
+      SCOPED_TRACE(p.name + ", " + std::to_string(line) + " B line");
+      const unsigned n =
+          (line + cfg.bytes_per_access() - 1) / cfg.bytes_per_access();
+      const unsigned cycles =
+          t.tRCD + t.tCL + (n - 1) * std::max(t.tCCD, d) + d;
+      cpu::MemoryBackend backend(p);
+      EXPECT_DOUBLE_EQ(backend.probe_latency_ns(line),
+                       cycles * cfg.clock.period_ns() + p.fixed_overhead_ns);
+    }
   }
 }
 

@@ -80,61 +80,74 @@ Candidate cand(std::size_t q, bool write, bool hit, bool issuable) {
   return c;
 }
 
+/// pick_read_first over `cs`, carrying the drain flag in `draining`.
+std::size_t read_first(const std::vector<Candidate>& cs, bool& draining,
+                       std::uint64_t oldest_wait = 0) {
+  return pick_read_first(masks_of(cs).view(), oldest_wait, draining);
+}
+
+/// `writes` issuable writes (the first a row hit), then one row-hit read.
+std::vector<Candidate> writes_then_read(unsigned writes) {
+  std::vector<Candidate> cs;
+  for (unsigned i = 0; i < writes; ++i) {
+    cs.push_back(cand(i, true, i == 0, true));
+  }
+  cs.push_back(cand(writes, false, true, true));
+  return cs;
+}
+
 TEST(ReadFirst, ReadsBeatOlderWrites) {
-  ReadFirstScheduler s(4, 1);
+  bool draining = false;
   std::vector<Candidate> cs = {
       cand(0, true, true, true),   // old write, row hit
       cand(1, false, false, true), // younger read, row miss
   };
-  EXPECT_EQ(pick_from(s, cs, 0, 0), 1u);
+  EXPECT_EQ(read_first(cs, draining), 1u);
 }
 
 TEST(ReadFirst, RowHitReadsFirstAmongReads) {
-  ReadFirstScheduler s(4, 1);
+  bool draining = false;
   std::vector<Candidate> cs = {
       cand(0, false, false, true),
       cand(1, false, true, true),
   };
-  EXPECT_EQ(pick_from(s, cs, 0, 0), 1u);
+  EXPECT_EQ(read_first(cs, draining), 1u);
 }
 
 TEST(ReadFirst, DrainModeKicksInAtHighWatermark) {
-  ReadFirstScheduler s(/*high=*/3, /*low=*/1);
-  std::vector<Candidate> cs = {
-      cand(0, true, true, true),
-      cand(1, true, false, true),
-      cand(2, true, false, true),
-      cand(3, false, true, true),
-  };
-  // 3 writes >= high watermark: drain mode, writes first.
-  EXPECT_EQ(pick_from(s, cs, 0, 0), 0u);
-  EXPECT_TRUE(s.draining());
+  bool draining = false;
+  // One write short of the high watermark: reads still lead.
+  const unsigned read_at = kReadFirstHighWatermark - 1;
+  EXPECT_EQ(read_first(writes_then_read(read_at), draining), read_at);
+  EXPECT_FALSE(draining);
+  // At the high watermark: drain mode, writes first.
+  EXPECT_EQ(read_first(writes_then_read(kReadFirstHighWatermark), draining),
+            0u);
+  EXPECT_TRUE(draining);
+  // Hysteresis: above the low watermark the drain goes on.
+  EXPECT_EQ(
+      read_first(writes_then_read(kReadFirstLowWatermark + 1), draining), 0u);
+  EXPECT_TRUE(draining);
   // Once writes fall to the low watermark, reads lead again.
-  std::vector<Candidate> few = {
-      cand(0, true, true, true),
-      cand(1, false, true, true),
-  };
-  EXPECT_EQ(pick_from(s, few, 0, 0), 1u);
-  EXPECT_FALSE(s.draining());
+  EXPECT_EQ(read_first(writes_then_read(kReadFirstLowWatermark), draining),
+            kReadFirstLowWatermark);
+  EXPECT_FALSE(draining);
 }
 
 TEST(ReadFirst, ServesWritesWhenNoReadPresent) {
-  ReadFirstScheduler s(8, 2);
+  bool draining = false;
   std::vector<Candidate> cs = {cand(0, true, false, true)};
-  EXPECT_EQ(pick_from(s, cs, 0, 0), 0u);
+  EXPECT_EQ(read_first(cs, draining), 0u);
 }
 
 TEST(ReadFirst, StarvationGuard) {
-  ReadFirstScheduler s(8, 2, /*starvation_cap=*/100);
+  bool draining = false;
   std::vector<Candidate> cs = {
       cand(0, true, false, true),  // ancient write
       cand(1, false, true, true),
   };
-  EXPECT_EQ(pick_from(s, cs, 0, 101), 0u);
-}
-
-TEST(ReadFirst, RejectsBadWatermarks) {
-  EXPECT_THROW(ReadFirstScheduler(2, 5), edsim::ConfigError);
+  EXPECT_EQ(read_first(cs, draining, kReadFirstStarvationCap), 1u);
+  EXPECT_EQ(read_first(cs, draining, kReadFirstStarvationCap + 1), 0u);
 }
 
 TEST(ReadFirst, EndToEndReadLatencyBetterThanFrFcfs) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -335,7 +336,8 @@ TEST(ResultStore, EveryTruncationRecoversOrRejectsStructurally) {
 
   for (std::size_t cut = 5; cut < full.size(); ++cut) {
     SCOPED_TRACE("cut=" + std::to_string(cut));
-    write_file(path, {full.begin(), full.begin() + cut});
+    write_file(path, {full.begin(),
+                      full.begin() + static_cast<std::ptrdiff_t>(cut)});
     // A truncated tail is exactly what a crash mid-append leaves: open
     // must always succeed, drop at most the torn record, and keep every
     // record before it bit-exact.
@@ -355,7 +357,8 @@ TEST(ResultStore, EveryTruncationRecoversOrRejectsStructurally) {
   }
   // Truncations inside the header are rejected (no store to salvage).
   for (std::size_t cut = 1; cut < 5; ++cut) {
-    write_file(path, {full.begin(), full.begin() + cut});
+    write_file(path, {full.begin(),
+                      full.begin() + static_cast<std::ptrdiff_t>(cut)});
     EXPECT_THROW(service::ResultStore{path}, Error) << "cut=" << cut;
   }
   fs::remove(path);

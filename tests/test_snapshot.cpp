@@ -21,7 +21,6 @@
 #include "common/stats.hpp"
 #include "dram/bank.hpp"
 #include "dram/refresh.hpp"
-#include "dram/scheduler.hpp"
 #include "reliability/fault_injector.hpp"
 #include "reliability/maintenance.hpp"
 #include "reliability/manager.hpp"
@@ -419,7 +418,9 @@ SnapshotWriter fresh_controller_prefix(const dram::DramConfig& cfg) {
   for (unsigned b = 0; b < cfg.banks; ++b) dram::Bank(cfg.timing).save(w);
   for (unsigned b = 0; b < cfg.banks; ++b) w.boolean(false);
   for (unsigned b = 0; b < cfg.banks; ++b) w.u64(0);
-  dram::Scheduler::make(cfg)->save(w);
+  if (cfg.scheduler == dram::SchedulerKind::kReadFirst) {
+    w.boolean(false);  // ReadFirst's write-drain flag
+  }
   dram::RefreshEngine(cfg.timing, cfg.refresh_enabled, cfg.refresh_burst)
       .save(w);
   // Guard against layout drift: the hand-built prefix must match what a

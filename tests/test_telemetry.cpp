@@ -9,12 +9,15 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "clients/client.hpp"
 #include "clients/system.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
 #include "core/evaluator.hpp"
 #include "dram/address_map.hpp"
 #include "dram/command_log.hpp"
@@ -104,6 +107,59 @@ TEST(MetricRegistry, WritesCsvAndJson) {
   EXPECT_NE(json.str().find("\"channel0.reads\": 3"), std::string::npos);
   EXPECT_EQ(json.str().front(), '{');
   EXPECT_EQ(json.str().back(), '\n');
+}
+
+// Every ControllerStats event count reaches the registry under its own
+// name: each gets a distinct value, and each name must carry its value.
+TEST(MetricRegistry, ExportsEveryControllerCounter) {
+  dram::ControllerStats s;
+  const std::vector<std::pair<std::string, std::uint64_t*>> top = {
+      {"cycles", &s.cycles},
+      {"reads", &s.reads},
+      {"writes", &s.writes},
+      {"row_hits", &s.row_hits},
+      {"row_misses", &s.row_misses},
+      {"row_conflicts", &s.row_conflicts},
+      {"activations", &s.activations},
+      {"precharges", &s.precharges},
+      {"refreshes", &s.refreshes},
+      {"data_bus_busy_cycles", &s.data_bus_busy_cycles},
+      {"bytes_transferred", &s.bytes_transferred},
+      {"powerdown_cycles", &s.powerdown_cycles},
+      {"redirected_requests", &s.redirected_requests},
+      {"watchdog_retries", &s.watchdog_retries},
+      {"maintenance_ops", &s.maintenance_ops},
+  };
+  for (std::size_t i = 0; i < top.size(); ++i) *top[i].second = 1 + i;
+  // The reliability counters in their snapshot order, valued 101, 102, ...
+  const std::vector<std::string> rel = {
+      "injected",      "corrected",          "uncorrected",
+      "remapped",      "demand_corrections", "scrub_corrections",
+      "write_repairs", "uncorrectable_events", "rows_remapped",
+      "banks_retired", "scrubbed_rows",      "maint_ops",
+      "maint_rows",    "neighbor_rows",      "disturb_flips",
+  };
+  SnapshotWriter w;
+  for (std::size_t i = 0; i < rel.size(); ++i) w.u64(101 + i);
+  const std::vector<std::uint8_t> blob = w.seal();
+  SnapshotReader r(blob);
+  s.reliability.load(r);
+  r.expect_end();  // the list names every snapshotted counter
+
+  MetricRegistry reg;
+  telemetry::export_controller_stats(s, MetricScope(reg, "ch"));
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    const telemetry::Counter* c = reg.find_counter("ch." + top[i].first);
+    ASSERT_NE(c, nullptr) << top[i].first;
+    EXPECT_EQ(c->value(), 1 + i) << top[i].first;
+  }
+  for (std::size_t i = 0; i < rel.size(); ++i) {
+    const telemetry::Counter* c =
+        reg.find_counter("ch.reliability." + rel[i]);
+    ASSERT_NE(c, nullptr) << rel[i];
+    EXPECT_EQ(c->value(), 101 + i) << rel[i];
+  }
+  EXPECT_EQ(reg.counters().size(), top.size() + rel.size());
 }
 
 // The parallel Evaluator must produce the identical registry at every
